@@ -13,6 +13,12 @@
 
 using namespace rfp;
 
+/// Base-2 exponent below which exp-family results saturate to underflow:
+/// two binades under the half-ulp of the smallest subnormal.
+static int underflowExp(const FPFormat &F) {
+  return F.minExp() - static_cast<int>(F.precision()) - 2;
+}
+
 /// Widens the approximation's error interval and checks that both ends
 /// round to the same encoding of \p F; that encoding is then the correctly
 /// rounded result (Ziv's rounding test at format granularity).
@@ -29,6 +35,30 @@ static bool roundsUnambiguously(const MPFloat &Approx, unsigned W,
     return false;
   EncodingOut = Lo;
   return true;
+}
+
+Oracle::Saturation Oracle::expSaturation(ElemFunc Fn, double X,
+                                         const FPFormat &F) {
+  double Log2Scale = Fn == ElemFunc::Exp2  ? 1.0
+                     : Fn == ElemFunc::Exp ? 1.4426950408889634
+                                           : 3.321928094887362;
+  double ResultLog2 = X * Log2Scale;
+  if (ResultLog2 > F.maxExp() + 2)
+    return Saturation::Overflow;
+  if (ResultLog2 < underflowExp(F))
+    return Saturation::Underflow;
+  return Saturation::None;
+}
+
+uint64_t Oracle::saturatedResult(Saturation S, const FPFormat &F,
+                                 RoundingMode M) {
+  if (S == Saturation::Overflow)
+    return F.roundRational(
+        Rational(BigInt::pow2(static_cast<unsigned>(F.maxExp() + 4))), M);
+  return F.roundRational(
+      Rational(BigInt(1),
+               BigInt::pow2(static_cast<unsigned>(-underflowExp(F) + 4))),
+      M);
 }
 
 uint64_t Oracle::eval(ElemFunc Fn, double X, const FPFormat &F,
@@ -48,24 +78,13 @@ uint64_t Oracle::eval(ElemFunc Fn, double X, const FPFormat &F,
       return F.plusInf();
   }
 
-  // Clamp exp-family arguments whose results are far outside the format's
-  // range: the MP path would otherwise materialize astronomically long
-  // integers (2^x for x ~ 1e14). Inputs merely *near* the overflow and
-  // underflow boundaries still take the exact MP path below.
+  // Clamp exp-family results far outside the format's range (see
+  // expSaturation). Inputs merely *near* the overflow and underflow
+  // boundaries still take the exact MP path below.
   if (isExpFamily(Fn)) {
-    double Log2Scale = Fn == ElemFunc::Exp2  ? 1.0
-                       : Fn == ElemFunc::Exp ? 1.4426950408889634
-                                             : 3.321928094887362;
-    double ResultLog2 = X * Log2Scale;
-    if (ResultLog2 > F.maxExp() + 2)
-      return F.roundRational(
-          Rational(BigInt::pow2(static_cast<unsigned>(F.maxExp() + 4))), M);
-    int UnderflowExp = F.minExp() - static_cast<int>(F.precision()) - 2;
-    if (ResultLog2 < UnderflowExp)
-      return F.roundRational(
-          Rational(BigInt(1),
-                   BigInt::pow2(static_cast<unsigned>(-UnderflowExp + 4))),
-          M);
+    Saturation S = expSaturation(Fn, X, F);
+    if (S != Saturation::None)
+      return saturatedResult(S, F, M);
   }
 
   MPFloat XM = MPFloat::fromDouble(X);

@@ -32,6 +32,23 @@ namespace rfp {
 /// arbitrary formats/modes.
 class Oracle {
 public:
+  /// Which side of a format's range an exp-family result saturates on.
+  enum class Saturation { None, Overflow, Underflow };
+
+  /// The exp-family clamp of eval: when the base-2 exponent X * log2(b) of
+  /// b^X lies more than two binades above \p F's largest exponent, or more
+  /// than two below its smallest subnormal, only the side matters, and
+  /// eval returns saturatedResult instead of running the MP path (which
+  /// would otherwise materialize astronomically long integers, 2^x for
+  /// x ~ 1e14). The certified fast path (oracle/OracleFast.h) settles the
+  /// same classes in closed form, so the boundary is defined only here.
+  static Saturation expSaturation(ElemFunc Fn, double X, const FPFormat &F);
+
+  /// What eval returns for an input that saturates on side \p S: a power
+  /// of two two binades beyond the clamp, rounded into \p F under \p M.
+  static uint64_t saturatedResult(Saturation S, const FPFormat &F,
+                                  RoundingMode M);
+
   /// Correctly rounded f(X) as an encoding of \p F under mode \p M.
   /// X is interpreted as an exact real value (pass the decoded input).
   /// Handles the full domain: NaN, infinities, out-of-domain inputs,

@@ -8,6 +8,7 @@
 
 #include "fp/FPFormat.h"
 #include "mp/MPTranscendental.h"
+#include "oracle/Oracle.h"
 #include "support/Telemetry.h"
 
 #include <atomic>
@@ -187,12 +188,86 @@ const LogConsts &logConsts() {
 enum class Verdict : uint8_t {
   Accepted, ///< Enc is proved equal to RO_34(f(x)).
   Boundary, ///< Error interval straddles an FP34 boundary; fall back.
-  Domain,   ///< Outside the modelled domain (edges, non-finite, x <= 0).
+  Domain,   ///< Exp family between the kernel's range and the clamps.
 };
 
 const FPFormat &fp34Fmt() {
   static const FPFormat F = FPFormat::fp34();
   return F;
+}
+
+//===----------------------------------------------------------------------===//
+// Structural verdicts (closed-form classes, settled before the kernels)
+//===----------------------------------------------------------------------===//
+//
+// Three input classes have an RO_34 encoding known in closed form, so they
+// are settled with no enclosure, BigInt or cache work (proofs in DESIGN.md,
+// "Certified fast-path oracle"):
+//
+//   tiny       exp family, 0 < |x| < 2^-29: |b^x - 1| < 2^-27 lies strictly
+//              inside the round-to-odd cell beside 1.0, so RO_34 is
+//              succ(1) = enc(1) + 1 for x > 0 and pred(1) = enc(1) - 1 for
+//              x < 0, both odd. f(0) = 1 is exact and stays with the exact
+//              path.
+//   special    non-finite x and log-family x <= 0: Oracle::eval answers
+//              these by its domain rules alone, without evaluating f.
+//   saturated  exp family beyond Oracle::expSaturation's clamps: one
+//              encoding per side, Oracle::saturatedResult's.
+
+/// Float bits of 2^-29, the tiny class's exclusive upper bound on |x|.
+constexpr uint32_t TinyBits = (127u - 29u) << 23;
+
+struct ClosedForms {
+  uint64_t One;       ///< enc(1.0): zero mantissa, so even.
+  uint64_t Overflow;  ///< Oracle::eval's encoding past the overflow clamp.
+  uint64_t Underflow; ///< Oracle::eval's encoding past the underflow clamp.
+};
+
+const ClosedForms &closedForms() {
+  static const ClosedForms C = [] {
+    const FPFormat &F = fp34Fmt();
+    constexpr RoundingMode RO = RoundingMode::ToOdd;
+    return ClosedForms{
+        F.roundDouble(1.0, RO),
+        Oracle::saturatedResult(Oracle::Saturation::Overflow, F, RO),
+        Oracle::saturatedResult(Oracle::Saturation::Underflow, F, RO)};
+  }();
+  return C;
+}
+
+/// Sets \p Enc and returns true iff \p XBits is in a structural class. The
+/// kernels below run only on inputs this declines: finite x, and x > 0 for
+/// the log family.
+inline bool structuralVerdict(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
+  float Xf;
+  std::memcpy(&Xf, &XBits, sizeof(Xf));
+  double X = Xf;
+  bool ExpFamily = isExpFamily(Fn);
+  if ((XBits & 0x7f800000u) == 0x7f800000u || (!ExpFamily && X <= 0.0)) {
+    Enc = Oracle::eval(Fn, X, fp34Fmt(), RoundingMode::ToOdd);
+    return true;
+  }
+  if (!ExpFamily)
+    return false;
+  uint32_t Abs = XBits & 0x7fffffffu;
+  if (Abs < TinyBits) {
+    if (Abs == 0)
+      return false;
+    uint64_t One = closedForms().One;
+    Enc = (XBits >> 31) ? One - 1 : One + 1;
+    return true;
+  }
+  switch (Oracle::expSaturation(Fn, X, fp34Fmt())) {
+  case Oracle::Saturation::Overflow:
+    Enc = closedForms().Overflow;
+    return true;
+  case Oracle::Saturation::Underflow:
+    Enc = closedForms().Underflow;
+    return true;
+  case Oracle::Saturation::None:
+    break;
+  }
+  return false;
 }
 
 /// Accepts iff the whole enclosure [v - e, v + e] rounds (round-to-odd,
@@ -229,10 +304,9 @@ inline DD expTaylor(DD Z, const ExpConsts &C) {
 /// exponent y = x*log2(b), |y| < 151), leaving > 2^11 slack.
 constexpr int ExpErrBits = 84;
 
-/// 2^y for y = x * log2(base) evaluated as 2^(k/128) * exp(r*ln2).
+/// 2^y for y = x * log2(base) evaluated as 2^(k/128) * exp(r*ln2), for
+/// finite x.
 inline Verdict fastExpKind(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
-  if ((XBits & 0x7f800000u) == 0x7f800000u)
-    return Verdict::Domain; // NaN / inf: the exact path owns specials.
   float Xf;
   std::memcpy(&Xf, &XBits, sizeof(Xf));
   double X = Xf;
@@ -250,8 +324,9 @@ inline Verdict fastExpKind(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
     Y = ddMulD(C.Log2_10, X);
     break;
   }
-  // Leave the overflow/underflow edges (where the exact oracle applies
-  // its own clamping rules) to the exact path.
+  // Leave the bands between this range and Oracle::expSaturation's clamps
+  // (y in [127.5, 129] and [-154, -149.5], around FP34's overflow and
+  // subnormal edges) to the exact path.
   if (!(Y.Hi > -149.5 && Y.Hi < 127.5))
     return Verdict::Domain;
 
@@ -287,12 +362,8 @@ constexpr int LogErrBits = 88;
 
 /// log_b(x) = e * log_b(2) + log_b(F) + log1p(f/F)/ln(b) with F = 1 +
 /// j/256 read off the top 8 mantissa bits; f = m - F is exact and
-/// one-sided (0 <= f < 2^-8).
+/// one-sided (0 <= f < 2^-8). Requires finite x > 0.
 inline Verdict fastLogKind(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
-  if (XBits == 0 || (XBits & 0x80000000u) ||
-      (XBits & 0x7f800000u) == 0x7f800000u)
-    return Verdict::Domain; // x <= 0, NaN, inf: exact-path specials.
-
   uint32_t EF = XBits >> 23;
   uint32_t M23 = XBits & 0x7fffffu;
   int E;
@@ -337,6 +408,8 @@ inline Verdict fastLogKind(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
 }
 
 inline Verdict fastEval(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
+  if (structuralVerdict(Fn, XBits, Enc))
+    return Verdict::Accepted;
   return isExpFamily(Fn) ? fastExpKind(Fn, XBits, Enc)
                          : fastLogKind(Fn, XBits, Enc);
 }
@@ -390,26 +463,14 @@ bool rfp::oracle_fast::tryEvalToOdd34(ElemFunc Fn, uint32_t XBits,
 void rfp::oracle_fast::evalToOdd34Batch(ElemFunc Fn, const uint32_t *XBits,
                                         size_t N, uint64_t *Enc,
                                         uint8_t *Status) {
-  uint64_t Accepts = 0, Fallbacks = 0, Rejects = 0;
-  if (isExpFamily(Fn)) {
-    for (size_t I = 0; I < N; ++I) {
-      Verdict V = fastExpKind(Fn, XBits[I], Enc[I]);
-      Status[I] = V == Verdict::Accepted;
-      Accepts += V == Verdict::Accepted;
-      Fallbacks += V == Verdict::Boundary;
-      Rejects += V == Verdict::Domain;
-    }
-  } else {
-    for (size_t I = 0; I < N; ++I) {
-      Verdict V = fastLogKind(Fn, XBits[I], Enc[I]);
-      Status[I] = V == Verdict::Accepted;
-      Accepts += V == Verdict::Accepted;
-      Fallbacks += V == Verdict::Boundary;
-      Rejects += V == Verdict::Domain;
-    }
+  uint64_t Tally[3] = {0, 0, 0}; // Indexed by Verdict.
+  for (size_t I = 0; I < N; ++I) {
+    Verdict V = fastEval(Fn, XBits[I], Enc[I]);
+    Status[I] = V == Verdict::Accepted;
+    ++Tally[static_cast<unsigned>(V)];
   }
   const FastCounters &C = fastCounters();
-  C.Accepts.add(Accepts);
-  C.Fallbacks.add(Fallbacks);
-  C.Rejects.add(Rejects);
+  C.Accepts.add(Tally[static_cast<unsigned>(Verdict::Accepted)]);
+  C.Fallbacks.add(Tally[static_cast<unsigned>(Verdict::Boundary)]);
+  C.Rejects.add(Tally[static_cast<unsigned>(Verdict::Domain)]);
 }

@@ -51,12 +51,48 @@ struct Lcg {
   uint32_t next() { return State = State * 1664525u + 1013904223u; }
 };
 
+/// Edges of the fast path's structural classes: |x| = 2^-29 (the exp
+/// family's tiny class ends there) and, for the exp family, the x at which
+/// b^x reaches Oracle::eval's FP34 saturation clamps, x * log2(b) = 129
+/// and -154.
+std::vector<float> structuralEdges(ElemFunc F) {
+  std::vector<float> Edges = {0x1p-29f};
+  if (isExpFamily(F)) {
+    double Log2B = F == ElemFunc::Exp2  ? 1.0
+                   : F == ElemFunc::Exp ? std::log2(std::exp(1.0))
+                                        : std::log2(10.0);
+    Edges.push_back(static_cast<float>(129.0 / Log2B));
+    Edges.push_back(static_cast<float>(-154.0 / Log2B));
+  }
+  return Edges;
+}
+
+/// Membership in a structural class, decided from the class definitions
+/// rather than from the fast path: non-finite x, log-family x <= 0,
+/// exp-family 0 < |x| < 2^-29, and exp-family saturation.
+bool inStructuralClass(ElemFunc F, uint32_t Bits) {
+  float X = bitsToFloat(Bits);
+  if (!std::isfinite(X))
+    return true;
+  if (!isExpFamily(F))
+    return X <= 0.0f;
+  if (X != 0.0f && std::fabs(X) < 0x1p-29f)
+    return true;
+  return Oracle::expSaturation(F, X, FPFormat::fp34()) !=
+         Oracle::Saturation::None;
+}
+
 /// Bit patterns whose results sit on or next to FP34 rounding boundaries:
 /// exactly representable results (integer exp2 inputs, powers of two into
-/// the log family) and the surrounding windows. The certified path must
-/// refuse or agree -- never accept a wrong side of the boundary.
+/// the log family) and the surrounding windows, plus the structural class
+/// edges. The certified path must refuse or agree -- never accept a wrong
+/// side of the boundary.
 std::vector<uint32_t> boundaryPatterns(ElemFunc F) {
   std::vector<float> Anchors = {0.0f, 1.0f, -1.0f, 2.0f, 0.5f, 4.0f, 0.25f};
+  for (float E : structuralEdges(F)) {
+    Anchors.push_back(E);
+    Anchors.push_back(-E);
+  }
   if (isExpFamily(F))
     for (int K = 3; K <= 24; K += 3) {
       Anchors.push_back(std::ldexp(1.0f, -K));
@@ -149,6 +185,41 @@ TEST_P(OracleFastTest, BatchMatchesSingle) {
       ASSERT_EQ(Enc[I], Single) << "bits=0x" << std::hex << Bits[I];
     }
   }
+}
+
+/// Every input of a structural class must be *accepted* -- a class that
+/// silently stops firing fails here -- and bit-equal to the exact oracle:
+/// every FP(14, 8) input (FP(10..13, 8) are subsets) and float32
+/// neighbourhoods, both signs, of each class edge.
+TEST_P(OracleFastTest, StructuralClassesMatchExact) {
+  ElemFunc F = GetParam();
+  FPFormat F14 = FPFormat::withBits(14);
+  std::vector<uint32_t> Bits;
+  for (uint64_t E = 0; E < F14.encodingCount(); ++E)
+    Bits.push_back(floatToBits(static_cast<float>(F14.decode(E))));
+  for (float Edge : structuralEdges(F))
+    for (float Anchor : {Edge, -Edge}) {
+      uint32_t C = floatToBits(Anchor);
+      for (uint32_t D = 0; D <= 2000; ++D) {
+        Bits.push_back(C + D);
+        Bits.push_back(C - D);
+      }
+    }
+
+  FPFormat F34 = FPFormat::fp34();
+  size_t InClass = 0;
+  for (uint32_t B : Bits) {
+    if (!inStructuralClass(F, B))
+      continue;
+    ++InClass;
+    uint64_t FastEnc;
+    ASSERT_TRUE(oracle_fast::tryEvalToOdd34(F, B, FastEnc))
+        << elemFuncName(F) << " x bits=0x" << std::hex << B;
+    ASSERT_EQ(FastEnc, Oracle::eval(F, bitsToFloat(B), F34,
+                                    RoundingMode::ToOdd))
+        << elemFuncName(F) << " x bits=0x" << std::hex << B;
+  }
+  EXPECT_GT(InClass, Bits.size() / 4);
 }
 
 /// The prepare speedup hinges on near-total acceptance over the inputs

@@ -19,13 +19,17 @@
 //
 // --json (default BENCH_verify.json) writes the coverage/throughput
 // report through the shared bench envelope; CI validates it with
-// python3 -m json.tool and gates on totals.mismatches == 0.
+// python3 -m json.tool and gates on totals.mismatches == 0. The summary
+// line and the report's totals also split the certified fast oracle's
+// verdicts (accepted / boundary / domain), so a run answers why inputs
+// left the fast path for the exact oracle.
 //
 //===----------------------------------------------------------------------===//
 
 #include "verify/Verify.h"
 
 #include "JsonWriter.h"
+#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <chrono>
@@ -61,7 +65,11 @@ int usage(const char *Prog) {
       "  --shard <k>/<m>        run only shard k of m (0-based)\n"
       "  --shard-dir <dir>      shard directory (required with shards)\n"
       "  --resume               reuse shards already valid on disk\n"
-      "  --quiet                no per-unit progress lines\n",
+      "  --quiet                no per-unit progress lines\n"
+      "The summary splits the certified fast oracle's verdicts into\n"
+      "accepted / boundary / domain (the latter two go to the exact\n"
+      "oracle); the split covers only units computed in this process, not\n"
+      "resumed shards.\n",
       Prog, bench::ReportOptions::usage());
   return 2;
 }
@@ -110,6 +118,18 @@ bool parseList(const char *Arg, std::vector<EvalScheme> &Out) {
   return !Out.empty();
 }
 
+/// The certified fast oracle's verdicts in this process, from its
+/// telemetry counters (the sweep is the tool's only oracle user).
+struct FastVerdicts {
+  uint64_t Accepted, Boundary, Domain;
+
+  static FastVerdicts read() {
+    return {telemetry::counterValue("oracle.fast.accepts"),
+            telemetry::counterValue("oracle.fast.fallbacks"),
+            telemetry::counterValue("oracle.fast.rejects")};
+  }
+};
+
 void printMismatch(const Mismatch &M) {
   std::fprintf(stderr,
                "  MISMATCH %s/%s fp%u %s x=0x%08x path=%u isa=%s lane=%u "
@@ -126,7 +146,8 @@ void printMismatch(const Mismatch &M) {
 }
 
 void writeReport(bench::Report &Rep, const SweepConfig &C,
-                 const SweepReport &R, double WallMs) {
+                 const SweepReport &R, const FastVerdicts &Fast,
+                 double WallMs) {
   json::Writer &W = Rep.writer();
   W.key("config");
   W.beginObject();
@@ -157,6 +178,9 @@ void writeReport(bench::Report &Rep, const SweepConfig &C,
   W.kv("mismatches", R.Mismatches);
   W.kv("oracle_fast", R.OracleFast);
   W.kv("oracle_exact", R.OracleExact);
+  W.kv("fast_accepted", Fast.Accepted);
+  W.kv("fast_boundary", Fast.Boundary);
+  W.kv("fast_domain", Fast.Domain);
   W.kv("units_resumed", static_cast<uint64_t>(R.UnitsResumed));
   W.kvFixed("wall_ms", WallMs, 1);
   double Secs = WallMs / 1000.0;
@@ -306,6 +330,7 @@ int main(int Argc, char **Argv) {
   double WallMs = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - T0)
                       .count();
+  const FastVerdicts Fast = FastVerdicts::read();
 
   unsigned Printed = 0;
   for (const UnitOutcome &O : Report.Units)
@@ -320,18 +345,22 @@ int main(int Argc, char **Argv) {
                                 " units resumed]"
                           : "";
   std::printf("verify: %llu inputs, %llu comparisons, %llu mismatches"
-              "%s (%.1f s, %.0f inputs/s)\n",
+              "%s (%.1f s, %.0f inputs/s); fast oracle %llu accepted, "
+              "%llu boundary, %llu domain\n",
               static_cast<unsigned long long>(Report.Inputs),
               static_cast<unsigned long long>(Report.Comparisons),
               static_cast<unsigned long long>(Report.Mismatches),
               ResumeNote.c_str(), WallMs / 1000.0,
-              WallMs > 0 ? Report.Inputs / (WallMs / 1000.0) : 0.0);
+              WallMs > 0 ? Report.Inputs / (WallMs / 1000.0) : 0.0,
+              static_cast<unsigned long long>(Fast.Accepted),
+              static_cast<unsigned long long>(Fast.Boundary),
+              static_cast<unsigned long long>(Fast.Domain));
 
   if (!Opts.JsonPath.empty()) {
     bench::Report Rep(Opts.JsonPath, "verify");
     if (!Rep.ok())
       return 2;
-    writeReport(Rep, C, Report, WallMs);
+    writeReport(Rep, C, Report, Fast, WallMs);
   }
   Opts.finish();
   return Report.Mismatches == 0 ? 0 : 1;
