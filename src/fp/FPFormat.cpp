@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 using namespace rfp;
@@ -104,90 +105,74 @@ uint64_t FPFormat::roundCore(bool Negative, uint64_t TopBits, int64_t MsbExp,
   // Number of significant bits this format can keep for this magnitude.
   int64_t Keep = MsbExp >= minExp() ? Prec : Prec + (MsbExp - minExp());
 
-  uint64_t Q;
-  bool RoundBit, Sticky;
+  uint64_t Q, RoundBit, Sticky;
   if (Keep >= 1) {
     Q = TopBits >> (64 - Keep);
     RoundBit = (TopBits >> (63 - Keep)) & 1;
-    Sticky = ExtraSticky ||
-             (Keep + 1 < 64 && (TopBits << (Keep + 1)) != 0);
-  } else if (Keep == 0) {
-    // Leading bit sits exactly at the half-ulp position of the smallest
-    // subnormal.
-    Q = 0;
-    RoundBit = true;
-    Sticky = ExtraSticky || (TopBits << 1) != 0;
+    Sticky = ExtraSticky || (Keep + 1 < 64 && (TopBits << (Keep + 1)) != 0);
   } else {
+    // Leading bit at (Keep == 0) or below (Keep < 0) the half-ulp position
+    // of the smallest subnormal.
     Q = 0;
-    RoundBit = false;
-    Sticky = true;
+    RoundBit = Keep == 0;
+    Sticky = ExtraSticky || Keep < 0 || (TopBits << 1) != 0;
   }
 
-  bool Inexact = RoundBit || Sticky;
+  // The mode's rounding rule as arithmetic on the 0/1 round and sticky
+  // bits; the switch selects a rule, the data never branches.
+  uint64_t Inexact = RoundBit | Sticky, Neg = Negative;
   switch (M) {
   case RoundingMode::NearestEven:
-    if (RoundBit && (Sticky || (Q & 1)))
-      ++Q;
+    Q += RoundBit & (Sticky | (Q & 1));
     break;
   case RoundingMode::NearestAway:
-    if (RoundBit)
-      ++Q;
+    Q += RoundBit;
     break;
   case RoundingMode::TowardZero:
     break;
   case RoundingMode::Upward:
-    if (!Negative && Inexact)
-      ++Q;
+    Q += Inexact & (Neg ^ 1);
     break;
   case RoundingMode::Downward:
-    if (Negative && Inexact)
-      ++Q;
+    Q += Inexact & Neg;
     break;
   case RoundingMode::ToOdd:
-    if (Inexact)
-      Q |= 1;
+    Q |= Inexact;
     break;
   }
 
-  uint64_t Sign = Negative ? (1ull << (NBits - 1)) : 0;
-  if (Q == 0)
-    return Sign; // Signed zero.
-
-  // Ulp exponent is fixed by the (pre-carry) leading-bit exponent.
-  int64_t UlpExp = std::max<int64_t>(MsbExp, minExp()) - (Prec - 1);
-  if (Q >> Prec) { // Mantissa carry: 2^Prec -> renormalize.
-    Q >>= 1;
-    ++UlpExp;
-  }
-
-  unsigned QBits = 64 - static_cast<unsigned>(__builtin_clzll(Q));
-  if (QBits == static_cast<unsigned>(Prec)) {
-    int64_t UnbiasedExp = UlpExp + Prec - 1;
-    int64_t Biased = UnbiasedExp + Bias;
-    if (Biased >= static_cast<int64_t>((1ull << EBits) - 1))
-      return overflowResult(Negative, M);
-    assert(Biased >= 1 && "normal value with subnormal exponent");
-    return Sign | (static_cast<uint64_t>(Biased) << MBits) |
-           (Q & ((1ull << MBits) - 1));
-  }
-  // Subnormal: biased exponent 0, mantissa Q.
-  assert(UlpExp == minExp() - (Prec - 1) && "misaligned subnormal");
-  return Sign | Q;
+  // The ulp-band identity: Q counts ulps of the binade max(MsbExp, minExp),
+  // hidden bit included, so Enc = (Band << MBits) + Q with Band that
+  // binade's biased exponent minus one. A mantissa carry walks into the
+  // next binade, a carry out of the top binade lands on the inf encoding
+  // (the right overflow for every mode that can carry there), and the
+  // subnormal band (Band 0, no hidden bit) needs no special case.
+  uint64_t Sign = Neg << (NBits - 1);
+  uint64_t Band = static_cast<uint64_t>(std::max<int64_t>(MsbExp, minExp()) +
+                                        Bias - 1);
+  return Sign | ((Band << MBits) + Q);
 }
 
 uint64_t FPFormat::roundDouble(double V, RoundingMode M) const {
-  if (std::isnan(V))
-    return quietNaN();
-  bool Negative = std::signbit(V);
-  if (std::isinf(V))
-    return Negative ? minusInf() : plusInf();
-  if (V == 0.0)
-    return Negative ? (1ull << (NBits - 1)) : 0;
-
-  int Exp;
-  double Frac = std::frexp(std::fabs(V), &Exp); // |V| = Frac * 2^Exp
-  uint64_t Mant = static_cast<uint64_t>(std::ldexp(Frac, 53));
-  return roundCore(Negative, Mant << 11, Exp - 1, /*ExtraSticky=*/false, M);
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  bool Negative = Bits >> 63;
+  uint64_t Biased = (Bits >> 52) & 0x7ff;
+  uint64_t Frac = Bits & ((1ull << 52) - 1);
+  if (Biased == 0x7ff)
+    return Frac ? quietNaN() : Negative ? minusInf() : plusInf();
+  if (Biased == 0) {
+    if (Frac == 0)
+      return Negative ? (1ull << (NBits - 1)) : 0;
+    // Double subnormal Frac * 2^-1074: normalize so the leading bit is
+    // bit 63.
+    int Lz = __builtin_clzll(Frac);
+    return roundCore(Negative, Frac << Lz, 63 - Lz - 1074,
+                     /*ExtraSticky=*/false, M);
+  }
+  return roundCore(Negative, ((1ull << 52) | Frac) << 11,
+                   static_cast<int64_t>(Biased) - 1023, /*ExtraSticky=*/false,
+                   M);
 }
 
 uint64_t FPFormat::roundRational(const Rational &V, RoundingMode M) const {

@@ -79,7 +79,9 @@ public:
 
   /// Rounds a double into this format under mode \p M. The input double is
   /// treated as an exact real value. Returns an encoding. NaN input yields
-  /// the canonical quiet NaN; signed zeros are preserved.
+  /// the canonical quiet NaN; signed zeros are preserved. Integer-only: it
+  /// reads the double's bits, calls no libm function and ignores the
+  /// dynamic FP environment.
   uint64_t roundDouble(double V, RoundingMode M) const;
 
   /// Convenience: roundDouble followed by decode.

@@ -6,9 +6,10 @@
 //
 // Runtime dispatch for the batch API. The kernel table is resolved exactly
 // once per process (CPUID + the RFP_BATCH_ISA override) and cached; each
-// evalBatch call is one table load and one indirect call. The scalar
-// kernels below are plain loops over the per-call cores, so they are
-// bit-identical to the per-call API by construction; the vector kernels
+// evalBatch or roundBatch call is one table load and one indirect call.
+// The scalar kernels below are plain loops over the per-call cores (and
+// over FPFormat::roundDouble), so they are bit-identical to the per-call
+// API by construction; the vector kernels
 // (BatchKernelsAVX2.cpp / BatchKernelsAVX512.cpp / BatchKernelsNEON.cpp,
 // present when the matching RFP_HAVE_*_KERNELS macro is defined) earn the
 // same property instruction by instruction.
@@ -31,6 +32,7 @@
 #include "libm/rlibm.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +56,8 @@ void scalarKernel(const float *In, double *H, size_t N) {
 
 struct KernelSet {
   BatchKernelFn Fn[6][4];
+  /// Rounding kernels by RoundingMode; null rounds with the scalar loop.
+  RoundKernelFn Round[6];
   BatchISA ISA;
 };
 
@@ -64,6 +68,7 @@ struct KernelSet {
 constexpr KernelSet ScalarSet = {
     {RFP_SCALAR_ROW(0), RFP_SCALAR_ROW(1), RFP_SCALAR_ROW(2),
      RFP_SCALAR_ROW(3), RFP_SCALAR_ROW(4), RFP_SCALAR_ROW(5)},
+    {},
     BatchISA::Scalar};
 
 #undef RFP_SCALAR_ROW
@@ -137,12 +142,16 @@ bool kernelMatchesScalar(BatchKernelFn Fn, ElemFunc F, EvalScheme S) {
 
 /// Builds a vector kernel set: overlay \p Kernels onto the scalar loops,
 /// demoting any probed kernel that fails bit-parity with the scalar core.
-/// \p ProbeAll forces the full probe regardless of policy (NEON).
-KernelSet overlaySet(const BatchKernelFn (&Kernels)[6][4], BatchISA ISA,
-                     bool ProbeAll) {
+/// \p ProbeAll forces the full probe regardless of policy (NEON). The
+/// rounding kernels (\p Round, null for none) are integer-only and need
+/// no probe.
+KernelSet overlaySet(const BatchKernelFn (&Kernels)[6][4],
+                     const RoundKernelFn *Round, BatchISA ISA, bool ProbeAll) {
   ProbePolicy Policy = probePolicy();
   KernelSet S = ScalarSet;
   S.ISA = ISA;
+  if (Round)
+    std::copy(Round, Round + 6, S.Round);
   for (int FI = 0; FI < 6; ++FI)
     for (int SI = 0; SI < 4; ++SI) {
       BatchKernelFn K = Kernels[FI][SI];
@@ -177,7 +186,8 @@ bool cpuHasAVX2() {
 /// The AVX2 set: vector kernels where they exist, scalar loops elsewhere.
 const KernelSet &avx2Set() {
   static const KernelSet Set =
-      overlaySet(detail::AVX2BatchKernels, BatchISA::AVX2, /*ProbeAll=*/false);
+      overlaySet(detail::AVX2BatchKernels, detail::AVX2RoundKernels,
+                 BatchISA::AVX2, /*ProbeAll=*/false);
   return Set;
 }
 #endif
@@ -191,8 +201,9 @@ bool cpuHasAVX512() {
 }
 
 const KernelSet &avx512Set() {
-  static const KernelSet Set = overlaySet(detail::AVX512BatchKernels,
-                                          BatchISA::AVX512, /*ProbeAll=*/false);
+  static const KernelSet Set =
+      overlaySet(detail::AVX512BatchKernels, detail::AVX512RoundKernels,
+                 BatchISA::AVX512, /*ProbeAll=*/false);
   return Set;
 }
 #endif
@@ -202,7 +213,8 @@ const KernelSet &avx512Set() {
 /// on this project's x86 CI, so the full parity probe always applies.
 const KernelSet &neonSet() {
   static const KernelSet Set =
-      overlaySet(detail::NEONBatchKernels, BatchISA::NEON, /*ProbeAll=*/true);
+      overlaySet(detail::NEONBatchKernels, /*Round=*/nullptr, BatchISA::NEON,
+                 /*ProbeAll=*/true);
   return Set;
 }
 #endif
@@ -271,8 +283,9 @@ const KernelSet &activeSet() {
 }
 
 /// Per-ISA batch telemetry: which kernel set served how many calls and
-/// elements. One counter update per *batch*, not per element, so the
-/// amortized cost vanishes against the kernel work.
+/// elements, and which rounded how many encodings. One counter update per
+/// *batch*, not per element, so the amortized cost vanishes against the
+/// kernel work.
 struct BatchCounters {
   telemetry::Counter Calls[4] = {
       telemetry::counter("libm.batch.calls.scalar"),
@@ -286,13 +299,42 @@ struct BatchCounters {
       telemetry::counter("libm.batch.elems.avx512"),
       telemetry::counter("libm.batch.elems.neon"),
   };
+  /// Elements rounded, under the ISA that produced the encodings.
+  telemetry::Counter RoundElems[4] = {
+      telemetry::counter("libm.round.elems.scalar"),
+      telemetry::counter("libm.round.elems.avx2"),
+      telemetry::counter("libm.round.elems.avx512"),
+      telemetry::counter("libm.round.elems.neon"),
+  };
 };
 
-void countBatchCall(BatchISA ISA, size_t N) {
+const BatchCounters &batchCounters() {
   static const BatchCounters C;
+  return C;
+}
+
+void countBatchCall(BatchISA ISA, size_t N) {
+  const BatchCounters &C = batchCounters();
   int I = static_cast<int>(ISA);
   C.Calls[I].inc();
   C.Elems[I].add(N);
+}
+
+/// Rounds with \p Set's kernel for \p M, or with the scalar loop when the
+/// set has none or the format is wider than the kernels' precision bound.
+void roundWith(const KernelSet &Set, const double *H, uint64_t *Enc, size_t N,
+               const FPFormat &Fmt, RoundingMode M) {
+  RoundKernelFn K =
+      Fmt.precision() <= 52 ? Set.Round[static_cast<int>(M)] : nullptr;
+  batchCounters()
+      .RoundElems[static_cast<int>(K ? Set.ISA : BatchISA::Scalar)]
+      .add(N);
+  if (K) {
+    K(H, Enc, N, Fmt.totalBits(), Fmt.expBits());
+    return;
+  }
+  for (size_t I = 0; I < N; ++I)
+    Enc[I] = Fmt.roundDouble(H[I], M);
 }
 
 void evalBatchF(ElemFunc F, const float *In, float *Out, size_t N) {
@@ -340,6 +382,16 @@ void rfp::libm::evalBatchWithISA(BatchISA ISA, ElemFunc F, EvalScheme S,
   const KernelSet &Set = setFor(ISA);
   countBatchCall(Set.ISA, N);
   Set.Fn[static_cast<int>(F)][static_cast<int>(S)](In, H, N);
+}
+
+void rfp::libm::roundBatch(const double *H, uint64_t *Enc, size_t N,
+                            const FPFormat &Fmt, RoundingMode M) {
+  roundWith(activeSet(), H, Enc, N, Fmt, M);
+}
+
+void rfp::libm::roundBatch(BatchISA ISA, const double *H, uint64_t *Enc,
+                            size_t N, const FPFormat &Fmt, RoundingMode M) {
+  roundWith(setFor(ISA), H, Enc, N, Fmt, M);
 }
 
 void rfp::libm::rfp_expf_batch(const float *In, float *Out, size_t N) {

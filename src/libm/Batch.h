@@ -9,7 +9,8 @@
 /// call, backed by hand-written SIMD kernels (AVX2+FMA, AVX-512, NEON on
 /// aarch64) with a portable scalar-loop fallback, selected once per
 /// process by runtime CPUID dispatch (the resolved kernel table is cached;
-/// there is no per-call feature test).
+/// there is no per-call feature test). roundBatch is the matching array
+/// form of format/mode rounding, served from the same resolved set.
 ///
 /// The contract that makes the batch layer safe to use anywhere the
 /// per-call API is: for every element, the H (double) result is
@@ -26,10 +27,13 @@
 #ifndef RFP_LIBM_BATCH_H
 #define RFP_LIBM_BATCH_H
 
+#include "fp/FPFormat.h"
 #include "poly/EvalScheme.h"
 #include "support/ElemFunc.h"
+#include "support/Rounding.h"
 
 #include <cstddef>
+#include <cstdint>
 
 namespace rfp {
 namespace libm {
@@ -61,6 +65,19 @@ void evalBatch(ElemFunc F, EvalScheme S, const float *In, double *H,
 /// compiled in or not supported by this CPU falls back to scalar.
 void evalBatchWithISA(BatchISA ISA, ElemFunc F, EvalScheme S, const float *In,
                       double *H, size_t N);
+
+/// Rounds H[0..N) into \p Fmt under \p M: Enc[i] == Fmt.roundDouble(H[i],
+/// M) bit for bit. The rounding tier of evalBatch's encodings, lane-parallel
+/// and integer-only on the AVX2 and AVX-512 sets (formats with precision
+/// <= 52); NEON, the scalar set and wider formats loop over roundDouble.
+/// H and Enc must not overlap.
+void roundBatch(const double *H, uint64_t *Enc, size_t N, const FPFormat &Fmt,
+                RoundingMode M);
+
+/// Same, with an explicit ISA (testing / benchmarking), resolved as
+/// evalBatchWithISA resolves it.
+void roundBatch(BatchISA ISA, const double *H, uint64_t *Enc, size_t N,
+                const FPFormat &Fmt, RoundingMode M);
 
 // Per-function batch cores (H results), default scheme Estrin+FMA.
 inline void exp_batch(const float *In, double *H, size_t N,

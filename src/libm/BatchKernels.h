@@ -18,6 +18,7 @@
 #define RFP_LIBM_BATCHKERNELS_H
 
 #include "libm/Frame.h"
+#include "support/Rounding.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -45,6 +46,14 @@ struct BatchSchemeTable {
 /// writing the H (double) results. Kernels guarantee bit-identity with the
 /// per-call scalar core on every element.
 using BatchKernelFn = void (*)(const float *In, double *H, size_t N);
+
+/// A rounding kernel rounds H[0..N) into FP(TotalBits, ExpBits) under the
+/// one mode it was instantiated for, writing encodings bit-identical to
+/// FPFormat::roundDouble. The format crosses into the ISA TUs as two
+/// integers, so those TUs never touch an FPFormat member. Kernels require
+/// precision = TotalBits - ExpBits <= 52 (see DESIGN.md, "Rounding tier").
+using RoundKernelFn = void (*)(const double *H, uint64_t *Enc, size_t N,
+                               unsigned TotalBits, unsigned ExpBits);
 
 namespace detail {
 
@@ -75,6 +84,11 @@ double (*scalarCoreFor(ElemFunc F, EvalScheme S))(float);
 extern const BatchKernelFn AVX2BatchKernels[6][4];
 extern const BatchKernelFn AVX512BatchKernels[6][4];
 extern const BatchKernelFn NEONBatchKernels[6][4];
+
+/// Per-ISA rounding kernels, indexed by RoundingMode (all six modes). NEON
+/// has none: its set rounds with the scalar loop.
+extern const RoundKernelFn AVX2RoundKernels[6];
+extern const RoundKernelFn AVX512RoundKernels[6];
 
 } // namespace detail
 } // namespace libm

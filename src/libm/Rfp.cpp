@@ -105,16 +105,14 @@ void rfp::evalBatch(const VariantKey &K, const float *In, uint64_t *Enc,
   Elems.add(N);
   if (H) {
     evalBatchH(K.Func, K.Scheme, In, H, N);
-    for (size_t I = 0; I < N; ++I)
-      Enc[I] = libm::roundResult(H[I], K.Format, K.Mode);
+    libm::roundBatch(H, Enc, N, K.Format, K.Mode);
     return;
   }
   double Staging[1024];
   while (N > 0) {
     size_t Chunk = N < 1024 ? N : 1024;
     evalBatchH(K.Func, K.Scheme, In, Staging, Chunk);
-    for (size_t I = 0; I < Chunk; ++I)
-      Enc[I] = libm::roundResult(Staging[I], K.Format, K.Mode);
+    libm::roundBatch(Staging, Enc, Chunk, K.Format, K.Mode);
     In += Chunk;
     Enc += Chunk;
     N -= Chunk;

@@ -46,9 +46,11 @@
 /// by CrossRoundingTest and swept at scale by the verification engine's
 /// FE lanes (tools/verify --fe-lanes).
 ///
-/// Format/mode rounding is integer-only (FPFormat::roundDouble) and never
-/// consults the dynamic environment, so K.Mode selects the *target* IEEE
-/// rounding of the result and is entirely independent of fesetround.
+/// Format/mode rounding is integer-only -- FPFormat::roundDouble reads the
+/// double's bits, and the batch forms round whole arrays with
+/// libm::roundBatch's lane-parallel kernels -- and never consults the
+/// dynamic environment, so K.Mode selects the *target* IEEE rounding of
+/// the result and is entirely independent of fesetround.
 ///
 /// Legacy tiers: the free functions in rlibm.h (`exp_estrin_fma`,
 /// `rfp_expf`, `evalCore`) and the raw array entry points in Batch.h
@@ -147,8 +149,9 @@ void evalBatchH(libm::BatchISA ISA, ElemFunc F, EvalScheme S, const float *In,
                 double *H, size_t N);
 
 /// Array form of eval(): writes Enc[0..N) (encodings of K.Format under
-/// K.Mode) and, when \p H is non-null, the H results as well. The H
-/// staging for the null case is internal and chunked, so N is unbounded.
+/// K.Mode, rounded with libm::roundBatch) and, when \p H is non-null, the
+/// H results as well. The H staging for the null case is internal and
+/// chunked, so N is unbounded.
 void evalBatch(const VariantKey &K, const float *In, uint64_t *Enc, size_t N,
                double *H = nullptr);
 

@@ -19,12 +19,12 @@
 // deep queues drain toward full ISA-width batches), cuts up to
 // MaxBatchElems elements, and releases the lock before touching any
 // element data. It then gathers the slices' inputs into a staging buffer,
-// runs ONE evalBatch over the whole thing, and scatters H (plus the
-// per-request roundResult encodings) back. Each request carries an atomic
-// countdown of unscattered elements; the worker that scatters a request's
-// last slice fulfills its promise. Scatters of different slices of one
-// request write disjoint ranges, so no lock is held during evaluation or
-// scatter.
+// runs ONE evalBatch over the whole thing, and scatters H back, rounding
+// each slice into its request's format and mode with one roundBatch. Each
+// request carries an atomic countdown of unscattered elements; the worker
+// that scatters a request's last slice fulfills its promise. Scatters of
+// different slices of one request write disjoint ranges, so no lock is
+// held during evaluation or scatter.
 //
 // Readiness. A queue is ready when it holds TargetBatchElems elements,
 // when its oldest slice has aged past the flush deadline, during flush(),
@@ -42,7 +42,6 @@
 #include "serve/Serve.h"
 
 #include "libm/Batch.h"
-#include "libm/rlibm.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
@@ -280,9 +279,8 @@ struct Server::Impl {
       PendingReq &R = *Sl.Req;
       std::memcpy(R.Res.H.data() + Sl.Off, H.data() + At,
                   Sl.Len * sizeof(double));
-      for (size_t I = 0; I < Sl.Len; ++I)
-        R.Res.Enc[Sl.Off + I] =
-            libm::roundResult(H[At + I], R.Format, R.Mode);
+      libm::roundBatch(H.data() + At, R.Res.Enc.data() + Sl.Off, Sl.Len,
+                       R.Format, R.Mode);
       At += Sl.Len;
       if (R.Remaining.fetch_sub(Sl.Len, std::memory_order_acq_rel) ==
           Sl.Len) {

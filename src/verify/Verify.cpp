@@ -15,10 +15,12 @@
 //      certified fast path in batch form, the exact memoized oracle for
 //      the leftovers. This happens under the default FP environment --
 //      the oracle is the reference, not the thing under test.
-//   2. Precompute the five per-mode wanted encodings from RO_34.
-//   3. Evaluate the base combination (scalar cores, default FE lane) and
-//      run the full five-mode comparison per input, remembering how many
-//      modes misround per input (BaseBad).
+//   2. Precompute the five per-mode wanted encodings from RO_34, one
+//      libm::roundBatch per mode.
+//   3. Evaluate the base combination (scalar cores, default FE lane),
+//      round it with five more roundBatch calls, and run the full
+//      five-mode comparison per input, remembering how many modes
+//      misround per input (BaseBad).
 //   4. For every other (path, lane) combination: evaluate, bit-compare H
 //      against the base H. Identical bits inherit the base verdict --
 //      count the five comparisons and BaseBad mismatches without
@@ -27,7 +29,7 @@
 //
 // FE lanes pin the dynamic rounding mode only around the evaluation call
 // itself: decode, oracle, and comparison all run under the default
-// environment (they are mode-insensitive anyway -- FPFormat::roundDouble
+// environment (they are mode-insensitive anyway -- format/mode rounding
 // is integer-only -- but the lane is scoped tightly so the sweep tests
 // exactly the public surface's own guard and nothing else). fesetround is
 // per-thread, so parallel workers' lanes do not interfere.
@@ -254,13 +256,14 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
       }
     }
 
-    // 2. Wanted encodings for the five modes.
+    // 2. Wanted encodings for the five modes, mode-major: Want[M * N + I].
+    std::vector<double> V34(N);
+    for (size_t I = 0; I < N; ++I)
+      V34[I] = F34.decode(RO[I]);
     std::vector<uint64_t> Want(N * 5);
-    for (size_t I = 0; I < N; ++I) {
-      double V34 = F34.decode(RO[I]);
-      for (unsigned M = 0; M < 5; ++M)
-        Want[I * 5 + M] = Fmt.roundDouble(V34, StandardRoundingModes[M]);
-    }
+    for (unsigned M = 0; M < 5; ++M)
+      libm::roundBatch(V34.data(), Want.data() + M * N, N, Fmt,
+                       StandardRoundingModes[M]);
 
     auto evalCombo = [&](const PathSpec &P, FeLane L, double *Out) {
       int FeMode = feLaneMode(L);
@@ -289,7 +292,7 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
       Mismatch M;
       M.XBits = XB[I];
       M.GotEnc = Got;
-      M.WantEnc = Want[I * 5 + ModeIdx];
+      M.WantEnc = Want[ModeIdx * N + I];
       M.Func = static_cast<uint8_t>(U.Func);
       M.Scheme = static_cast<uint8_t>(U.Scheme);
       M.FormatBits = static_cast<uint8_t>(U.FormatBits);
@@ -300,15 +303,20 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
       R.Records.push_back(M);
     };
 
-    // 3. Base combination: full five-mode comparison per input.
+    // 3. Base combination: full five-mode comparison per input, rounded
+    // mode-major like Want and compared in (input, mode) record order.
     std::vector<double> BaseH(N), H(N);
     std::vector<uint8_t> BaseBad(N, 0);
     evalCombo(Paths[0], Lanes[0], BaseH.data());
+    std::vector<uint64_t> BaseGot(N * 5);
+    for (unsigned M = 0; M < 5; ++M)
+      libm::roundBatch(BaseH.data(), BaseGot.data() + M * N, N, Fmt,
+                       StandardRoundingModes[M]);
     for (size_t I = 0; I < N; ++I) {
       for (unsigned M = 0; M < 5; ++M) {
-        uint64_t Got = Fmt.roundDouble(BaseH[I], StandardRoundingModes[M]);
+        uint64_t Got = BaseGot[M * N + I];
         ++R.Comparisons;
-        if (Got != Want[I * 5 + M]) {
+        if (Got != Want[M * N + I]) {
           ++BaseBad[I];
           record(I, Got, M, Paths[0], Lanes[0]);
         }
@@ -333,7 +341,7 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
           for (unsigned M = 0; M < 5; ++M) {
             uint64_t Got = Fmt.roundDouble(H[I], StandardRoundingModes[M]);
             ++R.Comparisons;
-            if (Got != Want[I * 5 + M])
+            if (Got != Want[M * N + I])
               record(I, Got, M, Paths[PI], Lanes[LI]);
           }
         }

@@ -16,6 +16,10 @@
 //   * odd lengths and misaligned buffers (the kernels use unaligned
 //     loads/stores; nothing may assume N % 4 == 0 or 32-byte bases).
 //
+// The rounding kernels behind roundBatch are held to the same standard
+// against FPFormat::roundDouble, on the boundary table that FPFormatTest
+// checks roundDouble against roundRational with.
+//
 //===----------------------------------------------------------------------===//
 
 #include "libm/Batch.h"
@@ -23,8 +27,11 @@
 #define RFP_NO_DEPRECATE
 #include "libm/rlibm.h"
 
+#include "RoundingCases.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -232,6 +239,42 @@ TEST(BatchParityTest, OddLengthsAndMisalignedBuffers) {
     for (size_t I = 0; I < N; ++I)
       ASSERT_EQ(bitsOf(exp_estrin_fma(In[1 + I])), bitsOf(Out[1 + I]))
           << "N=" << N << " I=" << I;
+  }
+}
+
+TEST(BatchParityTest, RoundBatchMatchesRoundDouble) {
+  // Every ISA's rounding kernels against FPFormat::roundDouble, element for
+  // element, over the rounding-rule boundary table of every test format in
+  // all six modes, plus FP(63, 10) (precision 53, past the kernels' bound,
+  // so the scalar loop on every ISA). Lengths cover the empty call, the
+  // masked tails around both vector widths and long runs, all from a
+  // base one element off; neither neighbour of the written range may
+  // change.
+  const uint64_t Guard = 0x5a5a5a5a5a5a5a5aull;
+  std::vector<FPFormat> Formats = roundcases::formats();
+  Formats.emplace_back(63, 10);
+  for (const FPFormat &F : Formats) {
+    std::vector<double> Cases = roundcases::inputs(F);
+    std::vector<size_t> Lengths = {0, 1, 3, 7, 8, 9, 1023, 1025,
+                                   Cases.size()};
+    std::vector<double> In(std::max<size_t>(Cases.size(), 1025) + 1);
+    for (size_t I = 1; I < In.size(); ++I)
+      In[I] = Cases[(I - 1) % Cases.size()];
+    std::vector<uint64_t> Out(In.size() + 1);
+    for (BatchISA ISA : AllBatchISAs)
+      for (RoundingMode M : roundcases::AllModes)
+        for (size_t N : Lengths) {
+          std::fill(Out.begin(), Out.end(), Guard);
+          roundBatch(ISA, In.data() + 1, Out.data() + 1, N, F, M);
+          for (size_t I = 1; I <= N; ++I)
+            ASSERT_EQ(Out[I], F.roundDouble(In[I], M))
+                << batchISAName(ISA) << " FP(" << F.totalBits() << ", "
+                << F.expBits() << ") " << roundingModeName(M) << " N=" << N
+                << " v=" << std::hexfloat << In[I];
+          ASSERT_EQ(Out[0], Guard) << batchISAName(ISA) << " N=" << N;
+          ASSERT_EQ(Out[N + 1], Guard)
+              << batchISAName(ISA) << " wrote past N=" << N;
+        }
   }
 }
 

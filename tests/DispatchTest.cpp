@@ -154,11 +154,12 @@ TEST(DispatchTest, MonotonicityAcrossTheFullDomain) {
 }
 
 TEST(DispatchTest, GarbageBatchISAEnvWarnsAndResolvesAsAuto) {
-  // This binary's only use of the batch API, so the one-time ISA
-  // resolution happens here, under the garbage override. The contract: an
-  // unrecognized RFP_BATCH_ISA value warns once through the leveled
-  // logger and degrades to the best detected ISA (never to a silent
-  // scalar downgrade, never a crash).
+  // This binary's only use of the active-ISA batch API (the test after it
+  // pins ISAs explicitly), so the one-time ISA resolution happens here,
+  // under the garbage override. The contract: an unrecognized
+  // RFP_BATCH_ISA value warns once through the leveled logger and degrades
+  // to the best detected ISA (never to a silent scalar downgrade, never a
+  // crash).
   setenv("RFP_BATCH_ISA", "avx9000", /*overwrite=*/1);
   int Warnings = 0;
   std::string LastMsg;
@@ -202,6 +203,54 @@ TEST(DispatchTest, GarbageBatchISAEnvWarnsAndResolvesAsAuto) {
   for (int I = 0; I < 5; ++I)
     EXPECT_EQ(bitsOfDouble(exp_estrin_fma(In[I])), bitsOfDouble(H[I]));
   unsetenv("RFP_BATCH_ISA");
+}
+
+TEST(DispatchTest, RoundElemsCountersNameTheRoundingISA) {
+  // One libm.round.elems.<isa> add per roundBatch call, under the ISA that
+  // rounded: the pinned set's own where it has rounding kernels (AVX2,
+  // AVX-512), scalar where encodings come from the roundDouble loop (the
+  // scalar and NEON sets, and any format with precision > 52).
+  const char *Names[4] = {"scalar", "avx2", "avx512", "neon"};
+  auto Read = [&](const char *Prefix, uint64_t (&Out)[4]) {
+    for (int I = 0; I < 4; ++I)
+      Out[I] =
+          telemetry::counterValue((std::string(Prefix) + Names[I]).c_str());
+  };
+  const double H[5] = {1.0, -0x1.8p-130, 0x1p200, -0.0, 3.25};
+  const float X = 1.5f;
+  for (BatchISA ISA : AllBatchISAs) {
+    // The set this pin resolves to is the one whose call counter moves.
+    uint64_t Before[4], After[4];
+    Read("libm.batch.calls.", Before);
+    double Unused;
+    evalBatchWithISA(ISA, ElemFunc::Exp, EvalScheme::EstrinFMA, &X, &Unused,
+                     1);
+    Read("libm.batch.calls.", After);
+    int Resolved = -1;
+    for (int I = 0; I < 4; ++I)
+      if (After[I] != Before[I])
+        Resolved = I;
+    ASSERT_GE(Resolved, 0) << batchISAName(ISA);
+    BatchISA R = static_cast<BatchISA>(Resolved);
+    int Vector = R == BatchISA::AVX2 || R == BatchISA::AVX512
+                     ? Resolved
+                     : static_cast<int>(BatchISA::Scalar);
+
+    for (FPFormat F : {FPFormat::float32(), FPFormat(63, 10)}) {
+      int Want = F.precision() <= 52 ? Vector
+                                     : static_cast<int>(BatchISA::Scalar);
+      uint64_t Enc[5];
+      Read("libm.round.elems.", Before);
+      roundBatch(ISA, H, Enc, 5, F, RoundingMode::Upward);
+      Read("libm.round.elems.", After);
+      for (int I = 0; I < 4; ++I)
+        EXPECT_EQ(After[I] - Before[I], I == Want ? 5u : 0u)
+            << batchISAName(ISA) << " fp" << F.totalBits() << " counter "
+            << Names[I];
+      for (int I = 0; I < 5; ++I)
+        EXPECT_EQ(Enc[I], F.roundDouble(H[I], RoundingMode::Upward));
+    }
+  }
 }
 
 TEST(DispatchTest, InverseFunctionPairsRoundTrip) {

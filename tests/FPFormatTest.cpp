@@ -6,6 +6,8 @@
 
 #include "fp/FPFormat.h"
 
+#include "RoundingCases.h"
+
 #include <gtest/gtest.h>
 
 #include <cfenv>
@@ -202,18 +204,31 @@ TEST(FPFormatTest, SuccPredWalkCoversFormat) {
 }
 
 TEST(FPFormatTest, RoundRationalAgreesWithRoundDouble) {
-  FPFormat F = FPFormat::withBits(20);
-  std::mt19937_64 Rng(7);
-  for (int T = 0; T < 5000; ++T) {
-    double V = std::ldexp(static_cast<double>(static_cast<int64_t>(Rng())),
-                          static_cast<int>(Rng() % 80) - 60);
-    if (!std::isfinite(V))
-      continue;
-    Rational R = Rational::fromDouble(V);
-    for (RoundingMode M :
-         {RoundingMode::NearestEven, RoundingMode::TowardZero,
-          RoundingMode::Upward, RoundingMode::Downward, RoundingMode::ToOdd})
-      EXPECT_EQ(F.roundRational(R, M), F.roundDouble(V, M)) << V;
+  // roundDouble (bit extraction) and roundRational (exact quotient) share
+  // roundCore, so they must agree on every boundary input of every format
+  // in all six modes. Non-finite inputs and zeros have no Rational; they
+  // are pinned to their IEEE results directly.
+  for (const FPFormat &F : roundcases::formats()) {
+    const uint64_t NegZero = 1ull << (F.totalBits() - 1);
+    for (double V : roundcases::inputs(F)) {
+      bool Finite = std::isfinite(V) && V != 0.0;
+      Rational R = Finite ? Rational::fromDouble(V) : Rational();
+      for (RoundingMode M : roundcases::AllModes) {
+        uint64_t Got = F.roundDouble(V, M);
+        uint64_t Want;
+        if (Finite)
+          Want = F.roundRational(R, M);
+        else if (std::isnan(V))
+          Want = F.quietNaN();
+        else if (std::isinf(V))
+          Want = V > 0 ? F.plusInf() : F.minusInf();
+        else
+          Want = std::signbit(V) ? NegZero : 0;
+        ASSERT_EQ(Got, Want)
+            << "FP(" << F.totalBits() << ", " << F.expBits() << ") "
+            << roundingModeName(M) << " v=" << std::hexfloat << V;
+      }
+    }
   }
 }
 
