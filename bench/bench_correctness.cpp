@@ -17,14 +17,8 @@
 //     result (the Figure 3 double-rounding failure)        -> expected > 0
 //   * wrong bfloat16 results from our H value               -> expected 0
 //
-// --batch evaluates our variants through the batch layer (evalBatch over
-// each chunk's gathered inputs) instead of per-call evalCore. Since the
-// batch contract is bit-identity, the counts must be identical either
-// way; a nonzero "ours" column under --batch is a batch-layer bug.
-//
 //===----------------------------------------------------------------------===//
 
-#include "libm/Batch.h"
 #include "libm/rlibm.h"
 #include "oracle/Oracle.h"
 #include "support/ThreadPool.h"
@@ -87,7 +81,7 @@ double glibcDouble(ElemFunc F, float X) {
   return 0;
 }
 
-Counts countWrong(ElemFunc F, bool UseBatch) {
+Counts countWrong(ElemFunc F) {
   FPFormat F32 = FPFormat::float32();
   FPFormat BF16 = FPFormat::bfloat16();
   FPFormat F34 = FPFormat::fp34();
@@ -102,9 +96,8 @@ Counts countWrong(ElemFunc F, bool UseBatch) {
       NumSteps, Counts(),
       [&](size_t Begin, size_t End) {
         Counts T;
-        // Gather the chunk's in-domain inputs and oracle targets first, so
-        // --batch can evaluate each variant with one evalBatch call over
-        // the whole chunk instead of per-call evalCore.
+        // Gather the chunk's in-domain inputs and oracle targets first,
+        // then evaluate each variant over them.
         std::vector<float> Xs;
         std::vector<uint64_t> Want32s, WantBfs;
         Xs.reserve(End - Begin);
@@ -130,11 +123,8 @@ Counts countWrong(ElemFunc F, bool UseBatch) {
           if (!Avail[SI])
             continue;
           EvalScheme S = static_cast<EvalScheme>(SI);
-          if (UseBatch)
-            evalBatch(F, S, Xs.data(), H.data(), Xs.size());
-          else
-            for (size_t I = 0; I < Xs.size(); ++I)
-              H[I] = evalCore(F, S, Xs[I]);
+          for (size_t I = 0; I < Xs.size(); ++I)
+            H[I] = evalCore(F, S, Xs[I]);
           for (size_t I = 0; I < Xs.size(); ++I) {
             if (F32.roundDouble(H[I], RoundingMode::NearestEven) !=
                 Want32s[I])
@@ -183,28 +173,19 @@ Counts countWrong(ElemFunc F, bool UseBatch) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  bool UseBatch = false;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--batch") == 0) {
-      UseBatch = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--batch]\n", Argv[0]);
-      return 2;
-    }
+  if (Argc > 1) {
+    std::fprintf(stderr, "usage: %s\n", Argv[0]);
+    return 2;
   }
   std::printf("Section 6.3: wrong-result counts on a %llu-input sample per "
               "function\n",
               static_cast<unsigned long long>((1ull << 32) / Stride));
-  std::printf("(counts; 0 = correctly rounded on every sampled input)\n");
-  if (UseBatch)
-    std::printf("(our variants evaluated through evalBatch, ISA %s)\n",
-                libm::batchISAName(libm::activeBatchISA()));
-  std::printf("\n");
+  std::printf("(counts; 0 = correctly rounded on every sampled input)\n\n");
   std::printf("%-8s %8s | %8s %8s %8s %8s | %11s %11s | %12s %9s\n", "f(x)",
               "inputs", "horner", "knuth", "estrin", "e+fma", "glibc-f32",
               "glibc-f64", "f32->bf16", "ours-bf16");
   for (ElemFunc F : AllElemFuncs) {
-    Counts C = countWrong(F, UseBatch);
+    Counts C = countWrong(F);
     auto Cell = [](long V) {
       static char Buf[24];
       if (V < 0)

@@ -274,7 +274,7 @@ uint64_t PolyGenerator::candidateCount() {
 }
 
 void PolyGenerator::oracleRecords(uint64_t Begin, uint64_t End,
-                                  std::vector<shard::Record> &Out) {
+                                  std::vector<Record> &Out) {
   telemetry::Span SweepSpan("polygen.oracle_sweep");
   auto T0 = std::chrono::steady_clock::now();
 
@@ -336,7 +336,7 @@ void PolyGenerator::oracleRecords(uint64_t Begin, uint64_t End,
                             .count();
 }
 
-void PolyGenerator::consumeRecords(const shard::Record *Recs, size_t N) {
+void PolyGenerator::consumeRecords(const Record *Recs, size_t N) {
   FPFormat F34 = FPFormat::fp34();
 
   // Pass B (parallel, independent per record): rounding interval from the
@@ -449,7 +449,7 @@ void PolyGenerator::prepare() {
                   static_cast<unsigned long long>(Total),
                   static_cast<unsigned long long>(Block));
 
-  std::vector<shard::Record> Records;
+  std::vector<Record> Records;
   for (uint64_t B = 0; B < Total; B += Block) {
     uint64_t E = std::min<uint64_t>(Total, B + Block);
     oracleRecords(B, E, Records);
@@ -471,35 +471,40 @@ void PolyGenerator::prepare() {
   finalizePrepare();
 }
 
+/// Shard payloads are packed records: 4 bytes of input bits, then the
+/// 8-byte encoding.
+static constexpr size_t RecordBytes = 12;
+
+shard::ShardSet PolyGenerator::shardSet(const std::string &Dir, unsigned M) {
+  return {Dir, elemFuncName(Func),
+          std::string("func=") + elemFuncName(Func) +
+              " stride=" + std::to_string(Config.SampleStride) +
+              " window=" + std::to_string(Config.BoundaryWindow),
+          M, candidateCount()};
+}
+
 bool PolyGenerator::prepareShard(unsigned K, unsigned M,
                                  const std::string &Dir, std::string *Err) {
-  if (M == 0 || K >= M)
-    return setErr(Err, "shard index out of range");
-  initCandidates();
-
-  shard::ShardSetConfig C;
-  C.Func = Func;
-  C.Stride = Config.SampleStride;
-  C.Window = Config.BoundaryWindow;
-  C.NumShards = M;
-  C.NumCandidates = Cands.size();
-  if (!shard::writeOrCheckManifest(Dir, C, Err))
-    return false;
-
-  uint64_t Begin, End;
-  shard::shardRange(C, K, Begin, End);
+  const shard::ShardSet Set = shardSet(Dir, M);
   shard::ShardWriter W;
-  if (!W.open(Dir, C, K, Begin, End, Err))
+  if (!W.open(Set, K, Err))
     return false;
 
+  const auto [Begin, End] = Set.range(K);
   const uint64_t Block = Config.PrepareBlockCandidates
                              ? Config.PrepareBlockCandidates
                              : DefaultPrepareBlock;
-  std::vector<shard::Record> Records;
+  std::vector<Record> Records;
+  std::vector<unsigned char> Bytes;
   for (uint64_t B = Begin; B < End; B += Block) {
     uint64_t E = std::min<uint64_t>(End, B + Block);
     oracleRecords(B, E, Records);
-    if (!W.append(Records.data(), Records.size(), Err))
+    Bytes.resize(Records.size() * RecordBytes);
+    for (size_t I = 0; I < Records.size(); ++I) {
+      std::memcpy(&Bytes[I * RecordBytes], &Records[I].Bits, 4);
+      std::memcpy(&Bytes[I * RecordBytes + 4], &Records[I].Enc, 8);
+    }
+    if (!W.write(Bytes.data(), Bytes.size(), Err))
       return false;
     if (E < End && telemetry::logEnabled(LogLevel::Info))
       telemetry::logf(LogLevel::Info, "polygen",
@@ -514,34 +519,37 @@ bool PolyGenerator::prepareFromShards(const std::string &Dir, unsigned M,
                                       std::string *Err) {
   if (Prepared)
     return setErr(Err, "generator already prepared");
-  initCandidates();
-
-  shard::ShardSetConfig C;
-  if (!shard::readManifest(Dir, Func, C, Err))
-    return false;
-  if (C.Stride != Config.SampleStride || C.Window != Config.BoundaryWindow ||
-      C.NumCandidates != Cands.size())
-    return setErr(Err,
-                  "shard set was built with a different sampling "
-                  "configuration (stride/window mismatch)");
-  if (M != 0 && C.NumShards != M)
-    return setErr(Err, "shard count does not match the manifest");
+  if (M == 0)
+    return setErr(Err, "shard count must be positive");
+  const shard::ShardSet Set = shardSet(Dir, M);
 
   telemetry::Span PrepareSpan("polygen.prepare");
   Breakdown = PrepareBreakdown();
   const uint64_t Block = Config.PrepareBlockCandidates
                              ? Config.PrepareBlockCandidates
                              : DefaultPrepareBlock;
-  std::vector<shard::Record> Buf(
+  std::vector<Record> Records(
       static_cast<size_t>(std::min<uint64_t>(Block, 1ull << 20)));
-  for (unsigned K = 0; K < C.NumShards; ++K) {
+  std::vector<unsigned char> Bytes(Records.size() * RecordBytes);
+  for (unsigned K = 0; K < M; ++K) {
     shard::ShardReader R;
-    if (!R.open(Dir, C, K, Err))
+    if (!R.open(Set, K, Err))
       return false;
-    size_t Got;
-    std::string ReadErr;
-    while ((Got = R.read(Buf.data(), Buf.size(), &ReadErr)) > 0)
-      consumeRecords(Buf.data(), Got);
+    if (R.size() % RecordBytes != 0)
+      return setErr(Err, "shard " + Set.shardPath(K) +
+                             " does not hold whole records");
+    for (uint64_t Left = R.size(); Left > 0;) {
+      size_t Len = static_cast<size_t>(std::min<uint64_t>(Left, Bytes.size()));
+      if (!R.read(Bytes.data(), Len, Err))
+        return false;
+      size_t N = Len / RecordBytes;
+      for (size_t I = 0; I < N; ++I) {
+        std::memcpy(&Records[I].Bits, &Bytes[I * RecordBytes], 4);
+        std::memcpy(&Records[I].Enc, &Bytes[I * RecordBytes + 4], 8);
+      }
+      consumeRecords(Records.data(), N);
+      Left -= Len;
+    }
     if (!R.finish(Err))
       return false;
   }
@@ -968,48 +976,6 @@ GeneratedImpl PolyGenerator::generate(EvalScheme S) {
   }
   return Impl; // Success == false.
 }
-
-namespace {
-/// Compat shim for the deprecated LogFn overloads: forwards "polygen"
-/// messages to the callback for the duration of the call, and raises the
-/// threshold to Info so old callers keep seeing their progress strings
-/// without setting RFP_LOG_LEVEL.
-struct LogFnShim {
-  LogLevel Saved;
-  telemetry::ScopedLogSink Sink;
-
-  explicit LogFnShim(PolyGenerator::LogFn Log)
-      : Saved(telemetry::logLevel()),
-        Sink([Log = std::move(Log)](LogLevel, const char *Component,
-                                    const std::string &Msg) {
-          if (std::strcmp(Component, "polygen") == 0)
-            Log(Msg);
-        }) {
-    if (static_cast<int>(Saved) < static_cast<int>(LogLevel::Info))
-      telemetry::setLogLevel(LogLevel::Info);
-  }
-  ~LogFnShim() { telemetry::setLogLevel(Saved); }
-};
-} // namespace
-
-// Silence the self-referential deprecation warnings: these *are* the
-// deprecated entry points.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-void PolyGenerator::prepare(LogFn Log) {
-  if (!Log)
-    return prepare();
-  LogFnShim Shim(std::move(Log));
-  prepare();
-}
-
-GeneratedImpl PolyGenerator::generate(EvalScheme S, LogFn Log) {
-  if (!Log)
-    return generate(S);
-  LogFnShim Shim(std::move(Log));
-  return generate(S);
-}
-#pragma GCC diagnostic pop
 
 std::vector<IntervalConstraint> PolyGenerator::exportLPConstraints() const {
   assert(Prepared && "call prepare() first");

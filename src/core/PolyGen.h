@@ -34,13 +34,12 @@
 #define RFP_CORE_POLYGEN_H
 
 #include "core/RoundingInterval.h"
-#include "core/ShardStore.h"
 #include "lp/LPSolver.h"
 #include "poly/EvalScheme.h"
 #include "support/ElemFunc.h"
+#include "support/ShardFile.h"
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -218,6 +217,11 @@ public:
   /// M covers the K-th contiguous range of candidate indices.
   uint64_t candidateCount();
 
+  /// The identity of this configuration's candidate domain split \p M
+  /// ways under \p Dir: stem = function name, config line = function,
+  /// stride and window, domain = candidateCount().
+  shard::ShardSet shardSet(const std::string &Dir, unsigned M);
+
   /// Computes shard \p K of \p M -- the oracle records for that candidate
   /// range -- and persists it under \p Dir (manifest written or validated
   /// first). Does not alter this generator's prepared state; any number of
@@ -225,23 +229,13 @@ public:
   bool prepareShard(unsigned K, unsigned M, const std::string &Dir,
                     std::string *Err = nullptr);
 
-  /// prepare() from a complete shard set under \p Dir: streams the shards
-  /// in index order through the same interval/merge pipeline, yielding
-  /// constraints and forced specials bit-identical to an in-process
-  /// prepare(). \p M (when non-zero) asserts the expected shard count.
-  /// On failure the generator may be half-prepared; use a fresh instance.
-  bool prepareFromShards(const std::string &Dir, unsigned M = 0,
+  /// prepare() from the complete \p M-way shard set under \p Dir: streams
+  /// the shards in index order through the same interval/merge pipeline,
+  /// yielding constraints and forced specials bit-identical to an
+  /// in-process prepare(). On failure the generator may be half-prepared;
+  /// use a fresh instance.
+  bool prepareFromShards(const std::string &Dir, unsigned M,
                          std::string *Err = nullptr);
-
-  // --- Deprecated LogFn compat shims (one release). ---------------------
-  // The callback API predates the telemetry logger. The shims install a
-  // temporary sink forwarding "polygen" messages to the callback, so old
-  // callers keep seeing their progress strings.
-  using LogFn = std::function<void(const std::string &)>;
-  [[deprecated("use prepare() with a telemetry log sink")]] void
-  prepare(LogFn Log);
-  [[deprecated("use generate(S) with a telemetry log sink")]] GeneratedImpl
-  generate(EvalScheme S, LogFn Log);
 
   /// The Section 6.3 experiment: evaluate \p Base's polynomials under
   /// scheme \p S *without* re-running the loop (naive post-process
@@ -286,15 +280,21 @@ private:
     void emit(uint64_t Begin, uint64_t End, std::vector<uint32_t> &Out) const;
   };
 
+  /// One oracle verdict: a poly-path input and its round-to-odd FP34
+  /// encoding. Shard payloads pack it as 12 bytes (Bits, then Enc).
+  struct Record {
+    uint32_t Bits;
+    uint64_t Enc;
+  };
+
   void initCandidates();
   /// Pass A over candidates [Begin, End): filter to poly-path inputs and
   /// resolve each one's RO_34 encoding (certified fast path in batches,
   /// exact oracle for the remainder), emitting records in candidate order.
-  void oracleRecords(uint64_t Begin, uint64_t End,
-                     std::vector<shard::Record> &Out);
+  void oracleRecords(uint64_t Begin, uint64_t End, std::vector<Record> &Out);
   /// Pass B: derive rounding + reduced intervals (parallel) and fold the
   /// records into the constraint map (serial, record order).
-  void consumeRecords(const shard::Record *Recs, size_t N);
+  void consumeRecords(const Record *Recs, size_t N);
   /// Sorts constraints by reduced input and converts exact forms.
   void finalizePrepare();
   /// \p DegreeHint is the progressive-degree channel (RLIBM-PROG): on

@@ -337,19 +337,6 @@ void roundWith(const KernelSet &Set, const double *H, uint64_t *Enc, size_t N,
     Enc[I] = Fmt.roundDouble(H[I], M);
 }
 
-void evalBatchF(ElemFunc F, const float *In, float *Out, size_t N) {
-  double H[256];
-  while (N > 0) {
-    size_t Chunk = N < 256 ? N : 256;
-    evalBatch(F, EvalScheme::EstrinFMA, In, H, Chunk);
-    for (size_t I = 0; I < Chunk; ++I)
-      Out[I] = static_cast<float>(H[I]);
-    In += Chunk;
-    Out += Chunk;
-    N -= Chunk;
-  }
-}
-
 } // namespace
 
 const char *rfp::libm::batchISAName(BatchISA ISA) {
@@ -392,23 +379,4 @@ void rfp::libm::roundBatch(const double *H, uint64_t *Enc, size_t N,
 void rfp::libm::roundBatch(BatchISA ISA, const double *H, uint64_t *Enc,
                             size_t N, const FPFormat &Fmt, RoundingMode M) {
   roundWith(setFor(ISA), H, Enc, N, Fmt, M);
-}
-
-void rfp::libm::rfp_expf_batch(const float *In, float *Out, size_t N) {
-  evalBatchF(ElemFunc::Exp, In, Out, N);
-}
-void rfp::libm::rfp_exp2f_batch(const float *In, float *Out, size_t N) {
-  evalBatchF(ElemFunc::Exp2, In, Out, N);
-}
-void rfp::libm::rfp_exp10f_batch(const float *In, float *Out, size_t N) {
-  evalBatchF(ElemFunc::Exp10, In, Out, N);
-}
-void rfp::libm::rfp_logf_batch(const float *In, float *Out, size_t N) {
-  evalBatchF(ElemFunc::Log, In, Out, N);
-}
-void rfp::libm::rfp_log2f_batch(const float *In, float *Out, size_t N) {
-  evalBatchF(ElemFunc::Log2, In, Out, N);
-}
-void rfp::libm::rfp_log10f_batch(const float *In, float *Out, size_t N) {
-  evalBatchF(ElemFunc::Log10, In, Out, N);
 }

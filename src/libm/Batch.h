@@ -11,6 +11,8 @@
 /// process by runtime CPUID dispatch (the resolved kernel table is cached;
 /// there is no per-call feature test). roundBatch is the matching array
 /// form of format/mode rounding, served from the same resolved set.
+/// Callers use rfp::evalBatch / rfp::evalBatchH (libm/rfp.h), which add
+/// the FE-mode guarantee on top of these raw entry points.
 ///
 /// The contract that makes the batch layer safe to use anywhere the
 /// per-call API is: for every element, the H (double) result is
@@ -78,41 +80,6 @@ void roundBatch(const double *H, uint64_t *Enc, size_t N, const FPFormat &Fmt,
 /// evalBatchWithISA resolves it.
 void roundBatch(BatchISA ISA, const double *H, uint64_t *Enc, size_t N,
                 const FPFormat &Fmt, RoundingMode M);
-
-// Per-function batch cores (H results), default scheme Estrin+FMA.
-inline void exp_batch(const float *In, double *H, size_t N,
-                      EvalScheme S = EvalScheme::EstrinFMA) {
-  evalBatch(ElemFunc::Exp, S, In, H, N);
-}
-inline void exp2_batch(const float *In, double *H, size_t N,
-                       EvalScheme S = EvalScheme::EstrinFMA) {
-  evalBatch(ElemFunc::Exp2, S, In, H, N);
-}
-inline void exp10_batch(const float *In, double *H, size_t N,
-                        EvalScheme S = EvalScheme::EstrinFMA) {
-  evalBatch(ElemFunc::Exp10, S, In, H, N);
-}
-inline void log_batch(const float *In, double *H, size_t N,
-                      EvalScheme S = EvalScheme::EstrinFMA) {
-  evalBatch(ElemFunc::Log, S, In, H, N);
-}
-inline void log2_batch(const float *In, double *H, size_t N,
-                       EvalScheme S = EvalScheme::EstrinFMA) {
-  evalBatch(ElemFunc::Log2, S, In, H, N);
-}
-inline void log10_batch(const float *In, double *H, size_t N,
-                        EvalScheme S = EvalScheme::EstrinFMA) {
-  evalBatch(ElemFunc::Log10, S, In, H, N);
-}
-
-/// float32 round-to-nearest convenience wrappers (Estrin+FMA variant): the
-/// array analogues of rfp_expf and friends in rlibm.h.
-void rfp_expf_batch(const float *In, float *Out, size_t N);
-void rfp_exp2f_batch(const float *In, float *Out, size_t N);
-void rfp_exp10f_batch(const float *In, float *Out, size_t N);
-void rfp_logf_batch(const float *In, float *Out, size_t N);
-void rfp_log2f_batch(const float *In, float *Out, size_t N);
-void rfp_log10f_batch(const float *In, float *Out, size_t N);
 
 } // namespace libm
 } // namespace rfp

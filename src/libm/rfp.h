@@ -52,12 +52,11 @@
 /// dynamic environment, so K.Mode selects the *target* IEEE rounding of
 /// the result and is entirely independent of fesetround.
 ///
-/// Legacy tiers: the free functions in rlibm.h (`exp_estrin_fma`,
-/// `rfp_expf`, `evalCore`) and the raw array entry points in Batch.h
-/// remain as thin shims -- the cores are still the implementation
-/// substrate and what the paper benchmarks -- but new code should use
-/// this header (see DESIGN.md, "Unified public API", for the deprecation
-/// notice and timetable).
+/// Underneath: the free functions in rlibm.h (`exp_estrin_fma`,
+/// `evalCore`, `roundResult`) and the raw array entry points in Batch.h
+/// are the implementation tier -- the cores are what the paper benchmarks
+/// and what the tests and the verify engine referee against -- but
+/// callers use this header (DESIGN.md, "Unified public API").
 ///
 //===----------------------------------------------------------------------===//
 

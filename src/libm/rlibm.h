@@ -15,39 +15,28 @@
 /// yields the correctly rounded f(x) for that format and mode. Use
 /// \c roundResult (or a plain float cast for float32 round-to-nearest).
 ///
-/// The float-returning convenience wrappers (`rfp_exp2f`, ...) use the
-/// fastest variant (Estrin+FMA) and round to float32 nearest-even.
-///
 /// Availability: a variant can be absent when the integrated generation
 /// loop could not produce it (the paper's Table 1 reports N/A for
 /// RLibm-Knuth on ln and log10); query \c variantInfo.
 ///
-/// Naming policy. The public surface is now the unified rfp:: API in
+/// Naming policy. The public surface is the unified rfp:: API in
 /// libm/rfp.h -- `rfp::eval` / `rfp::evalBatch` over a `VariantKey`, with
 /// the MultiRound dynamic-FP-environment guarantee the raw cores do not
 /// carry. Everything in THIS header is the implementation tier underneath
-/// it, kept as thin compatibility shims for one more release (DESIGN.md,
-/// "Unified public API"):
+/// it (DESIGN.md, "Unified public API"):
 ///
 ///   * `rfp::libm::<func>_<scheme>(float) -> double` -- the 24 scalar
 ///     cores. Lower-case function and scheme spelled out (`exp2_estrin_fma`).
 ///     These produce H and never round; they are what the paper benchmarks
-///     and what the rfp:: surface is defined in terms of. Not deprecated
-///     as internals, but new *callers* belong on rfp::evalH.
-///   * `rfp::libm::rfp_<func>f(float) -> float` -- C-libm-shaped wrappers
-///     (drop-in for `expf` etc.; Estrin+FMA core, float32 nearest-even).
-///     DEPRECATED: use rfp::eval with the default-constructed VariantKey
-///     fields. Compile with -DRFP_NO_DEPRECATE to silence the attribute
-///     during the migration release.
-///   * `evalCore` / `roundResult` -- enum-driven dispatch. DEPRECATED as
-///     public entry points (rfp::eval = FE-guarded evalCore + roundResult);
-///     they remain the referees the tests and the verify engine compare
-///     against, so they carry no attribute.
+///     and what the rfp:: surface is defined in terms of. New *callers*
+///     belong on rfp::evalH.
+///   * `evalCore` / `roundResult` -- enum-driven dispatch (rfp::eval =
+///     FE-guarded evalCore + roundResult). They remain the referees the
+///     tests and the verify engine compare against.
 ///   * The batch entry points (libm/Batch.h) mirror this tier for arrays;
-///     their public replacements are rfp::evalBatch / rfp::evalBatchH.
+///     their public forms are rfp::evalBatch / rfp::evalBatchH.
 ///
-/// Do not add new spellings to this tier. The wrapper/core parity is
-/// pinned by DispatchTest's WrapperParity test.
+/// Do not add new spellings to this tier.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,39 +80,6 @@ double log10_horner(float X);
 double log10_knuth(float X);
 double log10_estrin(float X);
 double log10_estrin_fma(float X);
-
-// Deprecation marker for the legacy wrapper tier. TUs that deliberately
-// exercise the shims (the parity-referee tests) define RFP_NO_DEPRECATE
-// before including this header.
-#if defined(RFP_NO_DEPRECATE)
-#define RFP_DEPRECATED(Msg)
-#else
-#define RFP_DEPRECATED(Msg) [[deprecated(Msg)]]
-#endif
-
-/// float32 round-to-nearest convenience wrappers (Estrin+FMA variant).
-/// Deprecated shims over the rfp:: surface -- kept for one release; note
-/// they do NOT carry rfp.h's dynamic-FP-environment guarantee.
-RFP_DEPRECATED("use rfp::eval (libm/rfp.h)")
-inline float rfp_expf(float X) { return static_cast<float>(exp_estrin_fma(X)); }
-RFP_DEPRECATED("use rfp::eval (libm/rfp.h)")
-inline float rfp_exp2f(float X) {
-  return static_cast<float>(exp2_estrin_fma(X));
-}
-RFP_DEPRECATED("use rfp::eval (libm/rfp.h)")
-inline float rfp_exp10f(float X) {
-  return static_cast<float>(exp10_estrin_fma(X));
-}
-RFP_DEPRECATED("use rfp::eval (libm/rfp.h)")
-inline float rfp_logf(float X) { return static_cast<float>(log_estrin_fma(X)); }
-RFP_DEPRECATED("use rfp::eval (libm/rfp.h)")
-inline float rfp_log2f(float X) {
-  return static_cast<float>(log2_estrin_fma(X));
-}
-RFP_DEPRECATED("use rfp::eval (libm/rfp.h)")
-inline float rfp_log10f(float X) {
-  return static_cast<float>(log10_estrin_fma(X));
-}
 
 /// Dynamic dispatch over the 24 implementations. Asserts availability.
 double evalCore(ElemFunc F, EvalScheme S, float X);

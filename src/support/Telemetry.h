@@ -32,9 +32,7 @@
 /// Logging. Leveled (error < warn < info < debug < trace), default level
 /// `warn` so default builds are silent; override with `RFP_LOG_LEVEL` or
 /// `setLogLevel()`. Messages route to registered sinks, or to a stderr
-/// formatter when no sink is registered. This replaces both the old
-/// always-on `[dbg]` fprintf calls and the `PolyGenerator::LogFn`
-/// callback (a deprecated shim remains for one release).
+/// formatter when no sink is registered.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,7 +96,7 @@ using LogSink =
 int addLogSink(LogSink S);
 void removeLogSink(int Id);
 
-/// RAII sink registration (tools, tests, the LogFn compat shim).
+/// RAII sink registration (tools, tests).
 class ScopedLogSink {
 public:
   explicit ScopedLogSink(LogSink S) : Id(addLogSink(std::move(S))) {}

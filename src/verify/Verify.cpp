@@ -41,8 +41,8 @@
 #include "oracle/OracleCache.h"
 #include "oracle/OracleFast.h"
 #include "support/Telemetry.h"
+#include "support/ShardFile.h"
 #include "support/ThreadPool.h"
-#include "verify/VerifyStore.h"
 
 #include <cfenv>
 #include <chrono>
@@ -411,6 +411,117 @@ SweepReport verify::runSweep(const SweepConfig &C) {
   return Report;
 }
 
+//===----------------------------------------------------------------------===//
+// Sharded runs: the unit-block codec for support/ShardFile.h payloads
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+template <typename T> void put(std::vector<unsigned char> &Out, T V) {
+  size_t At = Out.size();
+  Out.resize(At + sizeof(T));
+  std::memcpy(Out.data() + At, &V, sizeof(T));
+}
+
+struct Cursor {
+  const unsigned char *P;
+  const unsigned char *End;
+  bool Ok = true;
+
+  template <typename T> T get() {
+    T V{};
+    if (static_cast<size_t>(End - P) < sizeof(T)) {
+      Ok = false;
+      return V;
+    }
+    std::memcpy(&V, P, sizeof(T));
+    P += sizeof(T);
+    return V;
+  }
+};
+
+/// Serializes one unit outcome: an 80-byte fixed prefix followed by 32
+/// packed bytes per mismatch record.
+void serializeUnit(const UnitOutcome &U, std::vector<unsigned char> &Out) {
+  put<uint32_t>(Out, static_cast<uint32_t>(U.U.Func));
+  put<uint32_t>(Out, static_cast<uint32_t>(U.U.Scheme));
+  put<uint32_t>(Out, U.U.FormatBits);
+  put<uint32_t>(Out, static_cast<uint32_t>(U.R.Records.size()));
+  put<uint64_t>(Out, U.U.Stride);
+  put<uint64_t>(Out, U.U.NumEncodings);
+  put<uint64_t>(Out, U.R.Inputs);
+  put<uint64_t>(Out, U.R.Comparisons);
+  put<uint64_t>(Out, U.R.Mismatches);
+  put<uint64_t>(Out, U.R.OracleFast);
+  put<uint64_t>(Out, U.R.OracleExact);
+  put<double>(Out, U.R.Millis);
+  for (const Mismatch &M : U.R.Records) {
+    put<uint32_t>(Out, M.XBits);
+    put<uint64_t>(Out, M.GotEnc);
+    put<uint64_t>(Out, M.WantEnc);
+    unsigned char Tail[12] = {M.Func, M.Scheme, M.FormatBits, M.Mode,
+                              M.Path, M.ISA,    M.Lane};
+    Out.insert(Out.end(), Tail, Tail + sizeof(Tail));
+  }
+}
+
+bool deserializeUnit(Cursor &C, UnitOutcome &U) {
+  U.U.Func = static_cast<ElemFunc>(C.get<uint32_t>());
+  U.U.Scheme = static_cast<EvalScheme>(C.get<uint32_t>());
+  U.U.FormatBits = C.get<uint32_t>();
+  uint32_t NumRecords = C.get<uint32_t>();
+  U.U.Stride = C.get<uint64_t>();
+  U.U.NumEncodings = C.get<uint64_t>();
+  U.R.Inputs = C.get<uint64_t>();
+  U.R.Comparisons = C.get<uint64_t>();
+  U.R.Mismatches = C.get<uint64_t>();
+  U.R.OracleFast = C.get<uint64_t>();
+  U.R.OracleExact = C.get<uint64_t>();
+  U.R.Millis = C.get<double>();
+  if (!C.Ok || NumRecords > static_cast<size_t>(C.End - C.P) / 32)
+    return false;
+  U.R.Records.resize(NumRecords);
+  for (Mismatch &M : U.R.Records) {
+    M.XBits = C.get<uint32_t>();
+    M.GotEnc = C.get<uint64_t>();
+    M.WantEnc = C.get<uint64_t>();
+    M.Func = C.P[0];
+    M.Scheme = C.P[1];
+    M.FormatBits = C.P[2];
+    M.Mode = C.P[3];
+    M.Path = C.P[4];
+    M.ISA = C.P[5];
+    M.Lane = C.P[6];
+    C.P += 12;
+  }
+  U.Resumed = true;
+  return C.Ok;
+}
+
+/// Loads shard \p K's unit outcomes from disk; false when the shard is
+/// missing, fails the ShardFile checks, or does not decode to exactly its
+/// unit range.
+bool loadShard(const shard::ShardSet &Set, unsigned K,
+               std::vector<UnitOutcome> &Out) {
+  shard::ShardReader R;
+  if (!R.open(Set, K))
+    return false;
+  std::vector<unsigned char> Payload(R.size());
+  if (!R.read(Payload.data(), Payload.size()) || !R.finish())
+    return false;
+  Out.clear();
+  Cursor Cur{Payload.data(), Payload.data() + Payload.size()};
+  while (Cur.P != Cur.End) {
+    Out.emplace_back();
+    if (!deserializeUnit(Cur, Out.back()))
+      return false;
+  }
+  const auto [Begin, End] = Set.range(K);
+  return Out.size() == End - Begin;
+}
+
+} // namespace
+
 bool verify::runShard(const SweepConfig &C, const ShardOptions &Opts,
                       unsigned K, std::vector<UnitOutcome> &Out,
                       std::string *Err) {
@@ -419,35 +530,28 @@ bool verify::runShard(const SweepConfig &C, const ShardOptions &Opts,
 
   if (Opts.Dir.empty())
     return fail(Err, "shard directory not set");
-  if (Opts.NumShards == 0 || K >= Opts.NumShards)
-    return fail(Err, "shard index " + std::to_string(K) + " out of range (" +
-                         std::to_string(Opts.NumShards) + " shards)");
-
   const std::vector<Unit> Units = planUnits(C);
-  const std::vector<PathSpec> Paths = planPaths(C);
-  const std::vector<FeLane> Lanes = planLanes(C);
-  const std::string Line = configLine(C, Units, Paths, Lanes);
-  store::StoreConfig SC;
-  SC.ConfigHash = store::hashConfigLine(Line);
-  SC.NumShards = Opts.NumShards;
-  SC.NumUnits = Units.size();
-  if (!store::writeOrCheckManifest(Opts.Dir, Line, SC, Err))
-    return false;
+  const shard::ShardSet Set{Opts.Dir, "verify",
+                            configLine(C, Units, planPaths(C), planLanes(C)),
+                            Opts.NumShards, Units.size()};
 
-  uint64_t Begin, End;
-  store::shardUnitRange(SC, K, Begin, End);
-
-  if (Opts.Resume && store::shardValid(Opts.Dir, SC, K)) {
-    if (!store::readShard(Opts.Dir, SC, K, Out, Err))
-      return false;
+  // One read: a shard that loads is used as is, any other is recomputed.
+  if (Opts.Resume && loadShard(Set, K, Out)) {
     CResumed.add(Out.size());
     return true;
   }
 
+  shard::ShardWriter W;
+  if (!W.open(Set, K, Err))
+    return false;
+  const auto [Begin, End] = Set.range(K);
+  std::vector<unsigned char> Payload;
   Out.clear();
-  for (uint64_t I = Begin; I < End; ++I)
+  for (uint64_t I = Begin; I < End; ++I) {
     Out.push_back(UnitOutcome{Units[I], runUnit(C, Units[I]), false});
-  return store::writeShard(Opts.Dir, SC, K, Out, Err);
+    serializeUnit(Out.back(), Payload);
+  }
+  return W.write(Payload.data(), Payload.size(), Err) && W.finalize(Err);
 }
 
 bool verify::runShardedSweep(const SweepConfig &C, const ShardOptions &Opts,

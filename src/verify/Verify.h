@@ -33,10 +33,10 @@
 /// Units run blocks through ThreadPool::parallelReduce with a fixed
 /// partition, so counts, mismatch records and their order are bit-
 /// identical for every thread count. Sharded runs persist per-unit
-/// results with checksummed, atomically renamed files (verify/
-/// VerifyStore.h, the ShardStore recipe) so `verify --shard K/M --resume`
-/// skips shards that already completed -- a killed run loses at most its
-/// in-flight shard.
+/// results as support/ShardFile.h shard sets (checksummed, atomically
+/// renamed, pinned to the sweep's canonical config line) so `verify
+/// --shard K/M --resume` skips shards that already completed -- a killed
+/// run loses at most its in-flight shard.
 ///
 /// Telemetry: verify.inputs, verify.comparisons, verify.mismatches,
 /// verify.units, verify.units_resumed, verify.oracle.fast,
@@ -234,9 +234,10 @@ struct ShardOptions {
 };
 
 /// Computes (or, with Resume, loads) shard \p K of \p Opts.NumShards: the
-/// K-th contiguous slice of the unit list (ceil split, the ShardStore
-/// convention). On success \p Out holds exactly that shard's outcomes and
-/// the shard file is on disk, checksummed and atomically renamed.
+/// K-th contiguous slice of the unit list (ShardSet::range's ceil split).
+/// A shard that is missing or fails to load is recomputed. On success
+/// \p Out holds exactly that shard's outcomes and the shard file is on
+/// disk, checksummed and atomically renamed.
 bool runShard(const SweepConfig &C, const ShardOptions &Opts, unsigned K,
               std::vector<UnitOutcome> &Out, std::string *Err = nullptr);
 

@@ -18,13 +18,13 @@
 //
 // The rounding kernels behind roundBatch are held to the same standard
 // against FPFormat::roundDouble, on the boundary table that FPFormatTest
-// checks roundDouble against roundRational with.
+// checks roundDouble against roundRational with; the public encoded entry,
+// rfp::evalBatch, is held to rfp::eval lane by lane.
 //
 //===----------------------------------------------------------------------===//
 
 #include "libm/Batch.h"
-// This TU is a parity referee for the deprecated wrapper tier.
-#define RFP_NO_DEPRECATE
+#include "libm/rfp.h"
 #include "libm/rlibm.h"
 
 #include "RoundingCases.h"
@@ -34,6 +34,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 using namespace rfp;
@@ -278,24 +279,41 @@ TEST(BatchParityTest, RoundBatchMatchesRoundDouble) {
   }
 }
 
-TEST(BatchParityTest, FloatWrappersMatchScalarWrappers) {
-  std::vector<float> Inputs = stridedInputs(2000003);
-  std::vector<float> Out(Inputs.size());
-  using WrapFn = void (*)(const float *, float *, size_t);
-  using ScalarFn = float (*)(float);
-  const WrapFn Wraps[6] = {rfp_expf_batch, rfp_exp2f_batch, rfp_exp10f_batch,
-                           rfp_logf_batch, rfp_log2f_batch, rfp_log10f_batch};
-  const ScalarFn Scalars[6] = {rfp_expf, rfp_exp2f, rfp_exp10f,
-                               rfp_logf, rfp_log2f, rfp_log10f};
-  for (int FI = 0; FI < 6; ++FI) {
-    Wraps[FI](Inputs.data(), Out.data(), Inputs.size());
-    for (size_t I = 0; I < Inputs.size(); ++I) {
-      float Want = Scalars[FI](Inputs[I]);
-      uint32_t WantBits, GotBits;
-      std::memcpy(&WantBits, &Want, sizeof(WantBits));
-      std::memcpy(&GotBits, &Out[I], sizeof(GotBits));
-      ASSERT_EQ(WantBits, GotBits)
-          << elemFuncName(AllElemFuncs[FI]) << " x=" << Inputs[I];
+TEST(BatchParityTest, EncodedBatchMatchesEval) {
+  // The public encoded entry, rfp::evalBatch(K, In, Enc, N, H): every lane
+  // equals rfp::eval(K, x), special lanes included, both through the
+  // internal H staging (N crosses its 1024-element chunk) and with a
+  // caller-supplied H.
+  constexpr float Inf = std::numeric_limits<float>::infinity();
+  std::vector<float> In = {std::numeric_limits<float>::quiet_NaN(),
+                           -Inf, Inf, 0.0f, -0.0f, 1.0f, 0.5f, 2.0f, 100.0f,
+                           1e30f, 0x1p-149f, -3.25f, 88.9f};
+  std::vector<float> Strided = stridedInputs(1999993);
+  In.insert(In.end(), Strided.begin(), Strided.end());
+  ASSERT_GT(In.size(), 2048u);
+  std::vector<uint64_t> Enc(In.size());
+  std::vector<double> H(In.size());
+  for (ElemFunc F : AllElemFuncs) {
+    const VariantKey Keys[2] = {
+        VariantKey{F},
+        VariantKey{F, EvalScheme::EstrinFMA, FPFormat::withBits(12),
+                   RoundingMode::Upward}};
+    for (const VariantKey &K : Keys) {
+      std::fill(Enc.begin(), Enc.end(), ~0ull);
+      rfp::evalBatch(K, In.data(), Enc.data(), In.size());
+      for (size_t I = 0; I < In.size(); ++I)
+        ASSERT_EQ(Enc[I], rfp::eval(K, In[I]).Enc)
+            << variantKeyName(K) << " staged, lane " << I << " x=" << In[I];
+
+      std::fill(Enc.begin(), Enc.end(), ~0ull);
+      rfp::evalBatch(K, In.data(), Enc.data(), In.size(), H.data());
+      for (size_t I = 0; I < In.size(); ++I) {
+        EvalResult Want = rfp::eval(K, In[I]);
+        ASSERT_EQ(Enc[I], Want.Enc)
+            << variantKeyName(K) << " with H, lane " << I << " x=" << In[I];
+        ASSERT_EQ(bitsOf(H[I]), bitsOf(Want.H))
+            << variantKeyName(K) << " H, lane " << I << " x=" << In[I];
+      }
     }
   }
 }

@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "libm/Batch.h"
-// This TU is a parity referee for the deprecated wrapper tier.
-#define RFP_NO_DEPRECATE
+#include "libm/rfp.h"
 #include "libm/rlibm.h"
 #include "support/Telemetry.h"
 
@@ -76,41 +75,6 @@ TEST(DispatchTest, SchemesAgreeOnRoundedResults) {
             << elemFuncName(F) << "/" << evalSchemeName(S) << " x=" << X;
       }
     }
-  }
-}
-
-TEST(DispatchTest, WrapperParity) {
-  // The naming-policy contract from rlibm.h: every rfp_<func>f wrapper is
-  // exactly `(float)<func>_estrin_fma(x)` -- same core, float32
-  // nearest-even via the cast, no extra logic allowed to creep in.
-  std::mt19937_64 Rng(7);
-  for (int T = 0; T < 4000; ++T) {
-    float X;
-    uint32_t Bits = static_cast<uint32_t>(Rng());
-    std::memcpy(&X, &Bits, sizeof(X));
-    auto SameBits = [](float A, float B) {
-      uint32_t BA, BB;
-      std::memcpy(&BA, &A, sizeof(BA));
-      std::memcpy(&BB, &B, sizeof(BB));
-      // NaN payloads may legitimately differ; collapse all NaNs.
-      if (std::isnan(A) && std::isnan(B))
-        return true;
-      return BA == BB;
-    };
-    EXPECT_TRUE(SameBits(rfp_expf(X), static_cast<float>(exp_estrin_fma(X))))
-        << "x=" << X;
-    EXPECT_TRUE(SameBits(rfp_exp2f(X), static_cast<float>(exp2_estrin_fma(X))))
-        << "x=" << X;
-    EXPECT_TRUE(
-        SameBits(rfp_exp10f(X), static_cast<float>(exp10_estrin_fma(X))))
-        << "x=" << X;
-    EXPECT_TRUE(SameBits(rfp_logf(X), static_cast<float>(log_estrin_fma(X))))
-        << "x=" << X;
-    EXPECT_TRUE(SameBits(rfp_log2f(X), static_cast<float>(log2_estrin_fma(X))))
-        << "x=" << X;
-    EXPECT_TRUE(
-        SameBits(rfp_log10f(X), static_cast<float>(log10_estrin_fma(X))))
-        << "x=" << X;
   }
 }
 
@@ -258,9 +222,13 @@ TEST(DispatchTest, InverseFunctionPairsRoundTrip) {
   // correctly rounded composition is not the identity, but it is tight).
   std::mt19937_64 Rng(3);
   std::uniform_real_distribution<float> Dist(0.001f, 1000.0f);
+  const FPFormat F32 = FPFormat::float32();
+  auto Eval = [&](ElemFunc F, float X) {
+    return static_cast<float>(F32.decode(rfp::eval(VariantKey{F}, X).Enc));
+  };
   for (int T = 0; T < 300; ++T) {
     float X = Dist(Rng);
-    float RoundTrip = rfp_exp2f(rfp_log2f(X));
+    float RoundTrip = Eval(ElemFunc::Exp2, Eval(ElemFunc::Log2, X));
     EXPECT_NEAR(RoundTrip, X, std::fabs(X) * 4e-7f) << X;
   }
 }

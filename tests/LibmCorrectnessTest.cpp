@@ -13,8 +13,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-// This TU is a parity referee for the deprecated wrapper tier.
-#define RFP_NO_DEPRECATE
 #include "libm/rlibm.h"
 
 #include "oracle/Oracle.h"
@@ -179,17 +177,6 @@ std::vector<Variant> allVariants() {
 
 INSTANTIATE_TEST_SUITE_P(All24, LibmCorrectnessTest,
                          ::testing::ValuesIn(allVariants()), variantName);
-
-TEST(LibmApiTest, ConvenienceWrappersMatchCores) {
-  for (float X : {0.5f, -3.25f, 17.1f, 1e-20f}) {
-    EXPECT_EQ(rfp_exp2f(X), static_cast<float>(exp2_estrin_fma(X)));
-    EXPECT_EQ(rfp_expf(X), static_cast<float>(exp_estrin_fma(X)));
-  }
-  for (float X : {0.5f, 3.25f, 17.1f, 1e20f}) {
-    EXPECT_EQ(rfp_logf(X), static_cast<float>(log_estrin_fma(X)));
-    EXPECT_EQ(rfp_log10f(X), static_cast<float>(log10_estrin_fma(X)));
-  }
-}
 
 TEST(LibmApiTest, VariantInfoIsPopulated) {
   int Available = 0;

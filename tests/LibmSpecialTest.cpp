@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "libm/Batch.h"
-// This TU is a parity referee for the deprecated wrapper tier.
-#define RFP_NO_DEPRECATE
+#include "libm/rfp.h"
 #include "libm/rlibm.h"
 
 #include "oracle/Oracle.h"
@@ -131,15 +130,19 @@ TEST(LibmSpecialTest, SubnormalInputsLogFamily) {
 TEST(LibmSpecialTest, MonotoneNearOverflowBoundary) {
   // Walking the float inputs toward the exp overflow threshold, the float
   // results are non-decreasing and end at inf.
+  const FPFormat F32 = FPFormat::float32();
+  auto Exp = [&](float X) {
+    return F32.decode(rfp::eval(VariantKey{ElemFunc::Exp}, X).Enc);
+  };
   float X = 88.5f;
-  float Prev = rfp_expf(X);
+  double Prev = Exp(X);
   for (int I = 0; I < 2000; ++I) {
     X = std::nextafterf(X, HUGE_VALF);
-    float Cur = rfp_expf(X);
+    double Cur = Exp(X);
     EXPECT_GE(Cur, Prev) << X;
     Prev = Cur;
   }
-  EXPECT_TRUE(std::isinf(rfp_expf(89.5f)));
+  EXPECT_TRUE(std::isinf(Exp(89.5f)));
 }
 
 TEST(LibmSpecialTest, SpecialsTablesAreConsulted) {
@@ -223,24 +226,6 @@ TEST(LibmSpecialTest, BatchMisalignedAndOddLengths) {
     for (size_t I = 0; I < N; ++I)
       EXPECT_EQ(bitsOf(H[I + 1]), bitsOf(Want[I])) << "N=" << N << " lane " << I;
   }
-}
-
-TEST(LibmSpecialTest, BatchFloatWrappersMatchScalarWrappers) {
-  const float In[] = {NaN, -Inf, Inf, 0.0f, -0.0f, 1.0f,  0.5f,
-                      2.0f, 100.0f, 1e30f, 0x1p-149f, -3.25f, 88.9f};
-  constexpr size_t N = sizeof(In) / sizeof(In[0]);
-  float Out[N];
-  auto BitsF = [](float V) {
-    uint32_t B;
-    std::memcpy(&B, &V, sizeof(B));
-    return B;
-  };
-  rfp_expf_batch(In, Out, N);
-  for (size_t I = 0; I < N; ++I)
-    EXPECT_EQ(BitsF(Out[I]), BitsF(rfp_expf(In[I]))) << "exp lane " << I;
-  rfp_logf_batch(In, Out, N);
-  for (size_t I = 0; I < N; ++I)
-    EXPECT_EQ(BitsF(Out[I]), BitsF(rfp_logf(In[I]))) << "log lane " << I;
 }
 
 } // namespace

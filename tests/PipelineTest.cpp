@@ -316,28 +316,6 @@ TEST(PipelineMiscTest, PostProcessAdaptationViolatesIntervals) {
   (void)FMAViolations;
 }
 
-TEST(PipelineMiscTest, DeprecatedLogFnShimStillDeliversProgress) {
-  // The pre-telemetry callback API must keep working for one release: the
-  // shim installs a scoped sink that forwards "polygen" log lines to the
-  // callback.
-  GenConfig Cfg = smallConfig();
-  Cfg.SampleStride = 4200013; // extra coarse; this is an API smoke test
-  PolyGenerator Gen(ElemFunc::Exp2, Cfg);
-  std::vector<std::string> Lines;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Gen.prepare([&](const std::string &S) { Lines.push_back(S); });
-  GeneratedImpl Impl =
-      Gen.generate(EvalScheme::Horner,
-                   [&](const std::string &S) { Lines.push_back(S); });
-#pragma GCC diagnostic pop
-  // prepare() reports inputs/progress/constraints at Info, which the shim
-  // must forward; a *successful* generate() is silent at Info, so no line
-  // count is asserted for it.
-  EXPECT_GT(Lines.size(), 0u);
-  EXPECT_TRUE(Impl.Success);
-}
-
 TEST(PipelineMiscTest, SpecialsCarryCorrectResults) {
   GenConfig Cfg = smallConfig();
   PolyGenerator Gen(ElemFunc::Exp10, Cfg);

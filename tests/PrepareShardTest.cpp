@@ -13,7 +13,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/PolyGen.h"
-#include "core/ShardStore.h"
 
 #include "gtest/gtest.h"
 
@@ -94,17 +93,6 @@ std::vector<char> fileBytes(const std::string &Path) {
                            std::istreambuf_iterator<char>());
 }
 
-shard::ShardSetConfig shardConfigFor(PolyGenerator &Gen, const GenConfig &C,
-                                     ElemFunc F, unsigned M) {
-  shard::ShardSetConfig SC;
-  SC.Func = F;
-  SC.Stride = C.SampleStride;
-  SC.Window = C.BoundaryWindow;
-  SC.NumShards = M;
-  SC.NumCandidates = Gen.candidateCount();
-  return SC;
-}
-
 TEST(PrepareStreamTest, BlockSizeAndThreadsInvariant) {
   const ElemFunc F = ElemFunc::Exp2;
   PolyGenerator Ref(F, testConfig());
@@ -169,29 +157,28 @@ TEST(PrepareShardTest, KillAndResumeByteIdentical) {
     ASSERT_TRUE(G.prepareShard(0, M, Dir, &Err)) << Err;
     ASSERT_TRUE(G.prepareShard(1, M, Dir, &Err)) << Err;
   }
-  std::vector<char> Shard0 = fileBytes(shard::shardPath(Dir, F, 0, M));
-  std::vector<char> Shard1 = fileBytes(shard::shardPath(Dir, F, 1, M));
-
   // Resume in a fresh process (generator): valid shards are skipped, the
   // missing ones computed.
   PolyGenerator Resumed(F, Cfg);
-  shard::ShardSetConfig SC = shardConfigFor(Resumed, Cfg, F, M);
-  EXPECT_TRUE(shard::shardValid(Dir, SC, 0));
-  EXPECT_TRUE(shard::shardValid(Dir, SC, 1));
-  EXPECT_FALSE(shard::shardValid(Dir, SC, 2));
-  EXPECT_FALSE(shard::shardValid(Dir, SC, 3));
+  const shard::ShardSet Set = Resumed.shardSet(Dir, M);
+  const shard::ShardSet FullSet = Resumed.shardSet(FullDir, M);
+  std::vector<char> Shard0 = fileBytes(Set.shardPath(0));
+  std::vector<char> Shard1 = fileBytes(Set.shardPath(1));
+  EXPECT_TRUE(shard::shardValid(Set, 0));
+  EXPECT_TRUE(shard::shardValid(Set, 1));
+  EXPECT_FALSE(shard::shardValid(Set, 2));
+  EXPECT_FALSE(shard::shardValid(Set, 3));
   for (unsigned K = 0; K < M; ++K)
-    if (!shard::shardValid(Dir, SC, K)) {
+    if (!shard::shardValid(Set, K)) {
       ASSERT_TRUE(Resumed.prepareShard(K, M, Dir, &Err)) << Err;
     }
 
   // The pre-kill shards were not touched, and every shard is byte-equal
   // to the uninterrupted set's.
-  EXPECT_EQ(Shard0, fileBytes(shard::shardPath(Dir, F, 0, M)));
-  EXPECT_EQ(Shard1, fileBytes(shard::shardPath(Dir, F, 1, M)));
+  EXPECT_EQ(Shard0, fileBytes(Set.shardPath(0)));
+  EXPECT_EQ(Shard1, fileBytes(Set.shardPath(1)));
   for (unsigned K = 0; K < M; ++K)
-    EXPECT_EQ(fileBytes(shard::shardPath(FullDir, F, K, M)),
-              fileBytes(shard::shardPath(Dir, F, K, M)))
+    EXPECT_EQ(fileBytes(FullSet.shardPath(K)), fileBytes(Set.shardPath(K)))
         << "shard " << K;
 
   // And the resumed set assembles into the same tables as a plain run.
@@ -212,10 +199,10 @@ TEST(PrepareShardTest, CorruptionDetected) {
 
   PolyGenerator G(F, Cfg);
   ASSERT_TRUE(G.prepareShard(0, M, Dir, &Err)) << Err;
-  shard::ShardSetConfig SC = shardConfigFor(G, Cfg, F, M);
-  ASSERT_TRUE(shard::shardValid(Dir, SC, 0));
+  const shard::ShardSet Set = G.shardSet(Dir, M);
+  ASSERT_TRUE(shard::shardValid(Set, 0));
 
-  std::string Path = shard::shardPath(Dir, F, 0, M);
+  std::string Path = Set.shardPath(0);
   std::vector<char> Good = fileBytes(Path);
   ASSERT_GT(Good.size(), 100u);
 
@@ -228,23 +215,23 @@ TEST(PrepareShardTest, CorruptionDetected) {
   std::vector<char> Flipped = Good;
   Flipped[Good.size() / 2] ^= 0x20;
   Rewrite(Flipped);
-  EXPECT_FALSE(shard::shardValid(Dir, SC, 0));
+  EXPECT_FALSE(shard::shardValid(Set, 0));
 
   // Truncation: record stream ends early.
   std::vector<char> Truncated(Good.begin(),
                               Good.end() - static_cast<long>(24));
   Rewrite(Truncated);
-  EXPECT_FALSE(shard::shardValid(Dir, SC, 0));
+  EXPECT_FALSE(shard::shardValid(Set, 0));
 
   // Header from a different configuration (shard index corrupted).
   std::vector<char> BadHeader = Good;
-  BadHeader[24] ^= 0x01; // ShardIdx field (offset 8 magic + 4x4 fields).
+  BadHeader[8] ^= 0x01; // ShardIdx field, right after the 8-byte magic.
   Rewrite(BadHeader);
-  EXPECT_FALSE(shard::shardValid(Dir, SC, 0));
+  EXPECT_FALSE(shard::shardValid(Set, 0));
 
   // Restoring the original bytes restores validity.
   Rewrite(Good);
-  EXPECT_TRUE(shard::shardValid(Dir, SC, 0));
+  EXPECT_TRUE(shard::shardValid(Set, 0));
 
   // A manifest for a different configuration is rejected.
   GenConfig Other = testConfig();

@@ -15,7 +15,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "verify/Verify.h"
-#include "verify/VerifyStore.h"
+
+#include "support/ShardFile.h"
 
 #include <gtest/gtest.h>
 
@@ -247,23 +248,23 @@ TEST(VerifyStoreTest, ShardRoundTripAndCorruptionRejection) {
   std::vector<UnitOutcome> Written;
   ASSERT_TRUE(runShard(C, Opts, 1, Written, &Err)) << Err;
 
-  store::StoreConfig SC;
   // Reconstruct the identity the engine stored (manifest holds the line).
+  shard::ShardSet Set{Dir, "verify", "", 3, planUnits(C).size()};
   {
-    std::ifstream In(store::manifestPath(Dir));
+    std::ifstream In(Set.manifestPath());
     std::string Tag, Ver, Line;
     In >> Tag >> Ver;
     std::getline(In, Line); // rest of the version line
     std::getline(In, Line); // "config <line>"
     ASSERT_EQ(Line.rfind("config ", 0), 0u);
-    SC.ConfigHash = store::hashConfigLine(Line.substr(7));
+    Set.ConfigLine = Line.substr(7);
   }
-  SC.NumShards = 3;
-  SC.NumUnits = planUnits(C).size();
+  ASSERT_TRUE(shard::shardValid(Set, 1));
 
-  ASSERT_TRUE(store::shardValid(Dir, SC, 1));
+  // Resume loads the shard back instead of recomputing it.
+  Opts.Resume = true;
   std::vector<UnitOutcome> Read;
-  ASSERT_TRUE(store::readShard(Dir, SC, 1, Read, &Err)) << Err;
+  ASSERT_TRUE(runShard(C, Opts, 1, Read, &Err)) << Err;
   ASSERT_EQ(Read.size(), Written.size());
   for (size_t I = 0; I < Read.size(); ++I) {
     EXPECT_EQ(Read[I].U.FormatBits, Written[I].U.FormatBits);
@@ -273,14 +274,15 @@ TEST(VerifyStoreTest, ShardRoundTripAndCorruptionRejection) {
   }
 
   // A wrong identity is rejected before any byte is trusted.
-  store::StoreConfig Wrong = SC;
-  Wrong.ConfigHash ^= 1;
-  EXPECT_FALSE(store::shardValid(Dir, Wrong, 1));
+  shard::ShardSet Wrong = Set;
+  Wrong.ConfigLine += " x";
+  EXPECT_FALSE(shard::shardValid(Wrong, 1));
 
-  // Flip one payload byte: the checksum must catch it.
-  std::string Path = store::shardPath(Dir, 1, 3);
+  // Flip one payload byte: the checksum must catch it, and resume
+  // recomputes the shard instead of loading it.
   {
-    std::fstream F(Path, std::ios::in | std::ios::out | std::ios::binary);
+    std::fstream F(Set.shardPath(1),
+                   std::ios::in | std::ios::out | std::ios::binary);
     F.seekp(-5, std::ios::end);
     char B;
     F.seekg(F.tellp());
@@ -289,13 +291,19 @@ TEST(VerifyStoreTest, ShardRoundTripAndCorruptionRejection) {
     B ^= 0x40;
     F.write(&B, 1);
   }
-  EXPECT_FALSE(store::shardValid(Dir, SC, 1));
+  EXPECT_FALSE(shard::shardValid(Set, 1));
+  std::vector<UnitOutcome> Again;
+  ASSERT_TRUE(runShard(C, Opts, 1, Again, &Err)) << Err;
+  ASSERT_EQ(Again.size(), Written.size());
+  for (const UnitOutcome &U : Again)
+    EXPECT_FALSE(U.Resumed);
+  EXPECT_TRUE(shard::shardValid(Set, 1));
   std::filesystem::remove_all(Dir);
 }
 
 TEST(VerifyStoreTest, ManifestPinsTheConfiguration) {
   SweepConfig C = smallConfig();
-  std::string Dir = tempDir("manifest");
+  std::string Dir = tempDir("pin");
   ShardOptions Opts;
   Opts.Dir = Dir;
   Opts.NumShards = 2;
@@ -327,7 +335,7 @@ TEST(VerifyStoreTest, ResumeAfterKillIsBitIdentical) {
   ASSERT_TRUE(runShard(C, Opts, 0, Out, &Err)) << Err;
   ASSERT_TRUE(runShard(C, Opts, 2, Out, &Err)) << Err;
   // Shard 3's write died mid-flight: junk under a temporary name only.
-  { std::ofstream(store::shardPath(Dir, 3, 4) + ".tmp") << "junk"; }
+  { std::ofstream(Dir + "/verify.shard3of4.bin.tmp") << "junk"; }
 
   Opts.Resume = true;
   SweepReport R;

@@ -400,7 +400,8 @@ int main(int Argc, char **Argv) {
   bool BatchOnly = false;
   bool Smoke = false;
   bool Resume = false;
-  int ShardK = -1;       // --shard K/M worker mode.
+  bool Worker = false;    // --shard K/M worker mode: only shard ShardK.
+  unsigned ShardK = 0;
   unsigned NumShards = 0; // Shard count from --shard K/M or --shards M.
   std::string ShardDir;
   std::string MetricsPath;
@@ -428,18 +429,14 @@ int main(int Argc, char **Argv) {
     else if (std::strncmp(Argv[ArgIdx], "--shard-dir=", 12) == 0)
       ShardDir = Argv[ArgIdx] + 12;
     else if (std::strcmp(Argv[ArgIdx], "--shard") == 0 && ArgIdx + 1 < Argc) {
-      unsigned K, M;
-      if (std::sscanf(Argv[++ArgIdx], "%u/%u", &K, &M) != 2 || M == 0 ||
-          K >= M) {
+      if (!shard::parseShardFlag(Argv[++ArgIdx], &ShardK, NumShards)) {
         std::fprintf(stderr, "--shard expects K/M with 0 <= K < M\n");
         return 1;
       }
-      ShardK = static_cast<int>(K);
-      NumShards = M;
+      Worker = true;
     } else if (std::strcmp(Argv[ArgIdx], "--shards") == 0 &&
                ArgIdx + 1 < Argc) {
-      NumShards = static_cast<unsigned>(std::atoi(Argv[++ArgIdx]));
-      if (NumShards == 0) {
+      if (!shard::parseShardFlag(Argv[++ArgIdx], nullptr, NumShards)) {
         std::fprintf(stderr, "--shards expects a positive count\n");
         return 1;
       }
@@ -467,9 +464,7 @@ int main(int Argc, char **Argv) {
   if (BatchOnly)
     return emitBatchFromCommitted(Funcs);
 
-  // Progress used to arrive through the LogFn callback; it now flows
-  // through the telemetry logger. Keep the tool chatty by default, but let
-  // an explicit RFP_LOG_LEVEL win.
+  // Keep the tool chatty by default, but let an explicit RFP_LOG_LEVEL win.
   if (!std::getenv("RFP_LOG_LEVEL"))
     telemetry::setLogLevel(telemetry::LogLevel::Info);
 
@@ -478,18 +473,13 @@ int main(int Argc, char **Argv) {
                  Cfg.SampleStride, Cfg.BoundaryWindow);
     PolyGenerator Gen(F, Cfg);
     if (NumShards != 0) {
-      shard::ShardSetConfig SC;
-      SC.Func = F;
-      SC.Stride = Cfg.SampleStride;
-      SC.Window = Cfg.BoundaryWindow;
-      SC.NumShards = NumShards;
-      SC.NumCandidates = Gen.candidateCount();
+      const shard::ShardSet Set = Gen.shardSet(ShardDir, NumShards);
       std::string Err;
       // Compute the requested shard (worker mode) or every missing one.
-      unsigned KBegin = ShardK >= 0 ? static_cast<unsigned>(ShardK) : 0;
-      unsigned KEnd = ShardK >= 0 ? KBegin + 1 : NumShards;
+      unsigned KBegin = Worker ? ShardK : 0;
+      unsigned KEnd = Worker ? ShardK + 1 : NumShards;
       for (unsigned K = KBegin; K < KEnd; ++K) {
-        if (Resume && shard::shardValid(ShardDir, SC, K)) {
+        if (Resume && shard::shardValid(Set, K)) {
           std::fprintf(stderr, "  shard %u/%u already valid, skipping\n", K,
                        NumShards);
           continue;
@@ -501,7 +491,7 @@ int main(int Argc, char **Argv) {
           return 1;
         }
       }
-      if (ShardK >= 0)
+      if (Worker)
         continue; // Worker mode stops after its shard.
       if (!Gen.prepareFromShards(ShardDir, NumShards, &Err)) {
         std::fprintf(stderr, "FATAL: assembling shards: %s\n", Err.c_str());

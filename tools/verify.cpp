@@ -29,6 +29,7 @@
 #include "verify/Verify.h"
 
 #include "JsonWriter.h"
+#include "support/ShardFile.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
@@ -213,7 +214,8 @@ int main(int Argc, char **Argv) {
   SweepConfig C;
   ShardOptions Shards;
   Shards.NumShards = 0; // 0 = not sharded until a shard flag says otherwise
-  int OnlyShard = -1;
+  bool OneShard = false;  // --shard K/M: run only shard OnlyShard
+  unsigned OnlyShard = 0;
   bool Quiet = false;
   bench::ReportOptions Opts;
 
@@ -247,17 +249,19 @@ int main(int Argc, char **Argv) {
       C.Threads = static_cast<unsigned>(std::atoi(Argv[++I]));
     else if (!std::strcmp(A, "--max-records") && I + 1 < Argc)
       C.MaxRecordsPerUnit = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (!std::strcmp(A, "--shards") && I + 1 < Argc)
-      Shards.NumShards = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (!std::strcmp(A, "--shard") && I + 1 < Argc) {
-      unsigned K = 0, M = 0;
-      if (std::sscanf(Argv[++I], "%u/%u", &K, &M) != 2 || M == 0 || K >= M) {
+    else if (!std::strcmp(A, "--shards") && I + 1 < Argc) {
+      if (!shard::parseShardFlag(Argv[++I], nullptr, Shards.NumShards)) {
+        std::fprintf(stderr, "bad --shards %s (want a positive count)\n",
+                     Argv[I]);
+        return 2;
+      }
+    } else if (!std::strcmp(A, "--shard") && I + 1 < Argc) {
+      if (!shard::parseShardFlag(Argv[++I], &OnlyShard, Shards.NumShards)) {
         std::fprintf(stderr, "bad --shard %s (want K/M with K < M)\n",
                      Argv[I]);
         return 2;
       }
-      OnlyShard = static_cast<int>(K);
-      Shards.NumShards = M;
+      OneShard = true;
     } else if (!std::strcmp(A, "--shard-dir") && I + 1 < Argc)
       Shards.Dir = Argv[++I];
     else if (!std::strcmp(A, "--resume"))
@@ -313,9 +317,9 @@ int main(int Argc, char **Argv) {
       Report.Units.push_back(UnitOutcome{U, std::move(R), false});
     }
     Report.accumulate();
-  } else if (OnlyShard >= 0) {
+  } else if (OneShard) {
     std::vector<UnitOutcome> Out;
-    if (!runShard(C, Shards, static_cast<unsigned>(OnlyShard), Out, &Err)) {
+    if (!runShard(C, Shards, OnlyShard, Out, &Err)) {
       std::fprintf(stderr, "verify: %s\n", Err.c_str());
       return 2;
     }
