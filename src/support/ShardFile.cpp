@@ -117,18 +117,6 @@ bool writeOrCheckManifest(const ShardSet &S, std::string *Err) {
   return true;
 }
 
-/// Appends decimal digits at \p P to \p V, refusing values of 2^32 and up;
-/// false when there are no digits.
-bool parseDigits(const char *&P, uint64_t &V) {
-  const char *Start = P;
-  for (; *P >= '0' && *P <= '9'; ++P) {
-    V = V * 10 + static_cast<uint64_t>(*P - '0');
-    if (V > UINT32_MAX)
-      return false;
-  }
-  return P != Start;
-}
-
 } // namespace
 
 std::string ShardSet::manifestPath() const {
@@ -293,17 +281,34 @@ bool shard::shardValid(const ShardSet &S, unsigned K) {
 }
 
 bool shard::parseShardFlag(const char *Arg, unsigned *K, unsigned &M) {
-  uint64_t KV = 0, MV = 0; // KV stays 0 for "M", so KV < MV means M >= 1.
-  const char *P = Arg;
+  uint64_t KV = 0, MV = 0; // KV stays 0 for "M", so M >= KV + 1 >= 1.
   if (K) {
-    if (!parseDigits(P, KV) || *P != '/')
+    const char *Slash = std::strchr(Arg, '/');
+    if (!Slash ||
+        !parseCount(std::string(Arg, Slash).c_str(), 0, UINT32_MAX, KV))
       return false;
-    ++P;
+    Arg = Slash + 1;
   }
-  if (!parseDigits(P, MV) || *P != '\0' || KV >= MV)
+  if (!parseCount(Arg, KV + 1, UINT32_MAX, MV))
     return false;
   if (K)
     *K = static_cast<unsigned>(KV);
   M = static_cast<unsigned>(MV);
+  return true;
+}
+
+bool rfp::parseCount(const char *Arg, uint64_t Min, uint64_t Max,
+                     uint64_t &Out) {
+  uint64_t V = 0;
+  const char *P = Arg;
+  for (; *P >= '0' && *P <= '9'; ++P) {
+    uint64_t D = static_cast<uint64_t>(*P - '0');
+    if (D > Max || V > (Max - D) / 10)
+      return false;
+    V = V * 10 + D;
+  }
+  if (P == Arg || *P != '\0' || V < Min)
+    return false;
+  Out = V;
   return true;
 }

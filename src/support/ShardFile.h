@@ -121,11 +121,18 @@ private:
 bool shardValid(const ShardSet &S, unsigned K);
 
 /// Parses a shard-count flag: "M" (`--shards M`) when \p K is null, "K/M"
-/// (`--shard K/M`) otherwise. Accepts decimal digits only -- no sign, no
-/// spaces -- with 1 <= M < 2^32 and K < M.
+/// (`--shard K/M`) otherwise, each number through parseCount, with
+/// 1 <= M < 2^32 and K < M.
 bool parseShardFlag(const char *Arg, unsigned *K, unsigned &M);
 
 } // namespace shard
+
+/// Parses a whole command-line number: decimal digits only (no sign,
+/// space or prefix), no overflow, and Min <= value <= Max. \p Out is left
+/// alone on failure. The tools read every numeric argument through it, so
+/// a typo is a usage error rather than a silent 0 or a wrapped value.
+bool parseCount(const char *Arg, uint64_t Min, uint64_t Max, uint64_t &Out);
+
 } // namespace rfp
 
 #endif // RFP_SUPPORT_SHARDFILE_H

@@ -15,17 +15,18 @@
 //      certified fast path in batch form, the exact memoized oracle for
 //      the leftovers. This happens under the default FP environment --
 //      the oracle is the reference, not the thing under test.
-//   2. Precompute the five per-mode wanted encodings from RO_34, one
-//      libm::roundBatch per mode.
-//   3. Evaluate the base combination (scalar cores, default FE lane),
-//      round it with five more roundBatch calls, and run the full
-//      five-mode comparison per input, remembering how many modes
-//      misround per input (BaseBad).
+//   2. Precompute the wanted encodings from RO_34, one libm::roundBatch
+//      per mode: the five standard modes of the unit's format, or, for
+//      FP(32, 8), the single FP34 round-to-odd "mode" (RO_34 itself).
+//   3. Evaluate the base combination (the first path, default FE lane),
+//      round it with one more roundBatch per mode, and run the full
+//      comparison per input, remembering how many modes misround per
+//      input (BaseBad).
 //   4. For every other (path, lane) combination: evaluate, bit-compare H
 //      against the base H. Identical bits inherit the base verdict --
-//      count the five comparisons and BaseBad mismatches without
-//      re-rounding. Divergent bits get the full five-mode comparison and
-//      their own mismatch records.
+//      count the comparisons and BaseBad mismatches without re-rounding.
+//      Divergent bits get the full comparison and their own mismatch
+//      records.
 //
 // FE lanes pin the dynamic rounding mode only around the evaluation call
 // itself: decode, oracle, and comparison all run under the default
@@ -58,6 +59,8 @@ using namespace rfp::verify;
 std::string verify::pathSpecName(const PathSpec &P) {
   if (P.Path == EvalPath::ScalarCore)
     return "scalar-core";
+  if (P.Path == EvalPath::Candidate)
+    return "candidate";
   return std::string("batch-") + libm::batchISAName(P.ISA);
 }
 
@@ -119,7 +122,7 @@ std::vector<EvalScheme> effectiveSchemes(const SweepConfig &C) {
 std::string configLine(const SweepConfig &C, const std::vector<Unit> &Units,
                        const std::vector<PathSpec> &Paths,
                        const std::vector<FeLane> &Lanes) {
-  std::string L = "v1 funcs=";
+  std::string L = "v2 funcs=";
   bool First = true;
   for (ElemFunc F : effectiveFuncs(C)) {
     if (!First)
@@ -170,7 +173,7 @@ std::vector<Unit> verify::planUnits(const SweepConfig &C) {
   std::vector<Unit> Units;
   for (ElemFunc F : effectiveFuncs(C))
     for (EvalScheme S : effectiveSchemes(C)) {
-      if (!available(F, S))
+      if (!C.Candidate && !available(F, S))
         continue;
       for (unsigned Bits = C.MinBits; Bits <= C.MaxBits; ++Bits) {
         Unit U;
@@ -187,6 +190,8 @@ std::vector<Unit> verify::planUnits(const SweepConfig &C) {
 }
 
 std::vector<PathSpec> verify::planPaths(const SweepConfig &C) {
+  if (C.Candidate)
+    return {PathSpec{EvalPath::Candidate, libm::BatchISA::Scalar}};
   std::vector<PathSpec> Paths;
   Paths.push_back(PathSpec{EvalPath::ScalarCore, libm::BatchISA::Scalar});
   if (C.AllISAs) {
@@ -227,6 +232,14 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
   const std::vector<FeLane> Lanes = planLanes(C);
   const FPFormat Fmt = FPFormat::withBits(U.FormatBits);
   const FPFormat F34 = FPFormat::fp34();
+  // FP(32, 8) inputs are exactly the float32 values, so one round-to-odd
+  // comparison at 34 bits proves every FP(k <= 32, 8) format in every
+  // standard mode (RLIBM-ALL); narrower units compare each standard mode.
+  static constexpr RoundingMode RoundToOdd[] = {RoundingMode::ToOdd};
+  const bool RO34 = U.FormatBits == 32;
+  const FPFormat Cmp = RO34 ? F34 : Fmt;
+  const RoundingMode *Modes = RO34 ? RoundToOdd : StandardRoundingModes;
+  const unsigned NumModes = RO34 ? 1 : 5;
   const unsigned MaxRecords = C.MaxRecordsPerUnit;
   const size_t BlockElems = C.BlockElems ? C.BlockElems : 4096;
 
@@ -256,14 +269,13 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
       }
     }
 
-    // 2. Wanted encodings for the five modes, mode-major: Want[M * N + I].
+    // 2. Wanted encodings per mode, mode-major: Want[M * N + I].
     std::vector<double> V34(N);
     for (size_t I = 0; I < N; ++I)
       V34[I] = F34.decode(RO[I]);
-    std::vector<uint64_t> Want(N * 5);
-    for (unsigned M = 0; M < 5; ++M)
-      libm::roundBatch(V34.data(), Want.data() + M * N, N, Fmt,
-                       StandardRoundingModes[M]);
+    std::vector<uint64_t> Want(N * NumModes);
+    for (unsigned M = 0; M < NumModes; ++M)
+      libm::roundBatch(V34.data(), Want.data() + M * N, N, Cmp, Modes[M]);
 
     auto evalCombo = [&](const PathSpec &P, FeLane L, double *Out) {
       int FeMode = feLaneMode(L);
@@ -275,14 +287,13 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
       if (P.Path == EvalPath::ScalarCore) {
         for (size_t I = 0; I < N; ++I)
           Out[I] = evalH(U.Func, U.Scheme, In[I]);
-      } else {
+      } else if (P.Path == EvalPath::Batch) {
         evalBatchH(P.ISA, U.Func, U.Scheme, In.data(), Out, N);
+      } else {
+        C.Candidate(U.Func, U.Scheme, In.data(), Out, N);
       }
       if (FeMode >= 0)
         std::fesetround(Saved);
-      if (C.HMutator)
-        for (size_t I = 0; I < N; ++I)
-          Out[I] = C.HMutator(U.Func, U.Scheme, U.FormatBits, XB[I], Out[I]);
     };
     auto record = [&](size_t I, uint64_t Got, unsigned ModeIdx,
                       const PathSpec &P, FeLane L) {
@@ -296,24 +307,24 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
       M.Func = static_cast<uint8_t>(U.Func);
       M.Scheme = static_cast<uint8_t>(U.Scheme);
       M.FormatBits = static_cast<uint8_t>(U.FormatBits);
-      M.Mode = static_cast<uint8_t>(ModeIdx);
+      M.Mode = static_cast<uint8_t>(Modes[ModeIdx]);
       M.Path = static_cast<uint8_t>(P.Path);
       M.ISA = static_cast<uint8_t>(P.ISA);
       M.Lane = static_cast<uint8_t>(L);
       R.Records.push_back(M);
     };
 
-    // 3. Base combination: full five-mode comparison per input, rounded
-    // mode-major like Want and compared in (input, mode) record order.
+    // 3. Base combination: full comparison per input, rounded mode-major
+    // like Want and compared in (input, mode) record order.
     std::vector<double> BaseH(N), H(N);
     std::vector<uint8_t> BaseBad(N, 0);
     evalCombo(Paths[0], Lanes[0], BaseH.data());
-    std::vector<uint64_t> BaseGot(N * 5);
-    for (unsigned M = 0; M < 5; ++M)
-      libm::roundBatch(BaseH.data(), BaseGot.data() + M * N, N, Fmt,
-                       StandardRoundingModes[M]);
+    std::vector<uint64_t> BaseGot(N * NumModes);
+    for (unsigned M = 0; M < NumModes; ++M)
+      libm::roundBatch(BaseH.data(), BaseGot.data() + M * N, N, Cmp,
+                       Modes[M]);
     for (size_t I = 0; I < N; ++I) {
-      for (unsigned M = 0; M < 5; ++M) {
+      for (unsigned M = 0; M < NumModes; ++M) {
         uint64_t Got = BaseGot[M * N + I];
         ++R.Comparisons;
         if (Got != Want[M * N + I]) {
@@ -333,13 +344,13 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
           std::memcpy(&HB, &H[I], 8);
           std::memcpy(&BB, &BaseH[I], 8);
           if (HB == BB) {
-            // Identical H inherits the base verdict for all five modes.
-            R.Comparisons += 5;
+            // Identical H inherits the base verdict for every mode.
+            R.Comparisons += NumModes;
             R.Mismatches += BaseBad[I];
             continue;
           }
-          for (unsigned M = 0; M < 5; ++M) {
-            uint64_t Got = Fmt.roundDouble(H[I], StandardRoundingModes[M]);
+          for (unsigned M = 0; M < NumModes; ++M) {
+            uint64_t Got = Cmp.roundDouble(H[I], Modes[M]);
             ++R.Comparisons;
             if (Got != Want[M * N + I])
               record(I, Got, M, Paths[PI], Lanes[LI]);

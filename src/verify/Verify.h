@@ -22,13 +22,24 @@
 ///
 ///     roundDouble(H(x), fmt, mode) == roundDouble(RO_34, fmt, mode)
 ///
-/// The base path does the five rounded comparisons per input; every other
+/// FP(32, 8) units, whose inputs are exactly the float32 values, make one
+/// comparison per input instead: roundDouble(H(x), FP34, ToOdd) == RO_34.
+/// A round-to-odd result at 34 bits rounds correctly to every FP(k <= 32,
+/// 8) format in every standard mode (RLIBM-ALL), so that one comparison
+/// proves all of them for the input -- and it is the criterion the
+/// generator constrains H to.
+///
+/// The base path does the rounded comparisons per input; every other
 /// (path, lane) first bit-compares its H against the base H -- identical
-/// bits prove the five comparisons transitively, so verifying four extra
+/// bits prove the comparisons transitively, so verifying four extra
 /// ISA/lane combinations costs little more than their evaluations. Only
 /// when an H diverges (a kernel parity bug, a mode leak) does the engine
 /// fall back to the full per-mode comparison and record what actually
 /// misrounds.
+///
+/// H comes from the shipped tables (scalar cores and batch kernels) or,
+/// when SweepConfig::Candidate is set, from a caller's block evaluator --
+/// polygen's patch pass checks its freshly generated tables this way.
 ///
 /// Units run blocks through ThreadPool::parallelReduce with a fixed
 /// partition, so counts, mismatch records and their order are bit-
@@ -65,6 +76,7 @@ namespace verify {
 enum class EvalPath : uint8_t {
   ScalarCore, ///< per-call cores via rfp::evalH
   Batch,      ///< batch kernels via rfp::evalBatchH with a pinned ISA
+  Candidate,  ///< SweepConfig::Candidate, the caller's block evaluator
 };
 
 /// One evaluation path: the scalar cores, or the batch entry with a
@@ -75,12 +87,11 @@ struct PathSpec {
   libm::BatchISA ISA = libm::BatchISA::Scalar;
 
   bool operator==(const PathSpec &RHS) const {
-    return Path == RHS.Path && (Path == EvalPath::ScalarCore ||
-                                ISA == RHS.ISA);
+    return Path == RHS.Path && (Path != EvalPath::Batch || ISA == RHS.ISA);
   }
 };
 
-/// "scalar-core", "batch-avx512", ...
+/// "scalar-core", "batch-avx512", "candidate", ...
 std::string pathSpecName(const PathSpec &P);
 
 /// Dynamic FP environments the sweep pins around the eval calls -- the
@@ -102,8 +113,8 @@ int feLaneMode(FeLane L);
 struct SweepConfig {
   /// Functions to sweep; empty = all six.
   std::vector<ElemFunc> Funcs;
-  /// Schemes to sweep; empty = all four. Unavailable (func, scheme)
-  /// combinations are skipped either way.
+  /// Schemes to sweep; empty = all four. Without a Candidate, (func,
+  /// scheme) combinations the shipped tables mark unavailable are skipped.
   std::vector<EvalScheme> Schemes;
   /// Format family: FP(k, 8) for MinBits <= k <= MaxBits.
   unsigned MinBits = 10;
@@ -125,11 +136,14 @@ struct SweepConfig {
   size_t BlockElems = 4096;
   /// Cap on mismatch records kept per unit (counts are always exact).
   unsigned MaxRecordsPerUnit = 64;
-  /// Test seam: post-eval H mutation, applied identically to every path
-  /// and lane (mismatch-injection tests). Null in production.
-  std::function<double(ElemFunc F, EvalScheme S, unsigned FormatBits,
-                       uint32_t XBits, double H)>
-      HMutator;
+  /// H source for tables that are not the shipped ones: writes H[0..N)
+  /// for In[0..N). When set it is the sweep's only path ("candidate"),
+  /// every listed (func, scheme) is swept whatever the shipped tables'
+  /// availability, and the FE lanes still apply around the call. It is
+  /// called from worker threads concurrently. Null = the shipped tables.
+  std::function<void(ElemFunc F, EvalScheme S, const float *In, double *H,
+                     size_t N)>
+      Candidate;
 };
 
 /// One (function, scheme, format) work unit of the sweep.
@@ -144,11 +158,12 @@ struct Unit {
 };
 
 /// The deterministic unit list for a configuration, in (func, scheme,
-/// bits) order. Unavailable variants are omitted.
+/// bits) order. Without a Candidate, unavailable variants are omitted.
 std::vector<Unit> planUnits(const SweepConfig &C);
 
 /// The evaluation paths for a configuration: the scalar cores plus the
-/// batch path on the active ISA (AllISAs: on every compiled ISA).
+/// batch path on the active ISA (AllISAs: on every compiled ISA), or the
+/// candidate path alone when a Candidate is set.
 std::vector<PathSpec> planPaths(const SweepConfig &C);
 
 /// The FE lanes for a configuration: {Default}, or all four with FeLanes.
@@ -159,7 +174,8 @@ std::vector<FeLane> planLanes(const SweepConfig &C);
 //===----------------------------------------------------------------------===//
 
 /// One recorded wrong result: what was asked, what the implementation
-/// rounded to, and what the oracle requires. Serialized in shard files as
+/// rounded to, and what the oracle requires. FP(32, 8) units record
+/// RoundingMode::ToOdd and FP34 encodings. Serialized in shard files as
 /// 32 packed bytes.
 struct Mismatch {
   uint32_t XBits = 0;   ///< float32 bit pattern of the input
@@ -168,7 +184,7 @@ struct Mismatch {
   uint8_t Func = 0;     ///< ElemFunc index
   uint8_t Scheme = 0;   ///< EvalScheme index
   uint8_t FormatBits = 0;
-  uint8_t Mode = 0;     ///< RoundingMode index (standard modes)
+  uint8_t Mode = 0;     ///< RoundingMode value
   uint8_t Path = 0;     ///< EvalPath index
   uint8_t ISA = 0;      ///< BatchISA index (Batch path only)
   uint8_t Lane = 0;     ///< FeLane index
@@ -185,7 +201,8 @@ struct Mismatch {
 /// Aggregated outcome of one unit.
 struct UnitResult {
   uint64_t Inputs = 0;      ///< encodings evaluated (independent of paths)
-  uint64_t Comparisons = 0; ///< logical (mode x path x lane) comparisons
+  uint64_t Comparisons = 0; ///< logical (mode x path x lane) comparisons;
+                            ///< one mode (RO_34) at FP(32, 8)
   uint64_t Mismatches = 0;  ///< total wrong results (exact, never capped)
   uint64_t OracleFast = 0;  ///< inputs decided by the certified fast path
   uint64_t OracleExact = 0; ///< inputs that needed the exact oracle

@@ -194,4 +194,33 @@ TEST(ShardFileTest, ParseShardFlag) {
   }
 }
 
+TEST(ShardFileTest, ParseCount) {
+  uint64_t V = 77;
+  EXPECT_TRUE(parseCount("0", 0, 10, V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseCount("262147", 1, UINT32_MAX, V));
+  EXPECT_EQ(V, 262147u);
+  EXPECT_TRUE(parseCount("4294967295", 1, UINT32_MAX, V));
+  EXPECT_EQ(V, 4294967295u);
+  EXPECT_TRUE(parseCount("18446744073709551615", 1, UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+  EXPECT_TRUE(parseCount("032", 10, 32, V));
+  EXPECT_EQ(V, 32u);
+
+  // Junk, signs, spaces, prefixes, overflow and out-of-range values are
+  // refused, and a refused number leaves the output alone.
+  V = 5;
+  for (const char *Bad : {"", "abc", "-5", "+5", " 5", "5 ", "5x", "0x10",
+                          "1e3", "0", "4294967296", "99999999999"}) {
+    EXPECT_FALSE(parseCount(Bad, 1, UINT32_MAX, V)) << "'" << Bad << "'";
+    EXPECT_EQ(V, 5u);
+  }
+  EXPECT_FALSE(parseCount("18446744073709551616", 0, UINT64_MAX, V));
+  EXPECT_FALSE(parseCount("99999999999999999999", 0, UINT64_MAX, V));
+  EXPECT_FALSE(parseCount("9", 10, 32, V));
+  EXPECT_FALSE(parseCount("33", 10, 32, V));
+  EXPECT_FALSE(parseCount("1", 0, 0, V));
+  EXPECT_EQ(V, 5u);
+}
+
 } // namespace

@@ -7,24 +7,30 @@
 // The verify engine is the referee of last resort, so it gets its own
 // referees: small exhaustive sweeps must come back clean on every path
 // and lane, an injected wrong H must be detected with exact counts and
-// faithful records (the engine can't be blind), results must be
-// bit-identical across thread counts, and the sharded store must
-// round-trip, reject corruption, and resume without changing a single
-// count or record.
+// faithful records (the engine can't be blind), float32 units must make
+// one RO_34 comparison per input that catches every per-format misround,
+// a candidate H source must be swept whatever the shipped tables offer,
+// results must be bit-identical across thread counts, and the sharded
+// store must round-trip, reject corruption, and resume without changing
+// a single count or record.
 //
 //===----------------------------------------------------------------------===//
 
 #include "verify/Verify.h"
 
+#include "oracle/Oracle.h"
 #include "support/ShardFile.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <tuple>
 
 using namespace rfp;
@@ -41,6 +47,27 @@ SweepConfig smallConfig() {
   C.MinBits = 10;
   C.MaxBits = 11;
   return C;
+}
+
+uint32_t bitsOf(float X) {
+  uint32_t B;
+  std::memcpy(&B, &X, sizeof(B));
+  return B;
+}
+
+/// A candidate H source: the shipped batch kernels, with H scaled by
+/// Factor(F, XBits) wherever that is not 1 (mismatch injection).
+template <typename FactorFn>
+decltype(SweepConfig::Candidate) perturbed(FactorFn Factor) {
+  return [Factor](ElemFunc F, EvalScheme S, const float *In, double *H,
+                  size_t N) {
+    evalBatchH(F, S, In, H, N);
+    for (size_t I = 0; I < N; ++I) {
+      double K = Factor(F, bitsOf(In[I]));
+      if (K != 1.0)
+        H[I] *= K;
+    }
+  };
 }
 
 /// Per-test scratch directory, wiped on entry: TempDir() contents survive
@@ -161,25 +188,23 @@ TEST(VerifyTest, FeLanesAndAllISAsStayClean) {
 }
 
 TEST(VerifyTest, InjectedWrongHIsDetectedAcrossTheWholeMatrix) {
-  // Perturb H for exactly one input of one function. The mutator applies
-  // identically to every path and lane, so their H bits match the base
-  // combo's: the engine's transitive accounting must charge every (path,
-  // lane) combo for the five misrounds while recording only the base
-  // combo's entries (records from other combos would mean a *divergence*,
-  // which an identical mutation cannot produce).
+  // Perturb H for exactly one input of one function. The candidate is the
+  // sweep's only path, and its perturbation applies identically under
+  // every FE lane, so each lane's H bits match the base combo's: the
+  // engine's transitive accounting must charge every (path, lane) combo
+  // for the five misrounds while recording only the base combo's entries
+  // (records from other combos would mean a *divergence*, which an
+  // identical perturbation cannot produce).
   SweepConfig C = smallConfig();
   C.FeLanes = true;
-  float BadX = 0.25f;
-  uint32_t BadBits;
-  std::memcpy(&BadBits, &BadX, sizeof(BadBits));
-  C.HMutator = [BadBits](ElemFunc F, EvalScheme, unsigned, uint32_t XBits,
-                         double H) {
-    return (F == ElemFunc::Exp && XBits == BadBits) ? H * 1.5 : H;
-  };
+  const uint32_t BadBits = bitsOf(0.25f);
+  C.Candidate = perturbed([BadBits](ElemFunc F, uint32_t XBits) {
+    return (F == ElemFunc::Exp && XBits == BadBits) ? 1.5 : 1.0;
+  });
   SweepReport R = runSweep(C);
 
   uint64_t Combos = R.Paths.size() * R.Lanes.size();
-  EXPECT_GE(Combos, 8u); // 2+ paths x 4 lanes
+  EXPECT_EQ(Combos, 4u); // the candidate path x 4 lanes
   // 0.25f is representable in both formats; H*1.5 misrounds in all five
   // modes (exp(0.25) ~ 1.284, H*1.5 ~ 1.93 -- a different value entirely).
   EXPECT_EQ(R.Mismatches, 2 * 5 * Combos);
@@ -196,7 +221,7 @@ TEST(VerifyTest, InjectedWrongHIsDetectedAcrossTheWholeMatrix) {
       EXPECT_EQ(M.Func, static_cast<uint8_t>(ElemFunc::Exp));
       EXPECT_EQ(M.FormatBits, U.U.FormatBits);
       EXPECT_NE(M.GotEnc, M.WantEnc);
-      EXPECT_EQ(M.Path, static_cast<uint8_t>(EvalPath::ScalarCore));
+      EXPECT_EQ(M.Path, static_cast<uint8_t>(EvalPath::Candidate));
       EXPECT_EQ(M.Lane, static_cast<uint8_t>(FeLane::Default));
     }
     // All five modes show up exactly once.
@@ -213,9 +238,9 @@ TEST(VerifyTest, RecordCapBoundsRecordsButNotCounts) {
   C.MaxBits = 10;
   C.MaxRecordsPerUnit = 3;
   // Break every positive input.
-  C.HMutator = [](ElemFunc, EvalScheme, unsigned, uint32_t XBits, double H) {
-    return (XBits & 0x80000000u) == 0 && XBits != 0 ? H * 2.0 : H;
-  };
+  C.Candidate = perturbed([](ElemFunc, uint32_t XBits) {
+    return (XBits & 0x80000000u) == 0 && XBits != 0 ? 2.0 : 1.0;
+  });
   SweepReport R = runSweep(C);
   ASSERT_EQ(R.Units.size(), 1u);
   EXPECT_EQ(R.Units[0].R.Records.size(), 3u);
@@ -226,15 +251,133 @@ TEST(VerifyTest, ThreadCountInvariant) {
   SweepConfig C = smallConfig();
   C.BlockElems = 256; // force many blocks even on the 10-bit format
   // An injected mismatch stresses record-order determinism too.
-  C.HMutator = [](ElemFunc, EvalScheme, unsigned, uint32_t XBits, double H) {
-    return XBits % 97 == 13 ? H * 4.0 : H;
-  };
+  C.Candidate = perturbed([](ElemFunc, uint32_t XBits) {
+    return XBits % 97 == 13 ? 4.0 : 1.0;
+  });
   C.Threads = 1;
   SweepReport R1 = runSweep(C);
   C.Threads = 4;
   SweepReport R4 = runSweep(C);
   EXPECT_GT(R1.Mismatches, 0u);
   expectSameOutcomes(R1, R4);
+}
+
+TEST(VerifyTest, Float32UnitsCompareRO34OncePerInput) {
+  // Shipped tables: one comparison per input per (path, lane) combo.
+  SweepConfig C = smallConfig();
+  C.Funcs = {ElemFunc::Exp};
+  C.MinBits = C.MaxBits = 32;
+  C.Stride = 1000003;
+  SweepReport R = runSweep(C);
+  ASSERT_EQ(R.Units.size(), 1u);
+  EXPECT_EQ(R.Inputs, ((1ull << 32) + C.Stride - 1) / C.Stride);
+  EXPECT_EQ(R.Comparisons, R.Inputs * R.Paths.size() * R.Lanes.size());
+
+  // An injected misround is charged once per combo and recorded once, as
+  // round-to-odd with FP34 encodings.
+  const uint32_t BadBits = static_cast<uint32_t>(1000 * C.Stride);
+  C.FeLanes = true;
+  C.Candidate = perturbed([BadBits](ElemFunc, uint32_t XBits) {
+    return XBits == BadBits ? 1.5 : 1.0;
+  });
+  R = runSweep(C);
+  ASSERT_EQ(R.Units.size(), 1u);
+  EXPECT_EQ(R.Comparisons, R.Inputs * 4); // the candidate path x 4 lanes
+  EXPECT_EQ(R.Mismatches, 4u);
+  ASSERT_EQ(R.Units[0].R.Records.size(), 1u);
+  const Mismatch &M = R.Units[0].R.Records[0];
+  EXPECT_EQ(M.XBits, BadBits);
+  EXPECT_EQ(M.FormatBits, 32u);
+  EXPECT_EQ(M.Mode, static_cast<uint8_t>(RoundingMode::ToOdd));
+  EXPECT_EQ(M.Path, static_cast<uint8_t>(EvalPath::Candidate));
+  EXPECT_EQ(M.Lane, static_cast<uint8_t>(FeLane::Default));
+  float X;
+  std::memcpy(&X, &BadBits, sizeof(X));
+  const FPFormat F34 = FPFormat::fp34();
+  EXPECT_EQ(M.GotEnc,
+            F34.roundDouble(evalH(ElemFunc::Exp, EvalScheme::EstrinFMA, X) *
+                                1.5,
+                            RoundingMode::ToOdd));
+  EXPECT_EQ(M.WantEnc,
+            Oracle::eval(ElemFunc::Exp, X, F34, RoundingMode::ToOdd));
+}
+
+TEST(VerifyTest, RO34RecordsCoverEveryPerFormatMisround) {
+  // The RO_34 rule's differential referee. A candidate nudges H by a
+  // relative 2^-12 .. 2^-40 at a fixed subset of a strided float32 slice.
+  // The test finds on its own every nudged input that misrounds at some
+  // FP(k, 8), k in {10, 16, 24, 32}, in some standard mode -- against the
+  // exact oracle's RO_34 -- and each must be among the float32 unit's
+  // records.
+  const ElemFunc F = ElemFunc::Exp2;
+  const EvalScheme S = EvalScheme::EstrinFMA;
+  auto Nudge = [](uint32_t XBits) { // relative nudge; 0 = untouched
+    if (XBits % 5 != 2)
+      return 0.0;
+    int E = 12 + static_cast<int>((XBits >> 3) % 29);
+    return ((XBits >> 9) & 1 ? -1.0 : 1.0) * std::ldexp(1.0, -E);
+  };
+  SweepConfig C;
+  C.Funcs = {F};
+  C.Schemes = {S};
+  C.MinBits = C.MaxBits = 32;
+  C.Stride = 1000003;
+  C.MaxRecordsPerUnit = UINT_MAX;
+  C.Candidate = perturbed(
+      [&](ElemFunc, uint32_t XBits) { return 1.0 + Nudge(XBits); });
+  SweepReport R = runSweep(C);
+  ASSERT_EQ(R.Units.size(), 1u);
+  std::set<uint32_t> Flagged;
+  for (const Mismatch &M : R.Units[0].R.Records)
+    Flagged.insert(M.XBits);
+
+  const FPFormat F34 = FPFormat::fp34();
+  unsigned Misrounded = 0;
+  for (uint64_t Idx = 0; Idx < R.Units[0].U.NumEncodings; ++Idx) {
+    const uint32_t XBits = static_cast<uint32_t>(Idx * C.Stride);
+    float X;
+    std::memcpy(&X, &XBits, sizeof(X));
+    if (Nudge(XBits) == 0.0 || std::isnan(X))
+      continue;
+    const double H = evalH(F, S, X) * (1.0 + Nudge(XBits));
+    const double RO = F34.decode(Oracle::eval(F, X, F34, RoundingMode::ToOdd));
+    bool Wrong = false;
+    for (unsigned K : {10u, 16u, 24u, 32u}) {
+      const FPFormat Fmt = FPFormat::withBits(K);
+      for (RoundingMode M : StandardRoundingModes)
+        Wrong |= Fmt.roundDouble(H, M) != Fmt.roundDouble(RO, M);
+    }
+    if (!Wrong)
+      continue;
+    ++Misrounded;
+    EXPECT_EQ(Flagged.count(XBits), 1u) << std::hex << "x=0x" << XBits;
+  }
+  EXPECT_GT(Misrounded, 0u);
+}
+
+TEST(VerifyTest, CandidateSweepsAVariantTheShippedTablesLack) {
+  // log10/Knuth ships unavailable, so the shipped-table plan omits it. A
+  // candidate listed for it is swept (log10's Estrin+FMA kernels stand in
+  // for a Knuth table here).
+  SweepConfig C = smallConfig();
+  C.Funcs = {ElemFunc::Log10};
+  C.Schemes = {EvalScheme::Knuth};
+  ASSERT_FALSE(available(ElemFunc::Log10, EvalScheme::Knuth));
+  EXPECT_TRUE(planUnits(C).empty());
+
+  C.Candidate = [](ElemFunc F, EvalScheme, const float *In, double *H,
+                   size_t N) {
+    evalBatchH(F, EvalScheme::EstrinFMA, In, H, N);
+  };
+  SweepReport R = runSweep(C);
+  ASSERT_EQ(R.Units.size(), 2u); // 10- and 11-bit formats
+  for (const UnitOutcome &U : R.Units)
+    EXPECT_EQ(U.U.Scheme, EvalScheme::Knuth);
+  ASSERT_EQ(R.Paths.size(), 1u);
+  EXPECT_EQ(pathSpecName(R.Paths[0]), "candidate");
+  EXPECT_EQ(R.Inputs, 1024u + 2048u);
+  EXPECT_EQ(R.Comparisons, R.Inputs * 5);
+  EXPECT_EQ(R.Mismatches, 0u);
 }
 
 TEST(VerifyStoreTest, ShardRoundTripAndCorruptionRejection) {
@@ -359,9 +502,9 @@ TEST(VerifyStoreTest, ResumeAfterKillIsBitIdentical) {
 TEST(VerifyStoreTest, ShardedSweepMatchesInProcessSweep) {
   // Records survive persistence bit-for-bit, in order.
   SweepConfig C = smallConfig();
-  C.HMutator = [](ElemFunc, EvalScheme, unsigned, uint32_t XBits, double H) {
-    return XBits % 211 == 5 ? H * 3.0 : H;
-  };
+  C.Candidate = perturbed([](ElemFunc, uint32_t XBits) {
+    return XBits % 211 == 5 ? 3.0 : 1.0;
+  });
   SweepReport Ref = runSweep(C);
   ASSERT_GT(Ref.Mismatches, 0u);
 

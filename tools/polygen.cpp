@@ -13,7 +13,7 @@
 //   polygen [stride] [window] [func ...]
 //   polygen --batch [func ...]
 //
-// stride:  float bit-pattern sampling stride for generation inputs
+// stride:  float bit-pattern sampling stride for generation inputs (>= 1)
 // window:  dense boundary window half-width (bit patterns)
 // func:    subset of {exp, exp2, exp10, log, log2, log10}; default all
 // --batch: skip generation and re-emit only the <Func>Batch.inc files from
@@ -21,13 +21,23 @@
 //          guaranteeing the SoA layout and the scalar tables can never
 //          drift apart.
 //
+// Numbers are whole decimals (no sign, no overflow); a malformed number,
+// an unknown argument or a bad shard flag exits with status 2, a failed
+// generation or write with status 1.
+//
+// After generation, a patch pass checks each function's four candidate
+// tables over six fixed float32 strides with the verification engine
+// (verify::runSweep, the candidates as its H source, one RO_34 comparison
+// per input) and patches every input that misses into that scheme's
+// special-case table before the tables are written.
+//
 // Observability (see DESIGN.md, "Observability"):
 //   --trace <file>         stream Chrome trace_event JSON (chrome://tracing
 //                          / Perfetto); same as RFP_TRACE=<file>
 //   --metrics-json <file>  dump the telemetry counter/histogram registry on
 //                          exit ("-" = stdout)
-//   --smoke                generation only: skip the verification sweeps
-//                          and do not write .inc files (CI smoke runs)
+//   --smoke                generation only: skip the patch pass and do
+//                          not write .inc files (CI smoke runs)
 //
 // Resumable sharded runs (see DESIGN.md, "Sharded and resumable prepare"):
 //   --shard-dir <dir>      directory holding the shard set (manifest +
@@ -51,10 +61,11 @@
 #include "core/PolyGen.h"
 
 #include "libm/Frame.h"
-#include "oracle/Oracle.h"
 #include "poly/Codegen.h"
 #include "support/Telemetry.h"
+#include "verify/Verify.h"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -312,79 +323,64 @@ int emitBatchFromCommitted(const std::vector<ElemFunc> &Funcs) {
   return 0;
 }
 
-/// Post-generation verification sweep: checks every implementation over
-/// several independent bit-pattern strides against the oracle's FP34
-/// round-to-odd rounding interval, and patches any violating input into
-/// the special-case table (the paper's special-case mechanism, applied to
-/// inputs the sampled generation did not see). Returns the number of
-/// patches applied across all schemes.
-size_t verifyAndPatch(ElemFunc F, GeneratedImpl Impls[4]) {
+/// Post-generation patch pass: sweeps every implementation over several
+/// independent float32 bit-pattern strides through the verification
+/// engine, with the candidates as its H source, and patches each input
+/// whose H misses the oracle's RO_34 result into that scheme's
+/// special-case table (the paper's special-case mechanism, applied to
+/// inputs the sampled generation did not see). One stride's patches are
+/// in place before the next stride's sweep. NaN or infinite wants are
+/// reported, not patched. Returns the number of patches applied.
+size_t patchPass(ElemFunc F, GeneratedImpl Impls[4]) {
   static constexpr uint64_t Strides[] = {104729, 33331, 15013,
                                          7919,   2000003, 3200093};
-  FPFormat F34 = FPFormat::fp34();
+  const FPFormat F34 = FPFormat::fp34();
+  verify::SweepConfig C;
+  C.Funcs = {F};
+  for (int S = 0; S < 4; ++S)
+    if (Impls[S].Success)
+      C.Schemes.push_back(static_cast<EvalScheme>(S));
+  C.MinBits = C.MaxBits = 32;
+  C.MaxRecordsPerUnit = UINT_MAX;
+  C.Candidate = [Impls](ElemFunc, EvalScheme S, const float *In, double *H,
+                        size_t N) {
+    const GeneratedImpl &Impl = Impls[static_cast<int>(S)];
+    for (size_t I = 0; I < N; ++I)
+      H[I] = Impl.evalH(In[I]);
+  };
   size_t Patched = 0;
   for (uint64_t Stride : Strides) {
-    for (uint64_t B = 0; B < (1ull << 32); B += Stride) {
-      float X;
-      uint32_t Bits = static_cast<uint32_t>(B);
-      std::memcpy(&X, &Bits, sizeof(X));
-      if (std::isnan(X))
-        continue;
-      bool OracleDone = false;
-      double RoLo = 0, RoHi = 0, Y34 = 0;
-      bool OracleNaN = false;
-      for (int S = 0; S < 4; ++S) {
-        if (!Impls[S].Success)
-          continue;
-        double H = Impls[S].evalH(X);
-        if (!OracleDone) {
-          OracleDone = true;
-          uint64_t Enc = Oracle::eval(F, X, F34, RoundingMode::ToOdd);
-          OracleNaN = F34.isNaN(Enc);
-          if (!OracleNaN) {
-            Y34 = F34.decode(Enc);
-            if (std::isinf(Y34)) {
-              // +inf results come only from +inf inputs (handled in the
-              // reduction); treat as exact.
-              RoLo = RoHi = Y34;
-            } else {
-              HInterval HI = roundingIntervalRO(Y34, F34);
-              RoLo = HI.Lo;
-              RoHi = HI.Hi;
-            }
-          }
-        }
-        if (OracleNaN) {
-          if (!std::isnan(H))
-            std::fprintf(stderr, "  PATCH-FATAL: NaN domain mismatch x=%a\n",
-                         static_cast<double>(X));
+    C.Stride = Stride;
+    for (const verify::UnitOutcome &O : verify::runSweep(C).Units)
+      for (const verify::Mismatch &M : O.R.Records) {
+        const char *Variant = evalSchemeName(O.U.Scheme);
+        float X;
+        std::memcpy(&X, &M.XBits, sizeof(X));
+        double Got = F34.decode(M.GotEnc), Want = F34.decode(M.WantEnc);
+        if (!std::isfinite(Want)) {
+          std::fprintf(stderr, "  PATCH-FATAL: %s/%s x=%a RO34 %a, want %a\n",
+                       elemFuncName(F), Variant, static_cast<double>(X), Got,
+                       Want);
           continue;
         }
-        if (std::isinf(Y34)) {
-          if (H != Y34)
-            std::fprintf(stderr, "  PATCH-FATAL: inf mismatch x=%a\n",
-                         static_cast<double>(X));
-          continue;
-        }
-        if (H >= RoLo && H <= RoHi)
-          continue;
-        // Outside the rounding interval: patch as a special case (skip if
-        // a previous stride already patched this exact input).
-        bool Already = false;
-        for (const GeneratedImpl::Special &Sp : Impls[S].Specials)
-          Already |= Sp.Bits == Bits;
-        if (Already)
-          continue;
-        Impls[S].Specials.push_back({Bits, Y34});
+        Impls[M.Scheme].Specials.push_back({M.XBits, Want});
         ++Patched;
-        std::fprintf(stderr, "  patched %s/%s x=%a (H=%a not in [%a,%a])\n",
-                     elemFuncName(F),
-                     evalSchemeName(static_cast<EvalScheme>(S)),
-                     static_cast<double>(X), H, RoLo, RoHi);
+        std::fprintf(stderr, "  patched %s/%s x=%a (RO34 %a, want %a)\n",
+                     elemFuncName(F), Variant, static_cast<double>(X), Got,
+                     Want);
       }
-    }
   }
   return Patched;
+}
+
+/// Usage errors exit with status 2 (1 means generation or I/O failed).
+int usage(const char *Msg) {
+  std::fprintf(stderr,
+               "polygen: %s\n"
+               "usage: polygen [--batch] [stride] [window] [func ...] "
+               "[options]\n",
+               Msg);
+  return 2;
 }
 
 } // namespace
@@ -429,35 +425,40 @@ int main(int Argc, char **Argv) {
     else if (std::strncmp(Argv[ArgIdx], "--shard-dir=", 12) == 0)
       ShardDir = Argv[ArgIdx] + 12;
     else if (std::strcmp(Argv[ArgIdx], "--shard") == 0 && ArgIdx + 1 < Argc) {
-      if (!shard::parseShardFlag(Argv[++ArgIdx], &ShardK, NumShards)) {
-        std::fprintf(stderr, "--shard expects K/M with 0 <= K < M\n");
-        return 1;
-      }
+      if (!shard::parseShardFlag(Argv[++ArgIdx], &ShardK, NumShards))
+        return usage("--shard expects K/M with 0 <= K < M");
       Worker = true;
     } else if (std::strcmp(Argv[ArgIdx], "--shards") == 0 &&
                ArgIdx + 1 < Argc) {
-      if (!shard::parseShardFlag(Argv[++ArgIdx], nullptr, NumShards)) {
-        std::fprintf(stderr, "--shards expects a positive count\n");
-        return 1;
-      }
+      if (!shard::parseShardFlag(Argv[++ArgIdx], nullptr, NumShards))
+        return usage("--shards expects a positive count");
     } else if (std::strcmp(Argv[ArgIdx], "--resume") == 0)
       Resume = true;
     else
       Rest.push_back(Argv[ArgIdx]);
   }
-  if (NumShards != 0 && ShardDir.empty()) {
-    std::fprintf(stderr, "--shard/--shards require --shard-dir <dir>\n");
-    return 1;
-  }
+  if (NumShards != 0 && ShardDir.empty())
+    return usage("--shard/--shards require --shard-dir <dir>");
   size_t RestIdx = 0;
-  if (RestIdx < Rest.size() && std::isdigit(Rest[RestIdx][0]))
-    Cfg.SampleStride = static_cast<uint32_t>(std::atoi(Rest[RestIdx++]));
-  if (RestIdx < Rest.size() && std::isdigit(Rest[RestIdx][0]))
-    Cfg.BoundaryWindow = static_cast<uint32_t>(std::atoi(Rest[RestIdx++]));
-  for (; RestIdx < Rest.size(); ++RestIdx)
+  uint64_t V = 0;
+  if (RestIdx < Rest.size() && std::isdigit(Rest[RestIdx][0])) {
+    if (!parseCount(Rest[RestIdx++], 1, UINT32_MAX, V))
+      return usage("stride must be a number in [1, 4294967295]");
+    Cfg.SampleStride = static_cast<uint32_t>(V);
+  }
+  if (RestIdx < Rest.size() && std::isdigit(Rest[RestIdx][0])) {
+    if (!parseCount(Rest[RestIdx++], 0, UINT32_MAX, V))
+      return usage("window must be a number in [0, 4294967295]");
+    Cfg.BoundaryWindow = static_cast<uint32_t>(V);
+  }
+  for (; RestIdx < Rest.size(); ++RestIdx) {
+    const size_t Before = Funcs.size();
     for (ElemFunc F : AllElemFuncs)
       if (std::strcmp(Rest[RestIdx], elemFuncName(F)) == 0)
         Funcs.push_back(F);
+    if (Funcs.size() == Before)
+      return usage(("unknown argument " + std::string(Rest[RestIdx])).c_str());
+  }
   if (Funcs.empty())
     Funcs.assign(AllElemFuncs, AllElemFuncs + 6);
 
@@ -518,7 +519,7 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "  --smoke: skipping verification and output\n");
       continue;
     }
-    size_t Patched = verifyAndPatch(F, Impls);
+    size_t Patched = patchPass(F, Impls);
     std::fprintf(stderr, "  verification sweeps: %zu special-case patches\n",
                  Patched);
 

@@ -6,12 +6,16 @@
 //
 // Front end for verify/Verify.h: sweeps every input of every FP(k, 8)
 // format x all five rounding modes x all shipped functions x both eval
-// paths against the certified oracle, bit for bit. Exit status is the
-// gate: 0 only when every comparison matched.
+// paths against the certified oracle, bit for bit. Float32 (FP(32, 8))
+// units make one RO_34 comparison per input, which covers every format
+// and mode for that input. Exit status is the gate: 0 only when every
+// comparison matched; 2 is a usage error.
 //
 //   verify                                  # full default sweep
 //   verify --max-bits 14                    # CI smoke: small formats only
 //   verify --min-bits 32 --stride 262147    # strided float32 slice
+//   verify --min-bits 32 --max-bits 32 --stride 16183 --funcs exp
+//          --schemes horner                 # one variant's float32 slice
 //   verify --all-isas --fe-lanes            # widest matrix
 //   verify --shards 8 --shard-dir D         # sharded, resumable run
 //   verify --shard 3/8 --shard-dir D        # just shard 3 (cluster use)
@@ -34,8 +38,8 @@
 #include "support/ThreadPool.h"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -49,18 +53,19 @@ int usage(const char *Prog) {
   std::fprintf(
       stderr,
       "usage: %s [options] %s\n"
-      "  --min-bits <n>         narrowest format (default 10)\n"
-      "  --max-bits <n>         widest format (default 32)\n"
-      "  --exhaustive-bits <n>  formats up to n bits sweep every encoding\n"
-      "                         (default 16)\n"
-      "  --stride <n>           encoding stride for wider formats\n"
+      "  --min-bits <n>         narrowest format, 10..32 (default 10)\n"
+      "  --max-bits <n>         widest format, 10..32 (default 32)\n"
+      "  --exhaustive-bits <n>  formats up to n <= 32 bits sweep every\n"
+      "                         encoding (default 16)\n"
+      "  --stride <n>           encoding stride for wider formats, >= 1\n"
       "                         (default 65537; 1 = fully exhaustive)\n"
       "  --funcs a,b,...        subset of exp,exp2,exp10,log,log2,log10\n"
       "  --schemes a,b,...      subset of horner,knuth,estrin,estrin-fma\n"
       "  --all-isas             batch path on every kernel ISA, not just\n"
       "                         the active one\n"
       "  --fe-lanes             add the MultiRound fesetround lanes\n"
-      "  --threads <n>          worker threads (default: RFP_THREADS/cores)\n"
+      "  --threads <n>          worker threads, <= 1024 (default:\n"
+      "                         RFP_THREADS/cores)\n"
       "  --max-records <n>      mismatch records kept per unit (default 64)\n"
       "  --shards <m>           split the sweep into m resumable shards\n"
       "  --shard <k>/<m>        run only shard k of m (0-based)\n"
@@ -131,17 +136,36 @@ struct FastVerdicts {
   }
 };
 
+/// Reads option Argv[I]'s value, a whole decimal number in [Min, Max],
+/// into \p Out and steps past it; false (with a message) otherwise.
+template <typename T>
+bool numArg(int Argc, char **Argv, int &I, uint64_t Min, uint64_t Max,
+            T &Out) {
+  uint64_t V = 0;
+  if (I + 1 >= Argc || !parseCount(Argv[I + 1], Min, Max, V)) {
+    std::fprintf(stderr, "%s expects a number in [%llu, %llu]\n", Argv[I],
+                 static_cast<unsigned long long>(Min),
+                 static_cast<unsigned long long>(Max));
+    return false;
+  }
+  Out = static_cast<T>(V);
+  ++I;
+  return true;
+}
+
+/// Float32 units record RO_34 (mode "ro") with FP34 encodings.
 void printMismatch(const Mismatch &M) {
+  const PathSpec P{static_cast<EvalPath>(M.Path),
+                   static_cast<libm::BatchISA>(M.ISA)};
   std::fprintf(stderr,
-               "  MISMATCH %s/%s fp%u %s x=0x%08x path=%u isa=%s lane=%u "
+               "  MISMATCH %s/%s fp%u %s x=0x%08x path=%s lane=%s "
                "got=0x%llx want=0x%llx\n",
                elemFuncName(static_cast<ElemFunc>(M.Func)),
                evalSchemeName(static_cast<EvalScheme>(M.Scheme)),
                static_cast<unsigned>(M.FormatBits),
-               roundingModeName(StandardRoundingModes[M.Mode]), M.XBits,
-               static_cast<unsigned>(M.Path),
-               libm::batchISAName(static_cast<libm::BatchISA>(M.ISA)),
-               static_cast<unsigned>(M.Lane),
+               roundingModeName(static_cast<RoundingMode>(M.Mode)), M.XBits,
+               pathSpecName(P).c_str(),
+               feLaneName(static_cast<FeLane>(M.Lane)),
                static_cast<unsigned long long>(M.GotEnc),
                static_cast<unsigned long long>(M.WantEnc));
 }
@@ -223,14 +247,19 @@ int main(int Argc, char **Argv) {
     const char *A = Argv[I];
     if (Opts.parse(Argc, Argv, I, "BENCH_verify.json"))
       continue;
-    if (!std::strcmp(A, "--min-bits") && I + 1 < Argc)
-      C.MinBits = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (!std::strcmp(A, "--max-bits") && I + 1 < Argc)
-      C.MaxBits = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (!std::strcmp(A, "--exhaustive-bits") && I + 1 < Argc)
-      C.ExhaustiveBits = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (!std::strcmp(A, "--stride") && I + 1 < Argc)
-      C.Stride = std::strtoull(Argv[++I], nullptr, 10);
+    bool NumOk = true;
+    if (!std::strcmp(A, "--min-bits"))
+      NumOk = numArg(Argc, Argv, I, 10, 32, C.MinBits);
+    else if (!std::strcmp(A, "--max-bits"))
+      NumOk = numArg(Argc, Argv, I, 10, 32, C.MaxBits);
+    else if (!std::strcmp(A, "--exhaustive-bits"))
+      NumOk = numArg(Argc, Argv, I, 0, 32, C.ExhaustiveBits);
+    else if (!std::strcmp(A, "--stride"))
+      NumOk = numArg(Argc, Argv, I, 1, UINT64_MAX, C.Stride);
+    else if (!std::strcmp(A, "--threads"))
+      NumOk = numArg(Argc, Argv, I, 0, 1024, C.Threads);
+    else if (!std::strcmp(A, "--max-records"))
+      NumOk = numArg(Argc, Argv, I, 0, UINT32_MAX, C.MaxRecordsPerUnit);
     else if (!std::strcmp(A, "--funcs") && I + 1 < Argc) {
       if (!parseList(Argv[++I], C.Funcs)) {
         std::fprintf(stderr, "unknown function in --funcs %s\n", Argv[I]);
@@ -245,10 +274,6 @@ int main(int Argc, char **Argv) {
       C.AllISAs = true;
     else if (!std::strcmp(A, "--fe-lanes"))
       C.FeLanes = true;
-    else if (!std::strcmp(A, "--threads") && I + 1 < Argc)
-      C.Threads = static_cast<unsigned>(std::atoi(Argv[++I]));
-    else if (!std::strcmp(A, "--max-records") && I + 1 < Argc)
-      C.MaxRecordsPerUnit = static_cast<unsigned>(std::atoi(Argv[++I]));
     else if (!std::strcmp(A, "--shards") && I + 1 < Argc) {
       if (!shard::parseShardFlag(Argv[++I], nullptr, Shards.NumShards)) {
         std::fprintf(stderr, "bad --shards %s (want a positive count)\n",
@@ -270,8 +295,10 @@ int main(int Argc, char **Argv) {
       Quiet = true;
     else
       return usage(Argv[0]);
+    if (!NumOk)
+      return 2;
   }
-  if (C.MinBits < 10 || C.MaxBits > 32 || C.MinBits > C.MaxBits) {
+  if (C.MinBits > C.MaxBits) {
     std::fprintf(stderr, "format range must satisfy 10 <= min <= max <= 32\n");
     return 2;
   }
