@@ -29,9 +29,16 @@
 /// queue is full (a request larger than the capacity is admitted alone
 /// into an empty queue rather than rejected).
 ///
+/// Drainers are event-driven: submit() wakes one only when its request
+/// makes a queue ready or sets a flush deadline that no parked drainer's
+/// timed wait already covers, so most submits take the lock, push and
+/// return. The drainer threads run with a 1 us timer slack (Linux), so a
+/// deadline wait ends on time; a caller's threads keep theirs.
+///
 /// Observability (through support/Telemetry.h): serve.requests{,.<func>},
 /// serve.tenant.<tenant>, serve.elems, serve.batches, serve.batch_width
-/// and serve.queue_depth histograms, serve.batch_coalesced, and the
+/// and serve.queue_depth histograms, serve.batch_coalesced, the drainer
+/// wake-up counters serve.wakeups and serve.wakeups_idle, and the
 /// serve.request_latency_us histogram (p50/p99 via histogramValue).
 ///
 //===----------------------------------------------------------------------===//
@@ -84,7 +91,9 @@ struct ServerOptions {
   size_t TargetBatchElems = 256;
   /// Age of the oldest queued request that triggers a drain even below
   /// TargetBatchElems. The RFP_SERVE_FLUSH_US environment variable
-  /// overrides this default (consulted once, at server construction).
+  /// overrides this default (consulted once, at server construction); a
+  /// value that is not a whole decimal below 2^32 is ignored with a
+  /// warning.
   unsigned FlushDeadlineUs = 200;
 };
 
@@ -96,6 +105,10 @@ struct ServerStats {
   uint64_t Batches = 0;
   /// Batches whose elements came from more than one request.
   uint64_t CoalescedBatches = 0;
+  /// Times a parked drainer woke (notified, timed out or spurious).
+  uint64_t Wakeups = 0;
+  /// Wake-ups after which the drainer found no ready queue.
+  uint64_t IdleWakeups = 0;
   double meanBatchWidth() const {
     return Batches ? static_cast<double>(Elems) / static_cast<double>(Batches)
                    : 0.0;
