@@ -357,7 +357,8 @@ BatchISA rfp::libm::activeBatchISA() { return activeSet().ISA; }
 
 void rfp::libm::evalBatch(ElemFunc F, EvalScheme S, const float *In, double *H,
                           size_t N) {
-  assert(variantInfo(F, S).Available && "variant not generated");
+  assert(detail::tablesFor(F)[static_cast<int>(S)].Available &&
+         "variant not generated");
   const KernelSet &Set = activeSet();
   countBatchCall(Set.ISA, N);
   Set.Fn[static_cast<int>(F)][static_cast<int>(S)](In, H, N);
@@ -365,7 +366,8 @@ void rfp::libm::evalBatch(ElemFunc F, EvalScheme S, const float *In, double *H,
 
 void rfp::libm::evalBatchWithISA(BatchISA ISA, ElemFunc F, EvalScheme S,
                                  const float *In, double *H, size_t N) {
-  assert(variantInfo(F, S).Available && "variant not generated");
+  assert(detail::tablesFor(F)[static_cast<int>(S)].Available &&
+         "variant not generated");
   const KernelSet &Set = setFor(ISA);
   countBatchCall(Set.ISA, N);
   Set.Fn[static_cast<int>(F)][static_cast<int>(S)](In, H, N);

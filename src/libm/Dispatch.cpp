@@ -63,7 +63,8 @@ double (*rfp::libm::detail::scalarCoreFor(ElemFunc F, EvalScheme S))(float) {
 }
 
 double rfp::libm::evalCore(ElemFunc F, EvalScheme S, float X) {
-  assert(variantInfo(F, S).Available && "variant not generated");
+  assert(detail::tablesFor(F)[static_cast<int>(S)].Available &&
+         "variant not generated");
   // The dynamic-dispatch path is the scalar counterpart of the per-ISA
   // batch counters; direct core calls (the benchmarks' measured loops)
   // stay uninstrumented.

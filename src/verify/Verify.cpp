@@ -4,11 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Unit execution strategy. A unit's encoding space is processed in blocks
-// of SweepConfig::BlockElems through parallelReduce with that exact chunk
+// Group execution strategy. The engine runs a *group* at a time: the
+// units of the plan that share (function, format, stride) and differ only
+// in scheme. A group's encoding space is processed in blocks of
+// SweepConfig::BlockElems through parallelReduce with that exact chunk
 // size, so the partition -- and therefore the merge order of counters and
 // capped mismatch records -- is fixed by the configuration, not by the
-// thread count. Per block:
+// thread count. Per block, steps 1 and 2 run once for the group and steps
+// 3 and 4 once per scheme:
 //
 //   1. Decode the block's encodings to float inputs (every FP(k, 8) value
 //      with k <= 32 is exactly a float) and query the oracle once: the
@@ -16,7 +19,7 @@
 //      the leftovers. This happens under the default FP environment --
 //      the oracle is the reference, not the thing under test.
 //   2. Precompute the wanted encodings from RO_34, one libm::roundBatch
-//      per mode: the five standard modes of the unit's format, or, for
+//      per mode: the five standard modes of the group's format, or, for
 //      FP(32, 8), the single FP34 round-to-odd "mode" (RO_34 itself).
 //   3. Evaluate the base combination (the first path, default FE lane),
 //      round it with one more roundBatch per mode, and run the full
@@ -27,6 +30,10 @@
 //      count the comparisons and BaseBad mismatches without re-rounding.
 //      Divergent bits get the full comparison and their own mismatch
 //      records.
+//
+// Each unit keeps its own counts and records, so a unit's result is the
+// same whichever units share its group; only its Millis, an equal share
+// of the group's wall-clock, depends on them.
 //
 // FE lanes pin the dynamic rounding mode only around the evaluation call
 // itself: decode, oracle, and comparison all run under the default
@@ -45,6 +52,7 @@
 #include "support/ShardFile.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cfenv>
 #include <chrono>
 #include <cstring>
@@ -100,18 +108,26 @@ bool fail(std::string *Err, const std::string &Msg) {
   return false;
 }
 
+/// \p Listed without repeats, first occurrences in order; \p All when
+/// empty. A name listed twice must not plan (and count) its units twice.
+template <typename T, size_t K>
+std::vector<T> firstOccurrences(const std::vector<T> &Listed,
+                                const T (&All)[K]) {
+  if (Listed.empty())
+    return std::vector<T>(std::begin(All), std::end(All));
+  std::vector<T> Out;
+  for (T V : Listed)
+    if (std::find(Out.begin(), Out.end(), V) == Out.end())
+      Out.push_back(V);
+  return Out;
+}
+
 std::vector<ElemFunc> effectiveFuncs(const SweepConfig &C) {
-  if (!C.Funcs.empty())
-    return C.Funcs;
-  return std::vector<ElemFunc>(std::begin(AllElemFuncs),
-                               std::end(AllElemFuncs));
+  return firstOccurrences(C.Funcs, AllElemFuncs);
 }
 
 std::vector<EvalScheme> effectiveSchemes(const SweepConfig &C) {
-  if (!C.Schemes.empty())
-    return C.Schemes;
-  return std::vector<EvalScheme>(std::begin(AllEvalSchemes),
-                                 std::end(AllEvalSchemes));
+  return firstOccurrences(C.Schemes, AllEvalSchemes);
 }
 
 /// The canonical one-line identity of a sweep: everything the unit plan,
@@ -122,7 +138,7 @@ std::vector<EvalScheme> effectiveSchemes(const SweepConfig &C) {
 std::string configLine(const SweepConfig &C, const std::vector<Unit> &Units,
                        const std::vector<PathSpec> &Paths,
                        const std::vector<FeLane> &Lanes) {
-  std::string L = "v2 funcs=";
+  std::string L = "v3 funcs=";
   bool First = true;
   for (ElemFunc F : effectiveFuncs(C)) {
     if (!First)
@@ -170,12 +186,13 @@ std::string configLine(const SweepConfig &C, const std::vector<Unit> &Units,
 //===----------------------------------------------------------------------===//
 
 std::vector<Unit> verify::planUnits(const SweepConfig &C) {
+  const std::vector<EvalScheme> Schemes = effectiveSchemes(C);
   std::vector<Unit> Units;
   for (ElemFunc F : effectiveFuncs(C))
-    for (EvalScheme S : effectiveSchemes(C)) {
-      if (!C.Candidate && !available(F, S))
-        continue;
-      for (unsigned Bits = C.MinBits; Bits <= C.MaxBits; ++Bits) {
+    for (unsigned Bits = C.MinBits; Bits <= C.MaxBits; ++Bits)
+      for (EvalScheme S : Schemes) {
+        if (!C.Candidate && !available(F, S))
+          continue;
         Unit U;
         U.Func = F;
         U.Scheme = S;
@@ -185,7 +202,6 @@ std::vector<Unit> verify::planUnits(const SweepConfig &C) {
         U.NumEncodings = (Space + U.Stride - 1) / U.Stride;
         Units.push_back(U);
       }
-    }
   return Units;
 }
 
@@ -211,15 +227,35 @@ std::vector<FeLane> verify::planLanes(const SweepConfig &C) {
 }
 
 //===----------------------------------------------------------------------===//
-// Unit execution
+// Group execution
 //===----------------------------------------------------------------------===//
 
-UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
+namespace {
+
+/// One past the last unit of the group that starts at \p Begin: the units
+/// before \p End that share its (function, format, stride).
+size_t groupEnd(const std::vector<Unit> &Units, size_t Begin, size_t End) {
+  const Unit &First = Units[Begin];
+  size_t I = Begin + 1;
+  while (I < End && Units[I].Func == First.Func &&
+         Units[I].FormatBits == First.FormatBits &&
+         Units[I].Stride == First.Stride)
+    ++I;
+  return I;
+}
+
+/// Runs one group: the \p NumUnits units at \p G, which differ only in
+/// scheme. Returns their results in the same order, each unit's Millis an
+/// equal share of the group's wall-clock.
+std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
+                                 size_t NumUnits) {
   static const telemetry::Counter CInputs = telemetry::counter("verify.inputs");
   static const telemetry::Counter CComparisons =
       telemetry::counter("verify.comparisons");
   static const telemetry::Counter CMismatches =
       telemetry::counter("verify.mismatches");
+  static const telemetry::Counter COracleQueries =
+      telemetry::counter("verify.oracle.queries");
   static const telemetry::Counter COracleFast =
       telemetry::counter("verify.oracle.fast");
   static const telemetry::Counter COracleExact =
@@ -230,43 +266,45 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
 
   const std::vector<PathSpec> Paths = planPaths(C);
   const std::vector<FeLane> Lanes = planLanes(C);
-  const FPFormat Fmt = FPFormat::withBits(U.FormatBits);
+  const ElemFunc Func = G[0].Func;
+  const unsigned Bits = G[0].FormatBits;
+  const uint64_t Stride = G[0].Stride;
+  const FPFormat Fmt = FPFormat::withBits(Bits);
   const FPFormat F34 = FPFormat::fp34();
   // FP(32, 8) inputs are exactly the float32 values, so one round-to-odd
   // comparison at 34 bits proves every FP(k <= 32, 8) format in every
   // standard mode (RLIBM-ALL); narrower units compare each standard mode.
   static constexpr RoundingMode RoundToOdd[] = {RoundingMode::ToOdd};
-  const bool RO34 = U.FormatBits == 32;
+  const bool RO34 = Bits == 32;
   const FPFormat Cmp = RO34 ? F34 : Fmt;
   const RoundingMode *Modes = RO34 ? RoundToOdd : StandardRoundingModes;
   const unsigned NumModes = RO34 ? 1 : 5;
   const unsigned MaxRecords = C.MaxRecordsPerUnit;
   const size_t BlockElems = C.BlockElems ? C.BlockElems : 4096;
 
-  auto Chunk = [&](size_t Begin, size_t End) -> UnitResult {
+  auto Chunk = [&](size_t Begin, size_t End) {
     const size_t N = End - Begin;
-    UnitResult R;
-    R.Inputs = N;
+    std::vector<UnitResult> Rs(NumUnits);
 
-    // 1. Inputs and the oracle (default FP environment).
+    // 1. Inputs and the oracle, once for the group (default FP
+    // environment).
     std::vector<float> In(N);
     std::vector<uint32_t> XB(N);
     for (size_t I = 0; I < N; ++I) {
-      uint64_t Enc = (Begin + I) * U.Stride;
+      uint64_t Enc = (Begin + I) * Stride;
       float X = static_cast<float>(Fmt.decode(Enc));
       In[I] = X;
       std::memcpy(&XB[I], &X, 4);
     }
     std::vector<uint64_t> RO(N);
     std::vector<uint8_t> St(N);
-    oracle_fast::evalToOdd34Batch(U.Func, XB.data(), N, RO.data(), St.data());
+    oracle_fast::evalToOdd34Batch(Func, XB.data(), N, RO.data(), St.data());
+    uint64_t Fast = 0;
     for (size_t I = 0; I < N; ++I) {
-      if (St[I]) {
-        ++R.OracleFast;
-      } else {
-        RO[I] = oracle_cache::evalToOdd34(U.Func, XB[I], /*AllowFast=*/false);
-        ++R.OracleExact;
-      }
+      if (St[I])
+        ++Fast;
+      else
+        RO[I] = oracle_cache::evalToOdd34(Func, XB[I], /*AllowFast=*/false);
     }
 
     // 2. Wanted encodings per mode, mode-major: Want[M * N + I].
@@ -277,120 +315,166 @@ UnitResult verify::runUnit(const SweepConfig &C, const Unit &U) {
     for (unsigned M = 0; M < NumModes; ++M)
       libm::roundBatch(V34.data(), Want.data() + M * N, N, Cmp, Modes[M]);
 
-    auto evalCombo = [&](const PathSpec &P, FeLane L, double *Out) {
-      int FeMode = feLaneMode(L);
-      int Saved = 0;
-      if (FeMode >= 0) {
-        Saved = std::fegetround();
-        std::fesetround(FeMode);
-      }
-      if (P.Path == EvalPath::ScalarCore) {
-        for (size_t I = 0; I < N; ++I)
-          Out[I] = evalH(U.Func, U.Scheme, In[I]);
-      } else if (P.Path == EvalPath::Batch) {
-        evalBatchH(P.ISA, U.Func, U.Scheme, In.data(), Out, N);
-      } else {
-        C.Candidate(U.Func, U.Scheme, In.data(), Out, N);
-      }
-      if (FeMode >= 0)
-        std::fesetround(Saved);
-    };
-    auto record = [&](size_t I, uint64_t Got, unsigned ModeIdx,
-                      const PathSpec &P, FeLane L) {
-      ++R.Mismatches;
-      if (R.Records.size() >= MaxRecords)
-        return;
-      Mismatch M;
-      M.XBits = XB[I];
-      M.GotEnc = Got;
-      M.WantEnc = Want[ModeIdx * N + I];
-      M.Func = static_cast<uint8_t>(U.Func);
-      M.Scheme = static_cast<uint8_t>(U.Scheme);
-      M.FormatBits = static_cast<uint8_t>(U.FormatBits);
-      M.Mode = static_cast<uint8_t>(Modes[ModeIdx]);
-      M.Path = static_cast<uint8_t>(P.Path);
-      M.ISA = static_cast<uint8_t>(P.ISA);
-      M.Lane = static_cast<uint8_t>(L);
-      R.Records.push_back(M);
-    };
-
-    // 3. Base combination: full comparison per input, rounded mode-major
-    // like Want and compared in (input, mode) record order.
+    // 3. and 4. for every scheme, against the shared Want. The per-scheme
+    // state (BaseH, BaseBad, the records) starts afresh for each.
     std::vector<double> BaseH(N), H(N);
-    std::vector<uint8_t> BaseBad(N, 0);
-    evalCombo(Paths[0], Lanes[0], BaseH.data());
+    std::vector<uint8_t> BaseBad(N);
     std::vector<uint64_t> BaseGot(N * NumModes);
-    for (unsigned M = 0; M < NumModes; ++M)
-      libm::roundBatch(BaseH.data(), BaseGot.data() + M * N, N, Cmp,
-                       Modes[M]);
-    for (size_t I = 0; I < N; ++I) {
-      for (unsigned M = 0; M < NumModes; ++M) {
-        uint64_t Got = BaseGot[M * N + I];
-        ++R.Comparisons;
-        if (Got != Want[M * N + I]) {
-          ++BaseBad[I];
-          record(I, Got, M, Paths[0], Lanes[0]);
+    for (size_t UI = 0; UI < NumUnits; ++UI) {
+      const EvalScheme S = G[UI].Scheme;
+      UnitResult &R = Rs[UI];
+      R.Inputs = N;
+      R.OracleFast = Fast;
+      R.OracleExact = N - Fast;
+      std::fill(BaseBad.begin(), BaseBad.end(), uint8_t{0});
+
+      auto evalCombo = [&](const PathSpec &P, FeLane L, double *Out) {
+        int FeMode = feLaneMode(L);
+        int Saved = 0;
+        if (FeMode >= 0) {
+          Saved = std::fegetround();
+          std::fesetround(FeMode);
+        }
+        if (P.Path == EvalPath::ScalarCore) {
+          for (size_t I = 0; I < N; ++I)
+            Out[I] = evalH(Func, S, In[I]);
+        } else if (P.Path == EvalPath::Batch) {
+          evalBatchH(P.ISA, Func, S, In.data(), Out, N);
+        } else {
+          C.Candidate(Func, S, In.data(), Out, N);
+        }
+        if (FeMode >= 0)
+          std::fesetround(Saved);
+      };
+      auto record = [&](size_t I, uint64_t Got, unsigned ModeIdx,
+                        const PathSpec &P, FeLane L) {
+        ++R.Mismatches;
+        if (R.Records.size() >= MaxRecords)
+          return;
+        Mismatch M;
+        M.XBits = XB[I];
+        M.GotEnc = Got;
+        M.WantEnc = Want[ModeIdx * N + I];
+        M.Func = static_cast<uint8_t>(Func);
+        M.Scheme = static_cast<uint8_t>(S);
+        M.FormatBits = static_cast<uint8_t>(Bits);
+        M.Mode = static_cast<uint8_t>(Modes[ModeIdx]);
+        M.Path = static_cast<uint8_t>(P.Path);
+        M.ISA = static_cast<uint8_t>(P.ISA);
+        M.Lane = static_cast<uint8_t>(L);
+        R.Records.push_back(M);
+      };
+
+      // 3. Base combination: full comparison per input, rounded
+      // mode-major like Want and compared in (input, mode) record order.
+      evalCombo(Paths[0], Lanes[0], BaseH.data());
+      for (unsigned M = 0; M < NumModes; ++M)
+        libm::roundBatch(BaseH.data(), BaseGot.data() + M * N, N, Cmp,
+                         Modes[M]);
+      for (size_t I = 0; I < N; ++I) {
+        for (unsigned M = 0; M < NumModes; ++M) {
+          uint64_t Got = BaseGot[M * N + I];
+          ++R.Comparisons;
+          if (Got != Want[M * N + I]) {
+            ++BaseBad[I];
+            record(I, Got, M, Paths[0], Lanes[0]);
+          }
         }
       }
-    }
-    // 4. Every other (path, lane): bit-compare against the base H.
-    for (size_t PI = 0; PI < Paths.size(); ++PI)
-      for (size_t LI = 0; LI < Lanes.size(); ++LI) {
-        if (PI == 0 && LI == 0)
-          continue;
-        evalCombo(Paths[PI], Lanes[LI], H.data());
-        for (size_t I = 0; I < N; ++I) {
-          uint64_t HB, BB;
-          std::memcpy(&HB, &H[I], 8);
-          std::memcpy(&BB, &BaseH[I], 8);
-          if (HB == BB) {
-            // Identical H inherits the base verdict for every mode.
-            R.Comparisons += NumModes;
-            R.Mismatches += BaseBad[I];
+      // 4. Every other (path, lane): bit-compare against the base H.
+      for (size_t PI = 0; PI < Paths.size(); ++PI)
+        for (size_t LI = 0; LI < Lanes.size(); ++LI) {
+          if (PI == 0 && LI == 0)
             continue;
-          }
-          for (unsigned M = 0; M < NumModes; ++M) {
-            uint64_t Got = Cmp.roundDouble(H[I], Modes[M]);
-            ++R.Comparisons;
-            if (Got != Want[M * N + I])
-              record(I, Got, M, Paths[PI], Lanes[LI]);
+          evalCombo(Paths[PI], Lanes[LI], H.data());
+          for (size_t I = 0; I < N; ++I) {
+            uint64_t HB, BB;
+            std::memcpy(&HB, &H[I], 8);
+            std::memcpy(&BB, &BaseH[I], 8);
+            if (HB == BB) {
+              // Identical H inherits the base verdict for every mode.
+              R.Comparisons += NumModes;
+              R.Mismatches += BaseBad[I];
+              continue;
+            }
+            for (unsigned M = 0; M < NumModes; ++M) {
+              uint64_t Got = Cmp.roundDouble(H[I], Modes[M]);
+              ++R.Comparisons;
+              if (Got != Want[M * N + I])
+                record(I, Got, M, Paths[PI], Lanes[LI]);
+            }
           }
         }
-      }
-    return R;
+    }
+    return Rs;
   };
 
-  auto Merge = [MaxRecords](UnitResult A, UnitResult B) {
-    A.Inputs += B.Inputs;
-    A.Comparisons += B.Comparisons;
-    A.Mismatches += B.Mismatches;
-    A.OracleFast += B.OracleFast;
-    A.OracleExact += B.OracleExact;
-    for (const Mismatch &M : B.Records) {
-      if (A.Records.size() >= MaxRecords)
-        break;
-      A.Records.push_back(M);
+  auto Merge = [MaxRecords](std::vector<UnitResult> A,
+                            std::vector<UnitResult> B) {
+    for (size_t UI = 0; UI < A.size(); ++UI) {
+      UnitResult &RA = A[UI];
+      const UnitResult &RB = B[UI];
+      RA.Inputs += RB.Inputs;
+      RA.Comparisons += RB.Comparisons;
+      RA.Mismatches += RB.Mismatches;
+      RA.OracleFast += RB.OracleFast;
+      RA.OracleExact += RB.OracleExact;
+      for (const Mismatch &M : RB.Records) {
+        if (RA.Records.size() >= MaxRecords)
+          break;
+        RA.Records.push_back(M);
+      }
     }
     return A;
   };
 
   auto T0 = std::chrono::steady_clock::now();
-  UnitResult R = parallelReduce<UnitResult>(
-      static_cast<size_t>(U.NumEncodings), UnitResult{}, Chunk, Merge,
-      C.Threads, BlockElems);
-  R.Millis = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - T0)
-                 .count();
+  std::vector<UnitResult> Rs = parallelReduce<std::vector<UnitResult>>(
+      static_cast<size_t>(G[0].NumEncodings),
+      std::vector<UnitResult>(NumUnits), Chunk, Merge, C.Threads,
+      BlockElems);
+  const double Share = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - T0)
+                           .count() /
+                       static_cast<double>(NumUnits);
 
-  CInputs.add(R.Inputs);
-  CComparisons.add(R.Comparisons);
-  CMismatches.add(R.Mismatches);
-  COracleFast.add(R.OracleFast);
-  COracleExact.add(R.OracleExact);
-  CUnits.inc();
-  HUnitMs.record(R.Millis);
-  return R;
+  COracleQueries.add(Rs.front().Inputs);
+  for (UnitResult &R : Rs) {
+    R.Millis = Share;
+    CInputs.add(R.Inputs);
+    CComparisons.add(R.Comparisons);
+    CMismatches.add(R.Mismatches);
+    COracleFast.add(R.OracleFast);
+    COracleExact.add(R.OracleExact);
+    CUnits.inc();
+    HUnitMs.record(R.Millis);
+  }
+  return Rs;
 }
+
+/// Runs units [Begin, End) of the plan \p Units group by group, in plan
+/// order. A range that cuts a group runs the part of it inside the range:
+/// a unit's result does not depend on which others share its group.
+std::vector<UnitOutcome> runUnits(const SweepConfig &C,
+                                  const std::vector<Unit> &Units,
+                                  size_t Begin, size_t End,
+                                  const UnitCallback &OnUnit) {
+  std::vector<UnitOutcome> Out;
+  Out.reserve(End - Begin);
+  for (size_t B = Begin; B < End;) {
+    const size_t E = groupEnd(Units, B, End);
+    std::vector<UnitResult> Rs = runGroup(C, &Units[B], E - B);
+    for (size_t I = B; I < E; ++I) {
+      Out.push_back(UnitOutcome{Units[I], std::move(Rs[I - B]), false});
+      if (OnUnit)
+        OnUnit(Out.back());
+    }
+    B = E;
+  }
+  return Out;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Whole sweeps
@@ -412,12 +496,13 @@ void SweepReport::accumulate() {
   }
 }
 
-SweepReport verify::runSweep(const SweepConfig &C) {
+SweepReport verify::runSweep(const SweepConfig &C,
+                             const UnitCallback &OnUnit) {
   SweepReport Report;
   Report.Paths = planPaths(C);
   Report.Lanes = planLanes(C);
-  for (const Unit &U : planUnits(C))
-    Report.Units.push_back(UnitOutcome{U, runUnit(C, U), false});
+  const std::vector<Unit> Units = planUnits(C);
+  Report.Units = runUnits(C, Units, 0, Units.size(), OnUnit);
   Report.accumulate();
   return Report;
 }
@@ -556,12 +641,10 @@ bool verify::runShard(const SweepConfig &C, const ShardOptions &Opts,
   if (!W.open(Set, K, Err))
     return false;
   const auto [Begin, End] = Set.range(K);
+  Out = runUnits(C, Units, Begin, End, {});
   std::vector<unsigned char> Payload;
-  Out.clear();
-  for (uint64_t I = Begin; I < End; ++I) {
-    Out.push_back(UnitOutcome{Units[I], runUnit(C, Units[I]), false});
-    serializeUnit(Out.back(), Payload);
-  }
+  for (const UnitOutcome &O : Out)
+    serializeUnit(O, Payload);
   return W.write(Payload.data(), Payload.size(), Err) && W.finalize(Err);
 }
 

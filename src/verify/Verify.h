@@ -14,13 +14,19 @@
 /// rounding mode* (RLibm-MultiRound's scenario, the `fesetround` lanes).
 ///
 /// The work decomposes into **units**: one (function, scheme, format)
-/// triple. A unit enumerates its format's encodings (exhaustively for
+/// triple, the grain of results, records and shards. The engine runs
+/// **groups**: the units that share (function, format, stride), one per
+/// scheme. A group enumerates its format's encodings (exhaustively for
 /// narrow formats, strided for wide ones), decodes each to the float
 /// input, obtains RO_34(f(x)) once per input from the certified fast-path
-/// oracle (exact-oracle fallback, both memoized), and then checks, for
-/// every (path, lane, mode) in the sweep matrix, that
+/// oracle (exact-oracle fallback, both memoized) and rounds it to the
+/// wanted encodings once, and then checks, for every scheme and every
+/// (path, lane, mode) in the sweep matrix, that
 ///
 ///     roundDouble(H(x), fmt, mode) == roundDouble(RO_34, fmt, mode)
+///
+/// So the oracle answers each (function, format, input) once, whatever the
+/// number of schemes.
 ///
 /// FP(32, 8) units, whose inputs are exactly the float32 values, make one
 /// comparison per input instead: roundDouble(H(x), FP34, ToOdd) == RO_34.
@@ -41,7 +47,7 @@
 /// when SweepConfig::Candidate is set, from a caller's block evaluator --
 /// polygen's patch pass checks its freshly generated tables this way.
 ///
-/// Units run blocks through ThreadPool::parallelReduce with a fixed
+/// Groups run blocks through ThreadPool::parallelReduce with a fixed
 /// partition, so counts, mismatch records and their order are bit-
 /// identical for every thread count. Sharded runs persist per-unit
 /// results as support/ShardFile.h shard sets (checksummed, atomically
@@ -51,7 +57,10 @@
 ///
 /// Telemetry: verify.inputs, verify.comparisons, verify.mismatches,
 /// verify.units, verify.units_resumed, verify.oracle.fast,
-/// verify.oracle.exact counters and the verify.unit_ms histogram.
+/// verify.oracle.exact (per unit, like UnitResult's fields),
+/// verify.oracle.queries (the (function, format, encoding) RO_34 results
+/// the process obtained, once per group input) counters and the
+/// verify.unit_ms histogram.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -146,7 +155,9 @@ struct SweepConfig {
       Candidate;
 };
 
-/// One (function, scheme, format) work unit of the sweep.
+/// One (function, scheme, format) unit of the sweep: the grain of results,
+/// records and shards. The units that share (function, format, stride)
+/// run together as a group, on one oracle result per input.
 struct Unit {
   ElemFunc Func = ElemFunc::Exp;
   EvalScheme Scheme = EvalScheme::EstrinFMA;
@@ -157,8 +168,10 @@ struct Unit {
   uint64_t NumEncodings = 0;
 };
 
-/// The deterministic unit list for a configuration, in (func, scheme,
-/// bits) order. Without a Candidate, unavailable variants are omitted.
+/// The deterministic unit list for a configuration, in (func, bits,
+/// scheme) order, so each group's units are contiguous. A function or
+/// scheme listed more than once counts once, at its first position.
+/// Without a Candidate, unavailable variants are omitted.
 std::vector<Unit> planUnits(const SweepConfig &C);
 
 /// The evaluation paths for a configuration: the scalar cores plus the
@@ -204,21 +217,22 @@ struct UnitResult {
   uint64_t Comparisons = 0; ///< logical (mode x path x lane) comparisons;
                             ///< one mode (RO_34) at FP(32, 8)
   uint64_t Mismatches = 0;  ///< total wrong results (exact, never capped)
-  uint64_t OracleFast = 0;  ///< inputs decided by the certified fast path
-  uint64_t OracleExact = 0; ///< inputs that needed the exact oracle
-  double Millis = 0.0;      ///< wall-clock of the unit sweep
+  uint64_t OracleFast = 0;  ///< of Inputs, decided by the certified fast path
+  uint64_t OracleExact = 0; ///< of Inputs, decided by the exact oracle
+  /// The unit's equal share of its group's wall-clock, so the units'
+  /// Millis add up to the sweep's time.
+  double Millis = 0.0;
   std::vector<Mismatch> Records; ///< first MaxRecordsPerUnit mismatches
 };
-
-/// Runs one unit in-process (parallel over blocks, deterministic for any
-/// thread count).
-UnitResult runUnit(const SweepConfig &C, const Unit &U);
 
 struct UnitOutcome {
   Unit U;
   UnitResult R;
   bool Resumed = false; ///< loaded from a valid shard instead of recomputed
 };
+
+/// Sees each unit's outcome as its group completes, in plan order.
+using UnitCallback = std::function<void(const UnitOutcome &)>;
 
 /// Whole-sweep report: per-unit outcomes plus totals.
 struct SweepReport {
@@ -231,14 +245,16 @@ struct SweepReport {
   uint64_t OracleFast = 0;
   uint64_t OracleExact = 0;
   unsigned UnitsResumed = 0;
-  double Millis = 0.0; ///< sum of unit wall-clocks
+  double Millis = 0.0; ///< sum of the units' Millis: the sweep's time
 
   /// Recomputes the totals from Units.
   void accumulate();
 };
 
-/// Runs every unit of the plan in-process (no persistence).
-SweepReport runSweep(const SweepConfig &C);
+/// Runs every unit of the plan in-process (no persistence), group by
+/// group, in parallel over each group's blocks; deterministic for any
+/// thread count. \p OnUnit, when set, is called on the calling thread.
+SweepReport runSweep(const SweepConfig &C, const UnitCallback &OnUnit = {});
 
 //===----------------------------------------------------------------------===//
 // Sharded / resumable runs.
@@ -251,7 +267,8 @@ struct ShardOptions {
 };
 
 /// Computes (or, with Resume, loads) shard \p K of \p Opts.NumShards: the
-/// K-th contiguous slice of the unit list (ShardSet::range's ceil split).
+/// K-th contiguous slice of the unit list (ShardSet::range's ceil split),
+/// run group by group; a group the slice cuts runs the part inside it.
 /// A shard that is missing or fails to load is recomputed. On success
 /// \p Out holds exactly that shard's outcomes and the shard file is on
 /// disk, checksummed and atomically renamed.

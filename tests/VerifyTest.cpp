@@ -10,9 +10,11 @@
 // faithful records (the engine can't be blind), float32 units must make
 // one RO_34 comparison per input that catches every per-format misround,
 // a candidate H source must be swept whatever the shipped tables offer,
-// results must be bit-identical across thread counts, and the sharded
-// store must round-trip, reject corruption, and resume without changing
-// a single count or record.
+// results must be bit-identical across thread counts, the schemes of a
+// group must share one oracle query per input without changing any
+// unit's counts or records, and the sharded store must round-trip,
+// reject corruption, and resume without changing a single count or
+// record, also where a shard boundary cuts a group.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 
 #include "oracle/Oracle.h"
 #include "support/ShardFile.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -78,22 +81,71 @@ std::string tempDir(const char *Name) {
   return Dir;
 }
 
+/// One unit's identity, counts, oracle split and records, in order.
+void expectSameUnit(const UnitOutcome &A, const UnitOutcome &B, size_t I) {
+  EXPECT_EQ(A.U.Func, B.U.Func) << "unit " << I;
+  EXPECT_EQ(A.U.Scheme, B.U.Scheme) << "unit " << I;
+  EXPECT_EQ(A.U.FormatBits, B.U.FormatBits) << "unit " << I;
+  const UnitResult &RA = A.R;
+  const UnitResult &RB = B.R;
+  EXPECT_EQ(RA.Inputs, RB.Inputs) << "unit " << I;
+  EXPECT_EQ(RA.Comparisons, RB.Comparisons) << "unit " << I;
+  EXPECT_EQ(RA.Mismatches, RB.Mismatches) << "unit " << I;
+  EXPECT_EQ(RA.OracleFast, RB.OracleFast) << "unit " << I;
+  EXPECT_EQ(RA.OracleExact, RB.OracleExact) << "unit " << I;
+  ASSERT_EQ(RA.Records.size(), RB.Records.size()) << "unit " << I;
+  for (size_t J = 0; J < RA.Records.size(); ++J)
+    EXPECT_TRUE(RA.Records[J] == RB.Records[J])
+        << "unit " << I << " record " << J;
+}
+
 void expectSameOutcomes(const SweepReport &A, const SweepReport &B) {
   ASSERT_EQ(A.Units.size(), B.Units.size());
   EXPECT_EQ(A.Inputs, B.Inputs);
   EXPECT_EQ(A.Comparisons, B.Comparisons);
   EXPECT_EQ(A.Mismatches, B.Mismatches);
-  for (size_t I = 0; I < A.Units.size(); ++I) {
-    const UnitResult &RA = A.Units[I].R;
-    const UnitResult &RB = B.Units[I].R;
-    EXPECT_EQ(RA.Inputs, RB.Inputs) << "unit " << I;
-    EXPECT_EQ(RA.Comparisons, RB.Comparisons) << "unit " << I;
-    EXPECT_EQ(RA.Mismatches, RB.Mismatches) << "unit " << I;
-    ASSERT_EQ(RA.Records.size(), RB.Records.size()) << "unit " << I;
-    for (size_t J = 0; J < RA.Records.size(); ++J)
-      EXPECT_TRUE(RA.Records[J] == RB.Records[J])
-          << "unit " << I << " record " << J;
+  for (size_t I = 0; I < A.Units.size(); ++I)
+    expectSameUnit(A.Units[I], B.Units[I], I);
+}
+
+/// A sweep over every listed scheme must equal one single-scheme sweep
+/// per scheme, unit by unit: sharing the oracle across a group must not
+/// change what any unit counts or records.
+void expectGroupsMatchPerSchemeSweeps(const SweepConfig &C) {
+  SweepReport All = runSweep(C);
+  ASSERT_FALSE(All.Units.empty());
+  size_t Matched = 0;
+  for (EvalScheme S : C.Schemes) {
+    SweepConfig One = C;
+    One.Schemes = {S};
+    SweepReport R = runSweep(One);
+    size_t J = 0;
+    for (size_t I = 0; I < All.Units.size(); ++I) {
+      if (All.Units[I].U.Scheme != S)
+        continue;
+      ASSERT_LT(J, R.Units.size());
+      expectSameUnit(All.Units[I], R.Units[J++], I);
+    }
+    EXPECT_EQ(J, R.Units.size()) << evalSchemeName(S);
+    Matched += J;
   }
+  EXPECT_EQ(Matched, All.Units.size());
+}
+
+/// A candidate that nudges the shipped batch H by a relative 2^-12 ..
+/// 2^-40 at inputs chosen per scheme, so the schemes of one function
+/// misround on different inputs.
+decltype(SweepConfig::Candidate) nudgedPerScheme() {
+  return [](ElemFunc F, EvalScheme S, const float *In, double *H, size_t N) {
+    evalBatchH(F, S, In, H, N);
+    for (size_t I = 0; I < N; ++I) {
+      const uint32_t XBits = bitsOf(In[I]) + static_cast<uint32_t>(S);
+      if (XBits % 5 != 2)
+        continue;
+      int E = 12 + static_cast<int>((XBits >> 3) % 29);
+      H[I] *= 1.0 + ((XBits >> 9) & 1 ? -1.0 : 1.0) * std::ldexp(1.0, -E);
+    }
+  };
 }
 
 TEST(VerifyPlanTest, UnitsCoverTheRequestedMatrix) {
@@ -103,7 +155,7 @@ TEST(VerifyPlanTest, UnitsCoverTheRequestedMatrix) {
   std::vector<Unit> Units = planUnits(C);
 
   // Every available (func, scheme) pair, times three formats, in (func,
-  // scheme, bits) order with no duplicates.
+  // bits, scheme) order with no duplicates: a group's units are adjacent.
   size_t Pairs = 0;
   for (ElemFunc F : AllElemFuncs)
     for (EvalScheme S : AllEvalSchemes)
@@ -118,14 +170,51 @@ TEST(VerifyPlanTest, UnitsCoverTheRequestedMatrix) {
     if (I > 0) {
       bool Ordered =
           std::make_tuple(static_cast<int>(Units[I - 1].Func),
-                          static_cast<int>(Units[I - 1].Scheme),
-                          Units[I - 1].FormatBits) <
+                          Units[I - 1].FormatBits,
+                          static_cast<int>(Units[I - 1].Scheme)) <
           std::make_tuple(static_cast<int>(Units[I].Func),
-                          static_cast<int>(Units[I].Scheme),
-                          Units[I].FormatBits);
+                          Units[I].FormatBits,
+                          static_cast<int>(Units[I].Scheme));
       EXPECT_TRUE(Ordered) << "unit " << I;
     }
   }
+}
+
+TEST(VerifyPlanTest, RepeatedNamesPlanEachVariantOnce) {
+  SweepConfig Once;
+  Once.Funcs = {ElemFunc::Exp2, ElemFunc::Log};
+  Once.Schemes = {EvalScheme::Horner, EvalScheme::Estrin};
+  Once.MaxBits = 10;
+  SweepConfig Twice = Once;
+  Twice.Funcs = {ElemFunc::Exp2, ElemFunc::Log, ElemFunc::Exp2};
+  Twice.Schemes = {EvalScheme::Horner, EvalScheme::Horner,
+                   EvalScheme::Estrin};
+
+  std::vector<Unit> A = planUnits(Once), B = planUnits(Twice);
+  ASSERT_EQ(A.size(), 4u); // 2 funcs x 2 schemes x 1 format
+  ASSERT_EQ(B.size(), A.size());
+  for (size_t I = 0; I < A.size(); ++I) {
+    EXPECT_EQ(A[I].Func, B[I].Func) << "unit " << I;
+    EXPECT_EQ(A[I].Scheme, B[I].Scheme) << "unit " << I;
+    EXPECT_EQ(A[I].FormatBits, B[I].FormatBits) << "unit " << I;
+  }
+  SweepReport R = runSweep(Twice);
+  EXPECT_EQ(R.Inputs, 4u * 1024);
+
+  // The config line sees each variant once too: a shard set written for
+  // one spelling is the same sweep for the other.
+  std::string Dir = tempDir("repeated");
+  ShardOptions Opts;
+  Opts.Dir = Dir;
+  std::vector<UnitOutcome> Out;
+  std::string Err;
+  ASSERT_TRUE(runShard(Twice, Opts, 0, Out, &Err)) << Err;
+  Opts.Resume = true;
+  ASSERT_TRUE(runShard(Once, Opts, 0, Out, &Err)) << Err;
+  ASSERT_EQ(Out.size(), A.size());
+  for (const UnitOutcome &O : Out)
+    EXPECT_TRUE(O.Resumed);
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(VerifyPlanTest, StridedUnitsCeilTheirEncodingSpace) {
@@ -355,6 +444,75 @@ TEST(VerifyTest, RO34RecordsCoverEveryPerFormatMisround) {
   EXPECT_GT(Misrounded, 0u);
 }
 
+TEST(VerifyTest, SharedOracleMatchesPerSchemeSweeps) {
+  // Shipped tables, every function and scheme, the widest matrix.
+  SweepConfig C;
+  C.Schemes.assign(std::begin(AllEvalSchemes), std::end(AllEvalSchemes));
+  C.MinBits = 10;
+  C.MaxBits = 12;
+  C.AllISAs = true;
+  C.FeLanes = true;
+  expectGroupsMatchPerSchemeSweeps(C);
+
+  // A candidate whose schemes misround on different inputs, under every
+  // FE lane, so each scheme's inherited verdicts and records differ from
+  // its neighbours'.
+  SweepConfig N;
+  N.Funcs = {ElemFunc::Exp2, ElemFunc::Log};
+  N.Schemes = C.Schemes;
+  N.MinBits = N.MaxBits = 32;
+  N.Stride = 1000003;
+  N.FeLanes = true;
+  N.MaxRecordsPerUnit = UINT_MAX;
+  N.Candidate = nudgedPerScheme();
+  SweepReport R = runSweep(N);
+  ASSERT_EQ(R.Units.size(), 8u);
+  for (const UnitOutcome &U : R.Units)
+    EXPECT_GT(U.R.Mismatches, 0u) << evalSchemeName(U.U.Scheme);
+  expectGroupsMatchPerSchemeSweeps(N);
+
+  // The same at the five-mode formats, on one block per unit.
+  N.MinBits = 10;
+  N.MaxBits = 11;
+  N.Stride = 1;
+  expectGroupsMatchPerSchemeSweeps(N);
+}
+
+TEST(VerifyTest, OracleQueriedOncePerFunctionFormatInput) {
+  SweepConfig C = smallConfig();
+  C.Schemes.assign(std::begin(AllEvalSchemes), std::end(AllEvalSchemes));
+  C.AllISAs = true;
+  auto Count = [](const char *Name) { return telemetry::counterValue(Name); };
+  const uint64_t Queries0 = Count("verify.oracle.queries");
+  const uint64_t Fast0 = Count("oracle.fast.accepts") +
+                         Count("oracle.fast.fallbacks") +
+                         Count("oracle.fast.rejects");
+  const uint64_t Accepts0 = Count("oracle.fast.accepts");
+  const uint64_t Exact0 = Count("oracle.cache.hits") +
+                          Count("oracle.cache.misses");
+  SweepReport R = runSweep(C);
+
+  // Two functions x (1024 + 2048) encodings, whatever the four schemes.
+  const uint64_t Distinct = 2 * (1024 + 2048);
+  ASSERT_EQ(R.Units.size(), 2u * 2 * 4);
+  EXPECT_EQ(R.Inputs, 4 * Distinct);
+  EXPECT_EQ(Count("verify.oracle.queries") - Queries0, Distinct);
+  // The fast batch sees each query once; the exact oracle only those it
+  // declines, once each.
+  const uint64_t Fast = Count("oracle.fast.accepts") +
+                        Count("oracle.fast.fallbacks") +
+                        Count("oracle.fast.rejects") - Fast0;
+  const uint64_t Accepted = Count("oracle.fast.accepts") - Accepts0;
+  EXPECT_EQ(Fast, Distinct);
+  EXPECT_EQ(Count("oracle.cache.hits") + Count("oracle.cache.misses") -
+                Exact0,
+            Distinct - Accepted);
+  // Each unit's split still covers its own inputs.
+  for (const UnitOutcome &U : R.Units)
+    EXPECT_EQ(U.R.OracleFast + U.R.OracleExact, U.R.Inputs);
+  EXPECT_EQ(R.OracleFast, 4 * Accepted);
+}
+
 TEST(VerifyTest, CandidateSweepsAVariantTheShippedTablesLack) {
   // log10/Knuth ships unavailable, so the shipped-table plan omits it. A
   // candidate listed for it is swept (log10's Estrin+FMA kernels stand in
@@ -523,6 +681,37 @@ TEST(VerifyStoreTest, ShardedSweepMatchesInProcessSweep) {
   ASSERT_TRUE(runShardedSweep(C, Opts, R2, &Err)) << Err;
   EXPECT_EQ(R2.UnitsResumed, R2.Units.size());
   expectSameOutcomes(Ref, R2);
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(VerifyStoreTest, ShardBoundaryInsideAGroupMatchesInProcessSweep) {
+  // One function's four schemes per format: 8 units in 2 groups of 4.
+  // Three shards split them 3/3/2, so both groups straddle a boundary.
+  SweepConfig C = smallConfig();
+  C.Funcs = {ElemFunc::Exp2};
+  C.Schemes.assign(std::begin(AllEvalSchemes), std::end(AllEvalSchemes));
+  C.Candidate = nudgedPerScheme();
+  SweepReport Ref = runSweep(C);
+  ASSERT_GT(Ref.Mismatches, 0u);
+
+  std::string Dir = tempDir("splitgroup");
+  ShardOptions Opts;
+  Opts.Dir = Dir;
+  Opts.NumShards = 3;
+  const std::vector<Unit> Units = planUnits(C);
+  ASSERT_EQ(Units.size(), 8u);
+  const shard::ShardSet Set{Dir, "verify", "", Opts.NumShards, Units.size()};
+  unsigned Splits = 0;
+  for (unsigned K = 1; K < Opts.NumShards; ++K) {
+    const uint64_t B = Set.range(K).first;
+    Splits += Units[B - 1].FormatBits == Units[B].FormatBits ? 1 : 0;
+  }
+  EXPECT_EQ(Splits, 2u);
+
+  SweepReport R;
+  std::string Err;
+  ASSERT_TRUE(runShardedSweep(C, Opts, R, &Err)) << Err;
+  expectSameOutcomes(Ref, R);
   std::filesystem::remove_all(Dir);
 }
 

@@ -24,9 +24,11 @@
 // --json (default BENCH_verify.json) writes the coverage/throughput
 // report through the shared bench envelope; CI validates it with
 // python3 -m json.tool and gates on totals.mismatches == 0. The summary
-// line and the report's totals also split the certified fast oracle's
-// verdicts (accepted / boundary / domain), so a run answers why inputs
-// left the fast path for the exact oracle.
+// line and the report's totals also count the oracle queries -- one RO_34
+// result per (function, format, encoding), shared by that function's
+// schemes -- and split the certified fast oracle's verdicts on them
+// (accepted / boundary / domain), so a run answers why inputs left the
+// fast path for the exact oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -72,10 +74,11 @@ int usage(const char *Prog) {
       "  --shard-dir <dir>      shard directory (required with shards)\n"
       "  --resume               reuse shards already valid on disk\n"
       "  --quiet                no per-unit progress lines\n"
-      "The summary splits the certified fast oracle's verdicts into\n"
-      "accepted / boundary / domain (the latter two go to the exact\n"
-      "oracle); the split covers only units computed in this process, not\n"
-      "resumed shards.\n",
+      "The summary counts the oracle queries (one per function, format\n"
+      "and encoding, shared by the schemes) and splits the certified fast\n"
+      "oracle's verdicts on them into accepted / boundary / domain (the\n"
+      "latter two go to the exact oracle); both cover only units computed\n"
+      "in this process, not resumed shards.\n",
       Prog, bench::ReportOptions::usage());
   return 2;
 }
@@ -124,13 +127,16 @@ bool parseList(const char *Arg, std::vector<EvalScheme> &Out) {
   return !Out.empty();
 }
 
-/// The certified fast oracle's verdicts in this process, from its
-/// telemetry counters (the sweep is the tool's only oracle user).
-struct FastVerdicts {
-  uint64_t Accepted, Boundary, Domain;
+/// The oracle's work in this process, from the telemetry counters (the
+/// sweep is the tool's only oracle user): the RO_34 results the sweep
+/// obtained, one per (function, format, encoding) whatever the number of
+/// schemes, and the certified fast oracle's verdicts on them.
+struct OracleWork {
+  uint64_t Queries, Accepted, Boundary, Domain;
 
-  static FastVerdicts read() {
-    return {telemetry::counterValue("oracle.fast.accepts"),
+  static OracleWork read() {
+    return {telemetry::counterValue("verify.oracle.queries"),
+            telemetry::counterValue("oracle.fast.accepts"),
             telemetry::counterValue("oracle.fast.fallbacks"),
             telemetry::counterValue("oracle.fast.rejects")};
   }
@@ -171,7 +177,7 @@ void printMismatch(const Mismatch &M) {
 }
 
 void writeReport(bench::Report &Rep, const SweepConfig &C,
-                 const SweepReport &R, const FastVerdicts &Fast,
+                 const SweepReport &R, const OracleWork &Work,
                  double WallMs) {
   json::Writer &W = Rep.writer();
   W.key("config");
@@ -203,9 +209,10 @@ void writeReport(bench::Report &Rep, const SweepConfig &C,
   W.kv("mismatches", R.Mismatches);
   W.kv("oracle_fast", R.OracleFast);
   W.kv("oracle_exact", R.OracleExact);
-  W.kv("fast_accepted", Fast.Accepted);
-  W.kv("fast_boundary", Fast.Boundary);
-  W.kv("fast_domain", Fast.Domain);
+  W.kv("oracle_queries", Work.Queries);
+  W.kv("fast_accepted", Work.Accepted);
+  W.kv("fast_boundary", Work.Boundary);
+  W.kv("fast_domain", Work.Domain);
   W.kv("units_resumed", static_cast<uint64_t>(R.UnitsResumed));
   W.kvFixed("wall_ms", WallMs, 1);
   double Secs = WallMs / 1000.0;
@@ -330,20 +337,19 @@ int main(int Argc, char **Argv) {
   Report.Lanes = Lanes;
   std::string Err;
   if (!Sharded) {
-    for (const Unit &U : Units) {
-      UnitResult R = runUnit(C, U);
-      if (!Quiet) {
-        std::string StrideNote =
-            U.Stride == 1 ? "" : " stride " + std::to_string(U.Stride);
-        std::printf("  %s/%s fp%u%s: %llu inputs, %llu mismatches (%.1f ms)\n",
-                    elemFuncName(U.Func), evalSchemeName(U.Scheme),
-                    U.FormatBits, StrideNote.c_str(),
-                    static_cast<unsigned long long>(R.Inputs),
-                    static_cast<unsigned long long>(R.Mismatches), R.Millis);
-      }
-      Report.Units.push_back(UnitOutcome{U, std::move(R), false});
-    }
-    Report.accumulate();
+    Report = runSweep(C, [Quiet](const UnitOutcome &O) {
+      if (Quiet)
+        return;
+      const Unit &U = O.U;
+      std::string StrideNote =
+          U.Stride == 1 ? "" : " stride " + std::to_string(U.Stride);
+      std::printf("  %s/%s fp%u%s: %llu inputs, %llu mismatches (%.1f ms)\n",
+                  elemFuncName(U.Func), evalSchemeName(U.Scheme), U.FormatBits,
+                  StrideNote.c_str(),
+                  static_cast<unsigned long long>(O.R.Inputs),
+                  static_cast<unsigned long long>(O.R.Mismatches),
+                  O.R.Millis);
+    });
   } else if (OneShard) {
     std::vector<UnitOutcome> Out;
     if (!runShard(C, Shards, OnlyShard, Out, &Err)) {
@@ -361,7 +367,7 @@ int main(int Argc, char **Argv) {
   double WallMs = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - T0)
                       .count();
-  const FastVerdicts Fast = FastVerdicts::read();
+  const OracleWork Work = OracleWork::read();
 
   unsigned Printed = 0;
   for (const UnitOutcome &O : Report.Units)
@@ -376,22 +382,23 @@ int main(int Argc, char **Argv) {
                                 " units resumed]"
                           : "";
   std::printf("verify: %llu inputs, %llu comparisons, %llu mismatches"
-              "%s (%.1f s, %.0f inputs/s); fast oracle %llu accepted, "
-              "%llu boundary, %llu domain\n",
+              "%s (%.1f s, %.0f inputs/s); %llu oracle queries, fast "
+              "oracle %llu accepted, %llu boundary, %llu domain\n",
               static_cast<unsigned long long>(Report.Inputs),
               static_cast<unsigned long long>(Report.Comparisons),
               static_cast<unsigned long long>(Report.Mismatches),
               ResumeNote.c_str(), WallMs / 1000.0,
               WallMs > 0 ? Report.Inputs / (WallMs / 1000.0) : 0.0,
-              static_cast<unsigned long long>(Fast.Accepted),
-              static_cast<unsigned long long>(Fast.Boundary),
-              static_cast<unsigned long long>(Fast.Domain));
+              static_cast<unsigned long long>(Work.Queries),
+              static_cast<unsigned long long>(Work.Accepted),
+              static_cast<unsigned long long>(Work.Boundary),
+              static_cast<unsigned long long>(Work.Domain));
 
   if (!Opts.JsonPath.empty()) {
     bench::Report Rep(Opts.JsonPath, "verify");
     if (!Rep.ok())
       return 2;
-    writeReport(Rep, C, Report, Fast, WallMs);
+    writeReport(Rep, C, Report, Work, WallMs);
   }
   Opts.finish();
   return Report.Mismatches == 0 ? 0 : 1;
