@@ -18,7 +18,9 @@
 ///   2. Per-chunk results are stored by chunk index and merged serially in
 ///      ascending index order after the barrier, never in completion order.
 ///      (For a serial run the merge visits the same chunks in the same
-///      order, so even non-associative merges agree.)
+///      order, so even non-associative merges agree.) A reduction over more
+///      than MaxFanOut chunks runs them in waves, each merged after its own
+///      barrier, which keeps the same order.
 ///
 /// Threading knobs: an explicit per-call thread count wins; a count of 0
 /// defers to the RFP_THREADS environment variable, and failing that to
@@ -33,6 +35,7 @@
 #ifndef RFP_SUPPORT_THREADPOOL_H
 #define RFP_SUPPORT_THREADPOOL_H
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <thread>
@@ -86,11 +89,14 @@ inline size_t numChunksFor(size_t N, size_t ChunkSize) {
   return ChunkSize == 0 ? 0 : (N + ChunkSize - 1) / ChunkSize;
 }
 
-/// Default chunk size: a fixed fan-out of at most 256 chunks regardless of
-/// thread count, so the partition (and therefore any reduce merge shape) is
-/// identical on every machine.
+/// The default fan-out: at most this many chunks per job.
+constexpr size_t MaxFanOut = 256;
+
+/// Default chunk size: a fixed fan-out of at most MaxFanOut chunks
+/// regardless of thread count, so the partition (and therefore any reduce
+/// merge shape) is identical on every machine.
 inline size_t defaultChunkSize(size_t N) {
-  size_t C = (N + 255) / 256;
+  size_t C = (N + MaxFanOut - 1) / MaxFanOut;
   return C == 0 ? 1 : C;
 }
 
@@ -103,23 +109,31 @@ void parallelFor(size_t N, const std::function<void(size_t, size_t)> &Fn,
 /// Chunked reduction: Chunk(Begin, End) produces a partial result per
 /// chunk; partials are merged with Merge(Acc, Partial) serially in
 /// ascending chunk order, starting from \p Init. Deterministic for any
-/// thread count, even when Merge is not associative.
+/// thread count, even when Merge is not associative. The chunks run in
+/// waves of at most MaxFanOut, each folded before the next starts, so at
+/// most MaxFanOut partials are alive at once; a default partition is one
+/// wave, one job.
 template <typename T, typename ChunkFnT, typename MergeFnT>
 T parallelReduce(size_t N, T Init, ChunkFnT Chunk, MergeFnT Merge,
                  unsigned NumThreads = 0, size_t ChunkSize = 0) {
   if (ChunkSize == 0)
     ChunkSize = defaultChunkSize(N);
-  size_t NumChunks = numChunksFor(N, ChunkSize);
-  std::vector<T> Partials(NumChunks);
-  parallelFor(
-      N,
-      [&](size_t Begin, size_t End) {
-        Partials[Begin / ChunkSize] = Chunk(Begin, End);
-      },
-      NumThreads, ChunkSize);
+  const size_t NumChunks = numChunksFor(N, ChunkSize);
+  std::vector<T> Partials(std::min(NumChunks, MaxFanOut));
   T Acc = std::move(Init);
-  for (size_t I = 0; I < NumChunks; ++I)
-    Acc = Merge(std::move(Acc), std::move(Partials[I]));
+  for (size_t Wave = 0; Wave < NumChunks; Wave += MaxFanOut) {
+    const size_t WaveBegin = Wave * ChunkSize;
+    const size_t WaveChunks = std::min(MaxFanOut, NumChunks - Wave);
+    parallelFor(
+        std::min(N - WaveBegin, WaveChunks * ChunkSize),
+        [&](size_t Begin, size_t End) {
+          Partials[Begin / ChunkSize] =
+              Chunk(WaveBegin + Begin, WaveBegin + End);
+        },
+        NumThreads, ChunkSize);
+    for (size_t I = 0; I < WaveChunks; ++I)
+      Acc = Merge(std::move(Acc), std::move(Partials[I]));
+  }
   return Acc;
 }
 

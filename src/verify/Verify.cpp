@@ -4,36 +4,47 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Group execution strategy. The engine runs a *group* at a time: the
-// units of the plan that share (function, format, stride) and differ only
-// in scheme. A group's encoding space is processed in blocks of
+// Group execution strategy. The engine runs a *group* at a time. A
+// function's stride-1 units form one group whatever their format: every
+// FP(k, 8) encoding e is the FP(w, 8) encoding e << (w - k) of the same
+// value, so the group enumerates its widest format w (the driving format)
+// and each narrower format k takes every 2^(w-k)-th driving input. Strided
+// units group by (function, format, stride); there the driving format is
+// the units' own. A group's driving encodings are processed in blocks of
 // SweepConfig::BlockElems through parallelReduce with that exact chunk
 // size, so the partition -- and therefore the merge order of counters and
-// capped mismatch records -- is fixed by the configuration, not by the
-// thread count. Per block, steps 1 and 2 run once for the group and steps
-// 3 and 4 once per scheme:
+// mismatch records -- is fixed by the configuration, not by the thread
+// count. Per block, steps 1 and 2 run once per driving input, steps 3 and
+// 4 once per format and unit:
 //
-//   1. Decode the block's encodings to float inputs (every FP(k, 8) value
-//      with k <= 32 is exactly a float) and query the oracle once: the
-//      certified fast path in batch form, the exact memoized oracle for
-//      the leftovers. This happens under the default FP environment --
-//      the oracle is the reference, not the thing under test.
-//   2. Precompute the wanted encodings from RO_34, one libm::roundBatch
-//      per mode: the five standard modes of the group's format, or, for
-//      FP(32, 8), the single FP34 round-to-odd "mode" (RO_34 itself).
-//   3. Evaluate the base combination (the first path, default FE lane),
-//      round it with one more roundBatch per mode, and run the full
-//      comparison per input, remembering how many modes misround per
-//      input (BaseBad).
-//   4. For every other (path, lane) combination: evaluate, bit-compare H
-//      against the base H. Identical bits inherit the base verdict --
-//      count the comparisons and BaseBad mismatches without re-rounding.
-//      Divergent bits get the full comparison and their own mismatch
-//      records.
+//   1. Decode the block's driving encodings to float inputs (every FP(k,
+//      8) value with k <= 32 is exactly a float) and query the oracle
+//      once: the certified fast path in batch form, the exact memoized
+//      oracle for the leftovers. This happens under the default FP
+//      environment -- the oracle is the reference, not the thing under
+//      test.
+//   2. Evaluate H for every (scheme, path, lane). The base combination
+//      (the first path, default FE lane) keeps its H; every other
+//      combination bit-compares its H against it and keeps only the
+//      inputs where the bits diverge.
+//   3. Per format, precompute the wanted encodings of its inputs from
+//      RO_34, one libm::roundBatch per mode: the five standard modes, or,
+//      for FP(32, 8), the single FP34 round-to-odd "mode" (RO_34 itself).
+//   4. Per unit of the format, round the base H with one more roundBatch
+//      per mode and run the full comparison per input, remembering how
+//      many modes misround per input (BaseBad). Every other combination
+//      inherits the base verdict where its H bits matched -- the
+//      comparisons and BaseBad mismatches are counted without
+//      re-rounding -- and gets the full comparison and its own records
+//      where they diverged.
 //
 // Each unit keeps its own counts and records, so a unit's result is the
-// same whichever units share its group; only its Millis, an equal share
-// of the group's wall-clock, depends on them.
+// same whichever units share its group; only its Millis, its share of the
+// group's wall-clock in proportion to its inputs, depends on them. A
+// unit's records are the first MaxRecordsPerUnit in (input, path, lane,
+// mode) order: each block caps every combination's records, sorts them
+// into that order and truncates, and blocks merge in ascending order, so
+// the list depends neither on BlockElems nor on the group.
 //
 // FE lanes pin the dynamic rounding mode only around the evaluation call
 // itself: decode, oracle, and comparison all run under the default
@@ -132,13 +143,14 @@ std::vector<EvalScheme> effectiveSchemes(const SweepConfig &C) {
 
 /// The canonical one-line identity of a sweep: everything the unit plan,
 /// the comparison matrix, and the record selection depend on. The shard
-/// manifest stores it verbatim; shard headers pin its hash. Threads are
-/// deliberately absent (results are thread-count invariant); BlockElems
-/// and the record cap are present because they shape the record lists.
+/// manifest stores it verbatim; shard headers pin its hash. Threads and
+/// BlockElems are deliberately absent (results, records included, do not
+/// depend on them); the record cap is present because it shapes the
+/// record lists.
 std::string configLine(const SweepConfig &C, const std::vector<Unit> &Units,
                        const std::vector<PathSpec> &Paths,
                        const std::vector<FeLane> &Lanes) {
-  std::string L = "v3 funcs=";
+  std::string L = "v4 funcs=";
   bool First = true;
   for (ElemFunc F : effectiveFuncs(C)) {
     if (!First)
@@ -157,7 +169,6 @@ std::string configLine(const SweepConfig &C, const std::vector<Unit> &Units,
   L += " bits=" + std::to_string(C.MinBits) + ".." + std::to_string(C.MaxBits);
   L += " exhaustive=" + std::to_string(C.ExhaustiveBits);
   L += " stride=" + std::to_string(C.Stride);
-  L += " block=" + std::to_string(C.BlockElems);
   L += " maxrec=" + std::to_string(C.MaxRecordsPerUnit);
   L += " paths=";
   First = true;
@@ -232,21 +243,41 @@ std::vector<FeLane> verify::planLanes(const SweepConfig &C) {
 
 namespace {
 
-/// One past the last unit of the group that starts at \p Begin: the units
-/// before \p End that share its (function, format, stride).
+/// One past the last unit of the group that starts at \p Begin, within
+/// [Begin, End). A function's stride-1 units form one group, since their
+/// formats nest; strided units group by (function, format, stride). The
+/// plan's (function, bits, scheme) order keeps either kind contiguous.
 size_t groupEnd(const std::vector<Unit> &Units, size_t Begin, size_t End) {
   const Unit &First = Units[Begin];
   size_t I = Begin + 1;
   while (I < End && Units[I].Func == First.Func &&
-         Units[I].FormatBits == First.FormatBits &&
-         Units[I].Stride == First.Stride)
+         Units[I].Stride == First.Stride &&
+         (First.Stride == 1 || Units[I].FormatBits == First.FormatBits))
     ++I;
   return I;
 }
 
-/// Runs one group: the \p NumUnits units at \p G, which differ only in
-/// scheme. Returns their results in the same order, each unit's Millis an
-/// equal share of the group's wall-clock.
+/// One format of a group: its units, a contiguous run of the group, and
+/// its place among the driving encodings. Driving encoding j is the
+/// format's encoding j >> Shift when its low Shift bits are zero.
+struct GroupFormat {
+  unsigned Bits = 0;
+  unsigned Shift = 0;
+  size_t UnitBegin = 0, UnitEnd = 0;
+};
+
+/// A (path, lane) combination's H at an input where it differs from the
+/// base combination's H: the input's index in the block, and the H.
+struct Divergence {
+  size_t I;
+  double H;
+};
+
+/// Runs one group: the \p NumUnits units at \p G, of one function, either
+/// every stride-1 unit in the range (the formats nest) or the units that
+/// share one strided format. Returns their results in the same order,
+/// each unit's Millis its share of the group's wall-clock in proportion
+/// to its inputs.
 std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
                                  size_t NumUnits) {
   static const telemetry::Counter CInputs = telemetry::counter("verify.inputs");
@@ -266,145 +297,206 @@ std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
 
   const std::vector<PathSpec> Paths = planPaths(C);
   const std::vector<FeLane> Lanes = planLanes(C);
+  const size_t NumCombos = Paths.size() * Lanes.size();
   const ElemFunc Func = G[0].Func;
-  const unsigned Bits = G[0].FormatBits;
-  const uint64_t Stride = G[0].Stride;
-  const FPFormat Fmt = FPFormat::withBits(Bits);
+  // Units come in (bits, scheme) order, so the last one has the widest
+  // format: the driving format, whose encodings the group enumerates.
+  const Unit &Drive = G[NumUnits - 1];
+  const uint64_t Stride = Drive.Stride;
+  const FPFormat DriveFmt = FPFormat::withBits(Drive.FormatBits);
   const FPFormat F34 = FPFormat::fp34();
-  // FP(32, 8) inputs are exactly the float32 values, so one round-to-odd
-  // comparison at 34 bits proves every FP(k <= 32, 8) format in every
-  // standard mode (RLIBM-ALL); narrower units compare each standard mode.
-  static constexpr RoundingMode RoundToOdd[] = {RoundingMode::ToOdd};
-  const bool RO34 = Bits == 32;
-  const FPFormat Cmp = RO34 ? F34 : Fmt;
-  const RoundingMode *Modes = RO34 ? RoundToOdd : StandardRoundingModes;
-  const unsigned NumModes = RO34 ? 1 : 5;
   const unsigned MaxRecords = C.MaxRecordsPerUnit;
   const size_t BlockElems = C.BlockElems ? C.BlockElems : 4096;
+
+  std::vector<GroupFormat> Formats;
+  std::vector<EvalScheme> Schemes; // distinct, in first-occurrence order
+  std::vector<size_t> UnitScheme(NumUnits); // index into Schemes
+  for (size_t UI = 0; UI < NumUnits; ++UI) {
+    if (Formats.empty() || Formats.back().Bits != G[UI].FormatBits)
+      Formats.push_back(GroupFormat{G[UI].FormatBits,
+                                    Drive.FormatBits - G[UI].FormatBits, UI,
+                                    UI});
+    ++Formats.back().UnitEnd;
+    auto It = std::find(Schemes.begin(), Schemes.end(), G[UI].Scheme);
+    UnitScheme[UI] = static_cast<size_t>(It - Schemes.begin());
+    if (It == Schemes.end())
+      Schemes.push_back(G[UI].Scheme);
+  }
+  const size_t NumSchemes = Schemes.size();
 
   auto Chunk = [&](size_t Begin, size_t End) {
     const size_t N = End - Begin;
     std::vector<UnitResult> Rs(NumUnits);
 
-    // 1. Inputs and the oracle, once for the group (default FP
+    // 1. Driving inputs and the oracle, once per input (default FP
     // environment).
     std::vector<float> In(N);
     std::vector<uint32_t> XB(N);
     for (size_t I = 0; I < N; ++I) {
       uint64_t Enc = (Begin + I) * Stride;
-      float X = static_cast<float>(Fmt.decode(Enc));
+      float X = static_cast<float>(DriveFmt.decode(Enc));
       In[I] = X;
       std::memcpy(&XB[I], &X, 4);
     }
     std::vector<uint64_t> RO(N);
     std::vector<uint8_t> St(N);
     oracle_fast::evalToOdd34Batch(Func, XB.data(), N, RO.data(), St.data());
-    uint64_t Fast = 0;
+    std::vector<double> V34(N);
     for (size_t I = 0; I < N; ++I) {
-      if (St[I])
-        ++Fast;
-      else
+      if (!St[I])
         RO[I] = oracle_cache::evalToOdd34(Func, XB[I], /*AllowFast=*/false);
+      V34[I] = F34.decode(RO[I]);
     }
 
-    // 2. Wanted encodings per mode, mode-major: Want[M * N + I].
-    std::vector<double> V34(N);
-    for (size_t I = 0; I < N; ++I)
-      V34[I] = F34.decode(RO[I]);
-    std::vector<uint64_t> Want(N * NumModes);
-    for (unsigned M = 0; M < NumModes; ++M)
-      libm::roundBatch(V34.data(), Want.data() + M * N, N, Cmp, Modes[M]);
-
-    // 3. and 4. for every scheme, against the shared Want. The per-scheme
-    // state (BaseH, BaseBad, the records) starts afresh for each.
-    std::vector<double> BaseH(N), H(N);
-    std::vector<uint8_t> BaseBad(N);
-    std::vector<uint64_t> BaseGot(N * NumModes);
-    for (size_t UI = 0; UI < NumUnits; ++UI) {
-      const EvalScheme S = G[UI].Scheme;
-      UnitResult &R = Rs[UI];
-      R.Inputs = N;
-      R.OracleFast = Fast;
-      R.OracleExact = N - Fast;
-      std::fill(BaseBad.begin(), BaseBad.end(), uint8_t{0});
-
-      auto evalCombo = [&](const PathSpec &P, FeLane L, double *Out) {
-        int FeMode = feLaneMode(L);
-        int Saved = 0;
-        if (FeMode >= 0) {
-          Saved = std::fegetround();
-          std::fesetround(FeMode);
-        }
-        if (P.Path == EvalPath::ScalarCore) {
-          for (size_t I = 0; I < N; ++I)
-            Out[I] = evalH(Func, S, In[I]);
-        } else if (P.Path == EvalPath::Batch) {
-          evalBatchH(P.ISA, Func, S, In.data(), Out, N);
-        } else {
-          C.Candidate(Func, S, In.data(), Out, N);
-        }
-        if (FeMode >= 0)
-          std::fesetround(Saved);
-      };
-      auto record = [&](size_t I, uint64_t Got, unsigned ModeIdx,
-                        const PathSpec &P, FeLane L) {
-        ++R.Mismatches;
-        if (R.Records.size() >= MaxRecords)
-          return;
-        Mismatch M;
-        M.XBits = XB[I];
-        M.GotEnc = Got;
-        M.WantEnc = Want[ModeIdx * N + I];
-        M.Func = static_cast<uint8_t>(Func);
-        M.Scheme = static_cast<uint8_t>(S);
-        M.FormatBits = static_cast<uint8_t>(Bits);
-        M.Mode = static_cast<uint8_t>(Modes[ModeIdx]);
-        M.Path = static_cast<uint8_t>(P.Path);
-        M.ISA = static_cast<uint8_t>(P.ISA);
-        M.Lane = static_cast<uint8_t>(L);
-        R.Records.push_back(M);
-      };
-
-      // 3. Base combination: full comparison per input, rounded
-      // mode-major like Want and compared in (input, mode) record order.
-      evalCombo(Paths[0], Lanes[0], BaseH.data());
-      for (unsigned M = 0; M < NumModes; ++M)
-        libm::roundBatch(BaseH.data(), BaseGot.data() + M * N, N, Cmp,
-                         Modes[M]);
-      for (size_t I = 0; I < N; ++I) {
-        for (unsigned M = 0; M < NumModes; ++M) {
-          uint64_t Got = BaseGot[M * N + I];
-          ++R.Comparisons;
-          if (Got != Want[M * N + I]) {
-            ++BaseBad[I];
-            record(I, Got, M, Paths[0], Lanes[0]);
-          }
+    // 2. H for every (scheme, path, lane), once per input: each scheme's
+    // base H, and where every other combination's H bits diverge from it.
+    auto evalCombo = [&](EvalScheme S, size_t Combo, double *Out) {
+      const PathSpec &P = Paths[Combo / Lanes.size()];
+      int FeMode = feLaneMode(Lanes[Combo % Lanes.size()]);
+      int Saved = 0;
+      if (FeMode >= 0) {
+        Saved = std::fegetround();
+        std::fesetround(FeMode);
+      }
+      if (P.Path == EvalPath::ScalarCore) {
+        for (size_t I = 0; I < N; ++I)
+          Out[I] = evalH(Func, S, In[I]);
+      } else if (P.Path == EvalPath::Batch) {
+        evalBatchH(P.ISA, Func, S, In.data(), Out, N);
+      } else {
+        C.Candidate(Func, S, In.data(), Out, N);
+      }
+      if (FeMode >= 0)
+        std::fesetround(Saved);
+    };
+    std::vector<double> BaseH(NumSchemes * N), H(N);
+    std::vector<std::vector<Divergence>> Div(NumSchemes * NumCombos);
+    for (size_t SI = 0; SI < NumSchemes; ++SI) {
+      double *Base = BaseH.data() + SI * N;
+      evalCombo(Schemes[SI], 0, Base);
+      for (size_t Co = 1; Co < NumCombos; ++Co) {
+        evalCombo(Schemes[SI], Co, H.data());
+        for (size_t I = 0; I < N; ++I) {
+          uint64_t HB, BB;
+          std::memcpy(&HB, &H[I], 8);
+          std::memcpy(&BB, &Base[I], 8);
+          if (HB != BB)
+            Div[SI * NumCombos + Co].push_back({I, H[I]});
         }
       }
-      // 4. Every other (path, lane): bit-compare against the base H.
-      for (size_t PI = 0; PI < Paths.size(); ++PI)
-        for (size_t LI = 0; LI < Lanes.size(); ++LI) {
-          if (PI == 0 && LI == 0)
-            continue;
-          evalCombo(Paths[PI], Lanes[LI], H.data());
-          for (size_t I = 0; I < N; ++I) {
-            uint64_t HB, BB;
-            std::memcpy(&HB, &H[I], 8);
-            std::memcpy(&BB, &BaseH[I], 8);
-            if (HB == BB) {
-              // Identical H inherits the base verdict for every mode.
-              R.Comparisons += NumModes;
-              R.Mismatches += BaseBad[I];
-              continue;
+    }
+
+    // 3. and 4. per format, on its inputs: every Step-th driving input
+    // from First on, the format's K-th input at First + K * Step.
+    std::vector<double> Sub(N);
+    std::vector<uint64_t> Want(N * 5), Got(N * 5);
+    std::vector<uint8_t> BaseBad(N);
+    std::vector<std::pair<uint64_t, Mismatch>> Keyed;
+    std::vector<size_t> PerCombo(NumCombos);
+    for (const GroupFormat &GF : Formats) {
+      const uint64_t Step = uint64_t{1} << GF.Shift;
+      const size_t First = static_cast<size_t>((Step - Begin % Step) % Step);
+      if (First >= N)
+        continue;
+      const size_t NK = (N - 1 - First) / Step + 1;
+      // FP(32, 8) inputs are exactly the float32 values, so one
+      // round-to-odd comparison at 34 bits proves every FP(k <= 32, 8)
+      // format in every standard mode (RLIBM-ALL); narrower formats
+      // compare each standard mode.
+      static constexpr RoundingMode RoundToOdd[] = {RoundingMode::ToOdd};
+      const bool RO34 = GF.Bits == 32;
+      const FPFormat Cmp = RO34 ? F34 : FPFormat::withBits(GF.Bits);
+      const RoundingMode *Modes = RO34 ? RoundToOdd : StandardRoundingModes;
+      const unsigned NumModes = RO34 ? 1 : 5;
+      // The format's values of a per-input array (the array itself when
+      // the format is the driving one).
+      auto gather = [&](const double *All) {
+        if (Step == 1)
+          return All;
+        for (size_t K = 0; K < NK; ++K)
+          Sub[K] = All[First + K * Step];
+        return static_cast<const double *>(Sub.data());
+      };
+
+      // 3. Wanted encodings per mode, mode-major: Want[M * NK + K].
+      uint64_t Fast = 0;
+      for (size_t K = 0; K < NK; ++K)
+        Fast += St[First + K * Step] ? 1 : 0;
+      const double *WantV = gather(V34.data());
+      for (unsigned M = 0; M < NumModes; ++M)
+        libm::roundBatch(WantV, Want.data() + M * NK, NK, Cmp, Modes[M]);
+
+      for (size_t UI = GF.UnitBegin; UI < GF.UnitEnd; ++UI) {
+        const size_t SI = UnitScheme[UI];
+        UnitResult &R = Rs[UI];
+        R.Inputs = NK;
+        R.OracleFast = Fast;
+        R.OracleExact = NK - Fast;
+        R.Comparisons = NK * NumModes * NumCombos;
+        Keyed.clear();
+        std::fill(PerCombo.begin(), PerCombo.end(), size_t{0});
+        // Records keyed by (input, path, lane, mode); each combination's
+        // first MaxRecords in that order are all a block can keep.
+        auto record = [&](size_t K, uint64_t GotEnc, unsigned ModeIdx,
+                          size_t Combo) {
+          if (PerCombo[Combo]++ >= MaxRecords)
+            return;
+          const PathSpec &P = Paths[Combo / Lanes.size()];
+          Mismatch M;
+          M.XBits = XB[First + K * Step];
+          M.GotEnc = GotEnc;
+          M.WantEnc = Want[ModeIdx * NK + K];
+          M.Func = static_cast<uint8_t>(Func);
+          M.Scheme = static_cast<uint8_t>(Schemes[SI]);
+          M.FormatBits = static_cast<uint8_t>(GF.Bits);
+          M.Mode = static_cast<uint8_t>(Modes[ModeIdx]);
+          M.Path = static_cast<uint8_t>(P.Path);
+          M.ISA = static_cast<uint8_t>(P.ISA);
+          M.Lane = static_cast<uint8_t>(Lanes[Combo % Lanes.size()]);
+          Keyed.emplace_back((K * NumCombos + Combo) * NumModes + ModeIdx, M);
+        };
+
+        // 4. The base combination: full comparison per input, rounded
+        // mode-major like Want.
+        const double *Hb = gather(BaseH.data() + SI * N);
+        for (unsigned M = 0; M < NumModes; ++M)
+          libm::roundBatch(Hb, Got.data() + M * NK, NK, Cmp, Modes[M]);
+        uint64_t BaseMismatches = 0;
+        for (size_t K = 0; K < NK; ++K) {
+          uint8_t Bad = 0;
+          for (unsigned M = 0; M < NumModes; ++M)
+            if (Got[M * NK + K] != Want[M * NK + K]) {
+              ++Bad;
+              record(K, Got[M * NK + K], M, 0);
             }
+          BaseBad[K] = Bad;
+          BaseMismatches += Bad;
+        }
+        // Every other combination inherits the base verdict, except at
+        // the inputs where its H diverged: those get the full comparison.
+        R.Mismatches = BaseMismatches * NumCombos;
+        for (size_t Co = 1; Co < NumCombos; ++Co)
+          for (const Divergence &D : Div[SI * NumCombos + Co]) {
+            if (D.I < First || (D.I - First) % Step != 0)
+              continue;
+            const size_t K = (D.I - First) / Step;
+            R.Mismatches -= BaseBad[K];
             for (unsigned M = 0; M < NumModes; ++M) {
-              uint64_t Got = Cmp.roundDouble(H[I], Modes[M]);
-              ++R.Comparisons;
-              if (Got != Want[M * N + I])
-                record(I, Got, M, Paths[PI], Lanes[LI]);
+              uint64_t GotEnc = Cmp.roundDouble(D.H, Modes[M]);
+              if (GotEnc != Want[M * NK + K]) {
+                ++R.Mismatches;
+                record(K, GotEnc, M, Co);
+              }
             }
           }
-        }
+        std::sort(Keyed.begin(), Keyed.end(), [](const auto &A, const auto &B) {
+          return A.first < B.first;
+        });
+        const size_t Keep = std::min<size_t>(Keyed.size(), MaxRecords);
+        R.Records.reserve(Keep);
+        for (size_t J = 0; J < Keep; ++J)
+          R.Records.push_back(Keyed[J].second);
+      }
     }
     return Rs;
   };
@@ -430,17 +522,23 @@ std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
 
   auto T0 = std::chrono::steady_clock::now();
   std::vector<UnitResult> Rs = parallelReduce<std::vector<UnitResult>>(
-      static_cast<size_t>(G[0].NumEncodings),
+      static_cast<size_t>(Drive.NumEncodings),
       std::vector<UnitResult>(NumUnits), Chunk, Merge, C.Threads,
       BlockElems);
-  const double Share = std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - T0)
-                           .count() /
-                       static_cast<double>(NumUnits);
+  const double Ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - T0)
+                        .count();
 
-  COracleQueries.add(Rs.front().Inputs);
+  // The driving format's units see every driving input: one oracle query
+  // each.
+  COracleQueries.add(Rs.back().Inputs);
+  uint64_t GroupInputs = 0;
+  for (const UnitResult &R : Rs)
+    GroupInputs += R.Inputs;
   for (UnitResult &R : Rs) {
-    R.Millis = Share;
+    R.Millis = GroupInputs ? Ms * static_cast<double>(R.Inputs) /
+                                 static_cast<double>(GroupInputs)
+                           : 0.0;
     CInputs.add(R.Inputs);
     CComparisons.add(R.Comparisons);
     CMismatches.add(R.Mismatches);

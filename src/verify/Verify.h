@@ -15,18 +15,21 @@
 ///
 /// The work decomposes into **units**: one (function, scheme, format)
 /// triple, the grain of results, records and shards. The engine runs
-/// **groups**: the units that share (function, format, stride), one per
-/// scheme. A group enumerates its format's encodings (exhaustively for
-/// narrow formats, strided for wide ones), decodes each to the float
+/// **groups**. A function's exhaustive (stride-1) units form one group
+/// across schemes and formats: every FP(k, 8) value is an FP(w, 8) value
+/// for w >= k (encoding e is encoding e << (w - k)), so the group
+/// enumerates the encodings of its widest format w and each format k
+/// takes every 2^(w-k)-th of them. Strided units group by (function,
+/// format, stride). A group decodes each enumerated encoding to the float
 /// input, obtains RO_34(f(x)) once per input from the certified fast-path
-/// oracle (exact-oracle fallback, both memoized) and rounds it to the
-/// wanted encodings once, and then checks, for every scheme and every
-/// (path, lane, mode) in the sweep matrix, that
+/// oracle (exact-oracle fallback, both memoized), evaluates H once per
+/// (scheme, path, lane) and input, and then checks, for every unit and
+/// every (path, lane, mode) in the sweep matrix, that
 ///
 ///     roundDouble(H(x), fmt, mode) == roundDouble(RO_34, fmt, mode)
 ///
-/// So the oracle answers each (function, format, input) once, whatever the
-/// number of schemes.
+/// So the oracle answers each (function, input) of an exhaustive sweep
+/// once, whatever the number of schemes and formats.
 ///
 /// FP(32, 8) units, whose inputs are exactly the float32 values, make one
 /// comparison per input instead: roundDouble(H(x), FP34, ToOdd) == RO_34.
@@ -48,19 +51,19 @@
 /// polygen's patch pass checks its freshly generated tables this way.
 ///
 /// Groups run blocks through ThreadPool::parallelReduce with a fixed
-/// partition, so counts, mismatch records and their order are bit-
-/// identical for every thread count. Sharded runs persist per-unit
-/// results as support/ShardFile.h shard sets (checksummed, atomically
-/// renamed, pinned to the sweep's canonical config line) so `verify
-/// --shard K/M --resume` skips shards that already completed -- a killed
-/// run loses at most its in-flight shard.
+/// partition, so counts and mismatch records are bit-identical for every
+/// thread count; a unit's records are its first mismatches in (input,
+/// path, lane, mode) order, whatever the block size. Sharded runs persist
+/// per-unit results as support/ShardFile.h shard sets (checksummed,
+/// atomically renamed, pinned to the sweep's canonical config line) so
+/// `verify --shard K/M --resume` skips shards that already completed -- a
+/// killed run loses at most its in-flight shard.
 ///
 /// Telemetry: verify.inputs, verify.comparisons, verify.mismatches,
 /// verify.units, verify.units_resumed, verify.oracle.fast,
 /// verify.oracle.exact (per unit, like UnitResult's fields),
-/// verify.oracle.queries (the (function, format, encoding) RO_34 results
-/// the process obtained, once per group input) counters and the
-/// verify.unit_ms histogram.
+/// verify.oracle.queries (the RO_34 results the process obtained, one per
+/// input a group enumerates) counters and the verify.unit_ms histogram.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -141,7 +144,8 @@ struct SweepConfig {
   bool FeLanes = false;
   /// Worker threads (ThreadPool::resolveThreads semantics; 0 = default).
   unsigned Threads = 0;
-  /// Inputs per work block (also the deterministic chunk size).
+  /// Inputs per work block (also the deterministic chunk size). Results,
+  /// records included, do not depend on it.
   size_t BlockElems = 4096;
   /// Cap on mismatch records kept per unit (counts are always exact).
   unsigned MaxRecordsPerUnit = 64;
@@ -156,8 +160,10 @@ struct SweepConfig {
 };
 
 /// One (function, scheme, format) unit of the sweep: the grain of results,
-/// records and shards. The units that share (function, format, stride)
-/// run together as a group, on one oracle result per input.
+/// records and shards. A function's stride-1 units run together as one
+/// group, and so do the units that share a strided (function, format,
+/// stride), on one oracle result and one H per (scheme, path, lane) per
+/// input.
 struct Unit {
   ElemFunc Func = ElemFunc::Exp;
   EvalScheme Scheme = EvalScheme::EstrinFMA;
@@ -169,7 +175,8 @@ struct Unit {
 };
 
 /// The deterministic unit list for a configuration, in (func, bits,
-/// scheme) order, so each group's units are contiguous. A function or
+/// scheme) order, so each group's units are contiguous and its widest
+/// format comes last. A function or
 /// scheme listed more than once counts once, at its first position.
 /// Without a Candidate, unavailable variants are omitted.
 std::vector<Unit> planUnits(const SweepConfig &C);
@@ -219,10 +226,14 @@ struct UnitResult {
   uint64_t Mismatches = 0;  ///< total wrong results (exact, never capped)
   uint64_t OracleFast = 0;  ///< of Inputs, decided by the certified fast path
   uint64_t OracleExact = 0; ///< of Inputs, decided by the exact oracle
-  /// The unit's equal share of its group's wall-clock, so the units'
-  /// Millis add up to the sweep's time.
+  /// The unit's share of its group's wall-clock, in proportion to its
+  /// Inputs, so the units' Millis add up to the sweep's time.
   double Millis = 0.0;
-  std::vector<Mismatch> Records; ///< first MaxRecordsPerUnit mismatches
+  /// The first MaxRecordsPerUnit mismatches in (input, path, lane, mode)
+  /// order: inputs in encoding order, paths and lanes in planPaths /
+  /// planLanes order, modes in StandardRoundingModes order. The list does
+  /// not depend on BlockElems, the thread count, or the group.
+  std::vector<Mismatch> Records;
 };
 
 struct UnitOutcome {

@@ -51,6 +51,43 @@ TEST(FPFormatTest, DecodeSpecials) {
   EXPECT_TRUE(std::signbit(F.decode(1ull << 15)));
 }
 
+TEST(FPFormatTest, NarrowFormatsNestInWiderOnes) {
+  // FP(k, 8) encoding j and FP(w, 8) encoding j << (w - k) are the same
+  // value, bit for bit, NaNs included (both decode to the canonical NaN):
+  // the nesting that lets the verification engine sweep every exhaustive
+  // format of a function on its widest format's inputs.
+  unsigned Failures = 0;
+  auto ExpectNested = [&](unsigned K, unsigned W, uint64_t J) {
+    const double Narrow = FPFormat::withBits(K).decode(J);
+    const double Wide = FPFormat::withBits(W).decode(J << (W - K));
+    uint64_t NB, WB;
+    std::memcpy(&NB, &Narrow, sizeof(NB));
+    std::memcpy(&WB, &Wide, sizeof(WB));
+    if (NB != WB && Failures++ < 8)
+      ADD_FAILURE() << "FP(" << K << ") encoding 0x" << std::hex << J
+                    << " is not FP(" << std::dec << W << ") encoding 0x"
+                    << std::hex << (J << (W - K));
+  };
+  for (unsigned K = 10; K <= 15; ++K)
+    for (uint64_t J = 0; J < (1ull << K); ++J)
+      ExpectNested(K, 16, J);
+  for (unsigned K = 10; K <= 16; ++K)
+    for (uint64_t J = 0; J < (1ull << K); ++J)
+      ExpectNested(K, 32, J);
+  std::mt19937_64 Rng(19);
+  for (unsigned K = 17; K <= 31; ++K) {
+    const FPFormat F = FPFormat::withBits(K);
+    for (uint64_t J : {F.quietNaN(), F.plusInf(), F.minusInf(),
+                       uint64_t{(1ull << K) - 1}})
+      ExpectNested(K, 32, J);
+    for (int T = 0; T < 20000; ++T)
+      ExpectNested(K, 32, Rng() & ((1ull << K) - 1));
+  }
+  EXPECT_EQ(Failures, 0u);
+  EXPECT_TRUE(std::isnan(FPFormat::withBits(12).decode(
+      FPFormat::withBits(12).quietNaN())));
+}
+
 TEST(FPFormatTest, Float32MatchesHardwareEncoding) {
   // Every decoded FP(32,8) encoding equals the float with the same bits.
   FPFormat F = FPFormat::float32();

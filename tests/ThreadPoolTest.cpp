@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -107,6 +109,67 @@ TEST(ThreadPoolTest, ReduceSumMatchesSerial) {
   long Expected = 100000L * 99999L / 2;
   EXPECT_EQ(Sum(1), Expected);
   EXPECT_EQ(Sum(4), Expected);
+}
+
+TEST(ThreadPoolTest, ReduceOverManyWavesMatchesSerialFold) {
+  // 1001 chunks run in four waves of at most MaxFanOut. The fold
+  // Acc * 31 + Partial is neither associative nor commutative, so only
+  // the serial chunk order reproduces the serial result.
+  const size_t N = 3001, ChunkSize = 3;
+  auto Chunk = [](size_t Begin, size_t End) {
+    uint64_t S = 0;
+    for (size_t I = Begin; I < End; ++I)
+      S = S * 7 + I;
+    return S;
+  };
+  auto Merge = [](uint64_t A, uint64_t B) { return A * 31 + B; };
+  ASSERT_GT(numChunksFor(N, ChunkSize), 3 * MaxFanOut);
+  uint64_t Serial = 1;
+  for (size_t B = 0; B < N; B += ChunkSize)
+    Serial = Merge(Serial, Chunk(B, std::min(N, B + ChunkSize)));
+  for (unsigned Threads : {1u, 2u, 4u})
+    EXPECT_EQ(parallelReduce<uint64_t>(N, 1, Chunk, Merge, Threads,
+                                       ChunkSize),
+              Serial)
+        << Threads << " threads";
+}
+
+/// A partial that counts how many of its kind are alive at once.
+struct Tracked {
+  static std::atomic<int> Live, Peak;
+  uint64_t V = 0;
+
+  Tracked() { born(); }
+  Tracked(const Tracked &O) : V(O.V) { born(); }
+  Tracked &operator=(const Tracked &) = default;
+  ~Tracked() { --Live; }
+
+  static void born() {
+    int L = ++Live, P = Peak.load();
+    while (L > P && !Peak.compare_exchange_weak(P, L)) {
+    }
+  }
+};
+std::atomic<int> Tracked::Live{0}, Tracked::Peak{0};
+
+TEST(ThreadPoolTest, ReduceKeepsAtMostOneWaveOfPartials) {
+  // 10,000 one-element chunks: the partials alive at once are one wave's
+  // plus the accumulator and a few in flight, not one per chunk.
+  Tracked::Peak = Tracked::Live.load();
+  Tracked Sum = parallelReduce<Tracked>(
+      10000, Tracked(),
+      [](size_t Begin, size_t) {
+        Tracked T;
+        T.V = Begin;
+        return T;
+      },
+      [](Tracked A, const Tracked &B) {
+        A.V += B.V;
+        return A;
+      },
+      4, /*ChunkSize=*/1);
+  EXPECT_EQ(Sum.V, 10000u * 9999u / 2);
+  EXPECT_LE(Tracked::Peak.load(), static_cast<int>(MaxFanOut) + 16);
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesToSubmitter) {

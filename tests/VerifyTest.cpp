@@ -10,11 +10,12 @@
 // faithful records (the engine can't be blind), float32 units must make
 // one RO_34 comparison per input that catches every per-format misround,
 // a candidate H source must be swept whatever the shipped tables offer,
-// results must be bit-identical across thread counts, the schemes of a
-// group must share one oracle query per input without changing any
-// unit's counts or records, and the sharded store must round-trip,
-// reject corruption, and resume without changing a single count or
-// record, also where a shard boundary cuts a group.
+// results must be bit-identical across thread counts and block sizes, a
+// group -- every scheme and exhaustive format of a function -- must share
+// one oracle query per input without changing any unit's counts or
+// records, and the sharded store must round-trip, reject corruption, and
+// resume without changing a single count or record, also where a shard
+// boundary cuts a group.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,12 +28,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfenv>
 #include <climits>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <set>
 #include <tuple>
 
@@ -133,19 +136,41 @@ void expectGroupsMatchPerSchemeSweeps(const SweepConfig &C) {
 }
 
 /// A candidate that nudges the shipped batch H by a relative 2^-12 ..
-/// 2^-40 at inputs chosen per scheme, so the schemes of one function
-/// misround on different inputs.
+/// 2^-40 at inputs chosen per scheme and per FE lane, so the schemes of
+/// one function misround on different inputs, and so does every lane: its
+/// H diverges from the base H and gets records of its own.
 decltype(SweepConfig::Candidate) nudgedPerScheme() {
   return [](ElemFunc F, EvalScheme S, const float *In, double *H, size_t N) {
     evalBatchH(F, S, In, H, N);
+    const int Fe = std::fegetround();
+    const uint32_t Lane = Fe == FE_TONEAREST ? 0
+                          : Fe == FE_UPWARD  ? 1
+                          : Fe == FE_DOWNWARD ? 2
+                                              : 3;
     for (size_t I = 0; I < N; ++I) {
-      const uint32_t XBits = bitsOf(In[I]) + static_cast<uint32_t>(S);
+      const uint32_t XBits =
+          bitsOf(In[I]) + static_cast<uint32_t>(S) + 2 * Lane;
       if (XBits % 5 != 2)
         continue;
       int E = 12 + static_cast<int>((XBits >> 3) % 29);
       H[I] *= 1.0 + ((XBits >> 9) & 1 ? -1.0 : 1.0) * std::ldexp(1.0, -E);
     }
   };
+}
+
+/// The nudged candidate over FP(10..13), every scheme and FE lane, with
+/// three records per unit: the record lists mix (path, lane) combinations
+/// and the cap cuts them.
+SweepConfig nudgedCrossFormat() {
+  SweepConfig C;
+  C.Funcs = {ElemFunc::Exp2, ElemFunc::Log};
+  C.Schemes.assign(std::begin(AllEvalSchemes), std::end(AllEvalSchemes));
+  C.MinBits = 10;
+  C.MaxBits = 13;
+  C.FeLanes = true;
+  C.MaxRecordsPerUnit = 3;
+  C.Candidate = nudgedPerScheme();
+  return C;
 }
 
 TEST(VerifyPlanTest, UnitsCoverTheRequestedMatrix) {
@@ -478,7 +503,72 @@ TEST(VerifyTest, SharedOracleMatchesPerSchemeSweeps) {
   expectGroupsMatchPerSchemeSweeps(N);
 }
 
-TEST(VerifyTest, OracleQueriedOncePerFunctionFormatInput) {
+TEST(VerifyTest, CrossFormatGroupMatchesPerFormatSweeps) {
+  // One group per function enumerates FP(13) and hands each narrower
+  // format its nested inputs. Every unit, records included, must equal
+  // the same unit swept in a single-format sweep.
+  const SweepConfig C = nudgedCrossFormat();
+  SweepReport All = runSweep(C);
+  ASSERT_EQ(All.Units.size(), 2u * 4 * 4);
+  // Every format misrounds, and the capped lists mix the base
+  // combination's records with the other lanes'.
+  std::set<unsigned> Misrounding;
+  unsigned BaseRecords = 0, LaneRecords = 0;
+  for (const UnitOutcome &U : All.Units) {
+    if (U.R.Mismatches > 0)
+      Misrounding.insert(U.U.FormatBits);
+    for (const Mismatch &M : U.R.Records)
+      ++(M.Lane == static_cast<uint8_t>(FeLane::Default) ? BaseRecords
+                                                         : LaneRecords);
+  }
+  EXPECT_EQ(Misrounding.size(), 4u);
+  EXPECT_GT(BaseRecords, 0u);
+  EXPECT_GT(LaneRecords, 0u);
+  // A unit's Millis is its group's wall-clock in proportion to its
+  // inputs: the same per input across a function's units.
+  std::map<ElemFunc, double> MsPerInput;
+  for (const UnitOutcome &U : All.Units) {
+    const double PerInput = U.R.Millis / static_cast<double>(U.R.Inputs);
+    const double First = MsPerInput.emplace(U.U.Func, PerInput).first->second;
+    EXPECT_NEAR(PerInput, First, 1e-9 * First);
+  }
+
+  size_t Matched = 0;
+  for (unsigned K = C.MinBits; K <= C.MaxBits; ++K) {
+    SweepConfig One = C;
+    One.MinBits = One.MaxBits = K;
+    SweepReport R = runSweep(One);
+    size_t J = 0;
+    for (size_t I = 0; I < All.Units.size(); ++I) {
+      if (All.Units[I].U.FormatBits != K)
+        continue;
+      ASSERT_LT(J, R.Units.size());
+      expectSameUnit(All.Units[I], R.Units[J++], I);
+    }
+    EXPECT_EQ(J, R.Units.size()) << "fp" << K;
+    Matched += J;
+  }
+  EXPECT_EQ(Matched, All.Units.size());
+}
+
+TEST(VerifyTest, RecordsDoNotDependOnBlockElems) {
+  // Records are the first MaxRecordsPerUnit in (input, path, lane, mode)
+  // order, whatever the blocks: 64-element blocks give FP(10) eight inputs
+  // per block of its FP(13) group, 4096-element ones 512, 100-element
+  // ones start FP(10)'s inputs at varying offsets into a block, and
+  // 5-element ones leave some blocks without an FP(10) input (and make
+  // more chunks than one parallelReduce wave).
+  SweepConfig C = nudgedCrossFormat();
+  C.BlockElems = 4096;
+  SweepReport Large = runSweep(C);
+  EXPECT_GT(Large.Mismatches, 0u);
+  for (size_t Elems : {5u, 64u, 100u}) {
+    C.BlockElems = Elems;
+    expectSameOutcomes(runSweep(C), Large);
+  }
+}
+
+TEST(VerifyTest, OracleQueriedOncePerFunctionInput) {
   SweepConfig C = smallConfig();
   C.Schemes.assign(std::begin(AllEvalSchemes), std::end(AllEvalSchemes));
   C.AllISAs = true;
@@ -492,10 +582,11 @@ TEST(VerifyTest, OracleQueriedOncePerFunctionFormatInput) {
                           Count("oracle.cache.misses");
   SweepReport R = runSweep(C);
 
-  // Two functions x (1024 + 2048) encodings, whatever the four schemes.
-  const uint64_t Distinct = 2 * (1024 + 2048);
+  // Two functions x 2048 FP(11) encodings, whatever the four schemes:
+  // FP(10)'s inputs are every other FP(11) input.
+  const uint64_t Distinct = 2 * 2048;
   ASSERT_EQ(R.Units.size(), 2u * 2 * 4);
-  EXPECT_EQ(R.Inputs, 4 * Distinct);
+  EXPECT_EQ(R.Inputs, 4 * 2 * (1024 + 2048));
   EXPECT_EQ(Count("verify.oracle.queries") - Queries0, Distinct);
   // The fast batch sees each query once; the exact oracle only those it
   // declines, once each.
@@ -507,10 +598,15 @@ TEST(VerifyTest, OracleQueriedOncePerFunctionFormatInput) {
   EXPECT_EQ(Count("oracle.cache.hits") + Count("oracle.cache.misses") -
                 Exact0,
             Distinct - Accepted);
-  // Each unit's split still covers its own inputs.
-  for (const UnitOutcome &U : R.Units)
+  // Each unit's split still covers its own inputs, and one scheme's FP(11)
+  // units, which see every query, split them as the fast oracle did.
+  uint64_t DrivingFast = 0;
+  for (const UnitOutcome &U : R.Units) {
     EXPECT_EQ(U.R.OracleFast + U.R.OracleExact, U.R.Inputs);
-  EXPECT_EQ(R.OracleFast, 4 * Accepted);
+    if (U.U.FormatBits == 11 && U.U.Scheme == C.Schemes[0])
+      DrivingFast += U.R.OracleFast;
+  }
+  EXPECT_EQ(DrivingFast, Accepted);
 }
 
 TEST(VerifyTest, CandidateSweepsAVariantTheShippedTablesLack) {
@@ -685,8 +781,10 @@ TEST(VerifyStoreTest, ShardedSweepMatchesInProcessSweep) {
 }
 
 TEST(VerifyStoreTest, ShardBoundaryInsideAGroupMatchesInProcessSweep) {
-  // One function's four schemes per format: 8 units in 2 groups of 4.
-  // Three shards split them 3/3/2, so both groups straddle a boundary.
+  // One function's four schemes at FP(10) and FP(11): 8 units in one
+  // group. Three shards split them 3/3/2, so both boundaries cut it, and
+  // the middle shard's part holds FP(10)'s last scheme and FP(11)'s first
+  // two.
   SweepConfig C = smallConfig();
   C.Funcs = {ElemFunc::Exp2};
   C.Schemes.assign(std::begin(AllEvalSchemes), std::end(AllEvalSchemes));
@@ -704,9 +802,12 @@ TEST(VerifyStoreTest, ShardBoundaryInsideAGroupMatchesInProcessSweep) {
   unsigned Splits = 0;
   for (unsigned K = 1; K < Opts.NumShards; ++K) {
     const uint64_t B = Set.range(K).first;
-    Splits += Units[B - 1].FormatBits == Units[B].FormatBits ? 1 : 0;
+    Splits += Units[B - 1].Func == Units[B].Func ? 1 : 0;
   }
   EXPECT_EQ(Splits, 2u);
+  const auto [MidBegin, MidEnd] = Set.range(1);
+  EXPECT_EQ(Units[MidBegin].FormatBits, 10u);
+  EXPECT_EQ(Units[MidEnd - 1].FormatBits, 11u);
 
   SweepReport R;
   std::string Err;

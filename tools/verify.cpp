@@ -25,10 +25,11 @@
 // report through the shared bench envelope; CI validates it with
 // python3 -m json.tool and gates on totals.mismatches == 0. The summary
 // line and the report's totals also count the oracle queries -- one RO_34
-// result per (function, format, encoding), shared by that function's
-// schemes -- and split the certified fast oracle's verdicts on them
-// (accepted / boundary / domain), so a run answers why inputs left the
-// fast path for the exact oracle.
+// result per (function, input), shared by that function's schemes and,
+// for the exhaustive formats, by every format: FP(k, 8)'s inputs are
+// among its widest exhaustive format's -- and split the certified fast
+// oracle's verdicts on them (accepted / boundary / domain), so a run
+// answers why inputs left the fast path for the exact oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -74,11 +75,13 @@ int usage(const char *Prog) {
       "  --shard-dir <dir>      shard directory (required with shards)\n"
       "  --resume               reuse shards already valid on disk\n"
       "  --quiet                no per-unit progress lines\n"
-      "The summary counts the oracle queries (one per function, format\n"
-      "and encoding, shared by the schemes) and splits the certified fast\n"
-      "oracle's verdicts on them into accepted / boundary / domain (the\n"
-      "latter two go to the exact oracle); both cover only units computed\n"
-      "in this process, not resumed shards.\n",
+      "The summary counts the oracle queries (one per function and input,\n"
+      "shared by the schemes and by the exhaustive formats, whose inputs\n"
+      "nest in the widest one's; one per function, format and encoding for\n"
+      "strided formats) and splits the certified fast oracle's verdicts on\n"
+      "them into accepted / boundary / domain (the latter two go to the\n"
+      "exact oracle); both cover only units computed in this process, not\n"
+      "resumed shards.\n",
       Prog, bench::ReportOptions::usage());
   return 2;
 }
@@ -129,8 +132,9 @@ bool parseList(const char *Arg, std::vector<EvalScheme> &Out) {
 
 /// The oracle's work in this process, from the telemetry counters (the
 /// sweep is the tool's only oracle user): the RO_34 results the sweep
-/// obtained, one per (function, format, encoding) whatever the number of
-/// schemes, and the certified fast oracle's verdicts on them.
+/// obtained, one per input its groups enumerate whatever the number of
+/// schemes and nested formats, and the certified fast oracle's verdicts
+/// on them.
 struct OracleWork {
   uint64_t Queries, Accepted, Boundary, Domain;
 
