@@ -7,8 +7,8 @@
 #include "oracle/OracleFast.h"
 
 #include "fp/FPFormat.h"
-#include "mp/MPTranscendental.h"
 #include "oracle/Oracle.h"
+#include "oracle/OracleFastTables.h"
 #include "support/Telemetry.h"
 
 #include <atomic>
@@ -20,8 +20,6 @@
 using namespace rfp;
 
 namespace {
-
-constexpr RoundingMode RN = RoundingMode::NearestEven;
 
 //===----------------------------------------------------------------------===//
 // Double-double primitives (two-sum / two-prod building blocks)
@@ -35,10 +33,9 @@ constexpr RoundingMode RN = RoundingMode::NearestEven;
 // acceptance bounds asserted further down leave >= 2^11 of slack over the
 // summed per-op budget, so they are conservative, not tight.
 
-struct DD {
-  double Hi;
-  double Lo;
-};
+using oracle_fast::DD;
+using oracle_fast::ExpConsts;
+using oracle_fast::LogConsts;
 
 /// Exact: requires |A| >= |B| (or A == 0).
 inline DD quickTwoSum(double A, double B) {
@@ -96,90 +93,10 @@ inline DD ddDivDD(double A, double B) {
 }
 
 //===----------------------------------------------------------------------===//
-// Certified constants and tables (seeded from the MP layer at first use)
+// Certified constants and tables (generated from the MP layer)
 //===----------------------------------------------------------------------===//
-//
-// Every constant is computed once from the exact MPFloat machinery at 160
-// working bits (approx-layer relative error < 2^-148) and split hi/lo, so
-// the DD representation error is <= ~2^-106 relative with no hand-
-// maintained literals to drift. One-time cost is a few milliseconds.
 
-DD ddFromMP(const MPFloat &V) {
-  double Hi = V.toDouble();
-  MPFloat Rem = MPFloat::sub(V, MPFloat::fromDouble(Hi), 64, RN);
-  return {Hi, Rem.toDouble()};
-}
-
-constexpr unsigned ConstPrec = 160;
-
-struct ExpConsts {
-  DD Log2E;       ///< log2(e) = 1/ln2
-  DD Log2_10;     ///< log2(10)
-  DD Ln2;         ///< ln 2
-  DD Pow2[128];   ///< 2^(j/128), j = 0..127
-  DD InvFact[12]; ///< 1/i!, i = 0..11
-};
-
-const ExpConsts &expConsts() {
-  static const ExpConsts C = [] {
-    ExpConsts X;
-    MPFloat L2 = mpt::ln2(ConstPrec + 16);
-    X.Ln2 = ddFromMP(L2);
-    X.Log2E =
-        ddFromMP(MPFloat::div(MPFloat::fromInt(1), L2, ConstPrec, RN));
-    X.Log2_10 = ddFromMP(MPFloat::div(mpt::ln10(ConstPrec + 16), L2,
-                                      ConstPrec, RN));
-    for (int J = 0; J < 128; ++J)
-      X.Pow2[J] = ddFromMP(
-          mpt::exp2Approx(MPFloat::fromDouble(J * 0x1p-7), ConstPrec));
-    int64_t Fact = 1;
-    for (int I = 0; I < 12; ++I) {
-      if (I > 1)
-        Fact *= I;
-      X.InvFact[I] = ddFromMP(MPFloat::div(
-          MPFloat::fromInt(1), MPFloat::fromInt(Fact), ConstPrec, RN));
-    }
-    return X;
-  }();
-  return C;
-}
-
-struct LogConsts {
-  DD Ln2;         ///< ln 2
-  DD Log10_2;     ///< log10(2)
-  DD InvLn2;      ///< 1/ln2 = log2(e)
-  DD InvLn10;     ///< 1/ln10 = log10(e)
-  DD SeriesC[13]; ///< (-1)^k / (k+1), k = 0..12 (the log1p series).
-  DD LnF[256];    ///< ln(1 + j/256)
-  DD Log2F[256];  ///< log2(1 + j/256)
-  DD Log10F[256]; ///< log10(1 + j/256)
-};
-
-const LogConsts &logConsts() {
-  static const LogConsts C = [] {
-    LogConsts X;
-    MPFloat L2 = mpt::ln2(ConstPrec + 16);
-    MPFloat L10 = mpt::ln10(ConstPrec + 16);
-    MPFloat One = MPFloat::fromInt(1);
-    X.Ln2 = ddFromMP(L2);
-    X.Log10_2 = ddFromMP(MPFloat::div(L2, L10, ConstPrec, RN));
-    X.InvLn2 = ddFromMP(MPFloat::div(One, L2, ConstPrec, RN));
-    X.InvLn10 = ddFromMP(MPFloat::div(One, L10, ConstPrec, RN));
-    for (int K = 0; K < 13; ++K) {
-      MPFloat T = MPFloat::div(One, MPFloat::fromInt(K + 1), ConstPrec, RN);
-      X.SeriesC[K] = ddFromMP((K & 1) ? T.negate() : T);
-    }
-    X.LnF[0] = X.Log2F[0] = X.Log10F[0] = DD{0.0, 0.0};
-    for (int J = 1; J < 256; ++J) {
-      MPFloat F = MPFloat::fromDouble(1.0 + J * 0x1p-8); // Exact.
-      X.LnF[J] = ddFromMP(mpt::lnApprox(F, ConstPrec));
-      X.Log2F[J] = ddFromMP(mpt::log2Approx(F, ConstPrec));
-      X.Log10F[J] = ddFromMP(mpt::log10Approx(F, ConstPrec));
-    }
-    return X;
-  }();
-  return C;
-}
+#include "oracle/OracleFastTables.inc"
 
 //===----------------------------------------------------------------------===//
 // Certified evaluation kernels
@@ -311,7 +228,7 @@ inline Verdict fastExpKind(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
   std::memcpy(&Xf, &XBits, sizeof(Xf));
   double X = Xf;
 
-  const ExpConsts &C = expConsts();
+  const ExpConsts &C = CommittedTables.Exp;
   DD Y; // Base-2 exponent of the result.
   switch (Fn) {
   case ElemFunc::Exp2:
@@ -379,7 +296,7 @@ inline Verdict fastLogKind(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
   double F = 1.0 + J * 0x1p-8;
   double Fr = (M23 & 0x7fffu) * 0x1p-23; // m - F, exact.
 
-  const LogConsts &C = logConsts();
+  const LogConsts &C = CommittedTables.Log;
   DD U = ddDivDD(Fr, F);
   DD L = log1pSeries(U, C); // ln(1 + u)
   DD T1, T2, T3;
@@ -428,6 +345,10 @@ const FastCounters &fastCounters() {
 std::atomic<int> EnabledFlag{-1};
 
 } // namespace
+
+const oracle_fast::Tables &rfp::oracle_fast::tables() {
+  return CommittedTables;
+}
 
 bool rfp::oracle_fast::enabled() {
   int V = EnabledFlag.load(std::memory_order_relaxed);

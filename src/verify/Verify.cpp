@@ -27,15 +27,24 @@
 //      (the first path, default FE lane) keeps its H; every other
 //      combination bit-compares its H against it and keeps only the
 //      inputs where the bits diverge.
-//   3. Per format, precompute the wanted encodings of its inputs from
-//      RO_34, one libm::roundBatch per mode: the five standard modes, or,
-//      for FP(32, 8), the single FP34 round-to-odd "mode" (RO_34 itself).
-//   4. Per unit of the format, round the base H with one more roundBatch
-//      per mode and run the full comparison per input, remembering how
-//      many modes misround per input (BaseBad). Every other combination
-//      inherits the base verdict where its H bits matched -- the
-//      comparisons and BaseBad mismatches are counted without
-//      re-rounding -- and gets the full comparison and its own records
+//   3. Per format FP(k, 8), round its inputs' RO_34 values to the screen
+//      format FP(k + 2, 8) under round-to-odd, one libm::roundBatch.
+//   4. Per unit of the format, round the base H the same way and compare
+//      one encoding per input. Equal encodings prove all five standard
+//      modes at FP(k, 8): by RLIBM-ALL, rounding a value to odd with two
+//      extra bits and then to FP(k, 8) in any standard mode equals
+//      rounding it directly, so H and RO_34 round alike in every mode. The
+//      unit is still charged its five comparisons. Only an input that
+//      misses the screen gets the five-mode comparison, scalar
+//      FPFormat::roundDouble of H and of RO_34 at FP(k, 8), which counts
+//      and records what misrounds (a miss can still round correctly in
+//      all five modes). At FP(32, 8) the screen format is FP34 and the
+//      screen is the RO_34 comparison itself, one "mode" whose miss is a
+//      mismatch. The base combination remembers how many modes misround
+//      per input (BaseBad). Every other combination inherits the base
+//      verdict where its H bits matched -- the comparisons and BaseBad
+//      mismatches are counted without re-rounding -- and gets its own
+//      screen, and where that misses its own comparison and records,
 //      where they diverged.
 //
 // Each unit keeps its own counts and records, so a unit's result is the
@@ -285,6 +294,8 @@ std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
       telemetry::counter("verify.comparisons");
   static const telemetry::Counter CMismatches =
       telemetry::counter("verify.mismatches");
+  static const telemetry::Counter CScreenMisses =
+      telemetry::counter("verify.screen_misses");
   static const telemetry::Counter COracleQueries =
       telemetry::counter("verify.oracle.queries");
   static const telemetry::Counter COracleFast =
@@ -389,23 +400,23 @@ std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
     // 3. and 4. per format, on its inputs: every Step-th driving input
     // from First on, the format's K-th input at First + K * Step.
     std::vector<double> Sub(N);
-    std::vector<uint64_t> Want(N * 5), Got(N * 5);
+    std::vector<uint64_t> Want(N), Got(N);
     std::vector<uint8_t> BaseBad(N);
     std::vector<std::pair<uint64_t, Mismatch>> Keyed;
     std::vector<size_t> PerCombo(NumCombos);
+    uint64_t ScreenMisses = 0;
     for (const GroupFormat &GF : Formats) {
       const uint64_t Step = uint64_t{1} << GF.Shift;
       const size_t First = static_cast<size_t>((Step - Begin % Step) % Step);
       if (First >= N)
         continue;
       const size_t NK = (N - 1 - First) / Step + 1;
-      // FP(32, 8) inputs are exactly the float32 values, so one
-      // round-to-odd comparison at 34 bits proves every FP(k <= 32, 8)
-      // format in every standard mode (RLIBM-ALL); narrower formats
-      // compare each standard mode.
+      // The screen format FP(k + 2, 8): FP34 at FP(32, 8), where the
+      // screen is the RO_34 comparison itself, the unit's one "mode".
       static constexpr RoundingMode RoundToOdd[] = {RoundingMode::ToOdd};
       const bool RO34 = GF.Bits == 32;
-      const FPFormat Cmp = RO34 ? F34 : FPFormat::withBits(GF.Bits);
+      const FPFormat Screen = FPFormat::withBits(GF.Bits + 2);
+      const FPFormat Cmp = RO34 ? Screen : FPFormat::withBits(GF.Bits);
       const RoundingMode *Modes = RO34 ? RoundToOdd : StandardRoundingModes;
       const unsigned NumModes = RO34 ? 1 : 5;
       // The format's values of a per-input array (the array itself when
@@ -418,13 +429,12 @@ std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
         return static_cast<const double *>(Sub.data());
       };
 
-      // 3. Wanted encodings per mode, mode-major: Want[M * NK + K].
+      // 3. RO_34's screen encodings.
       uint64_t Fast = 0;
       for (size_t K = 0; K < NK; ++K)
         Fast += St[First + K * Step] ? 1 : 0;
-      const double *WantV = gather(V34.data());
-      for (unsigned M = 0; M < NumModes; ++M)
-        libm::roundBatch(WantV, Want.data() + M * NK, NK, Cmp, Modes[M]);
+      libm::roundBatch(gather(V34.data()), Want.data(), NK, Screen,
+                       RoundingMode::ToOdd);
 
       for (size_t UI = GF.UnitBegin; UI < GF.UnitEnd; ++UI) {
         const size_t SI = UnitScheme[UI];
@@ -437,15 +447,15 @@ std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
         std::fill(PerCombo.begin(), PerCombo.end(), size_t{0});
         // Records keyed by (input, path, lane, mode); each combination's
         // first MaxRecords in that order are all a block can keep.
-        auto record = [&](size_t K, uint64_t GotEnc, unsigned ModeIdx,
-                          size_t Combo) {
+        auto record = [&](size_t K, uint64_t GotEnc, uint64_t WantEnc,
+                          unsigned ModeIdx, size_t Combo) {
           if (PerCombo[Combo]++ >= MaxRecords)
             return;
           const PathSpec &P = Paths[Combo / Lanes.size()];
           Mismatch M;
           M.XBits = XB[First + K * Step];
           M.GotEnc = GotEnc;
-          M.WantEnc = Want[ModeIdx * NK + K];
+          M.WantEnc = WantEnc;
           M.Func = static_cast<uint8_t>(Func);
           M.Scheme = static_cast<uint8_t>(Schemes[SI]);
           M.FormatBits = static_cast<uint8_t>(GF.Bits);
@@ -455,25 +465,39 @@ std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
           M.Lane = static_cast<uint8_t>(Lanes[Combo % Lanes.size()]);
           Keyed.emplace_back((K * NumCombos + Combo) * NumModes + ModeIdx, M);
         };
+        // Input K's H missed the screen: compare it mode by mode (at
+        // FP(32, 8), the RO_34 "mode" misses again) and record what
+        // misrounds for combination Combo.
+        auto missed = [&](size_t K, double H, size_t Combo) {
+          const double V = V34[First + K * Step];
+          unsigned Bad = 0;
+          for (unsigned M = 0; M < NumModes; ++M) {
+            const uint64_t G = Cmp.roundDouble(H, Modes[M]);
+            const uint64_t W = Cmp.roundDouble(V, Modes[M]);
+            if (G != W) {
+              ++Bad;
+              record(K, G, W, M, Combo);
+            }
+          }
+          return Bad;
+        };
 
-        // 4. The base combination: full comparison per input, rounded
-        // mode-major like Want.
-        const double *Hb = gather(BaseH.data() + SI * N);
-        for (unsigned M = 0; M < NumModes; ++M)
-          libm::roundBatch(Hb, Got.data() + M * NK, NK, Cmp, Modes[M]);
+        // 4. The base combination: one screen comparison per input.
+        const double *Hb = BaseH.data() + SI * N;
+        libm::roundBatch(gather(Hb), Got.data(), NK, Screen,
+                         RoundingMode::ToOdd);
         uint64_t BaseMismatches = 0;
         for (size_t K = 0; K < NK; ++K) {
           uint8_t Bad = 0;
-          for (unsigned M = 0; M < NumModes; ++M)
-            if (Got[M * NK + K] != Want[M * NK + K]) {
-              ++Bad;
-              record(K, Got[M * NK + K], M, 0);
-            }
+          if (Got[K] != Want[K]) {
+            ++ScreenMisses;
+            Bad = static_cast<uint8_t>(missed(K, Hb[First + K * Step], 0));
+          }
           BaseBad[K] = Bad;
           BaseMismatches += Bad;
         }
         // Every other combination inherits the base verdict, except at
-        // the inputs where its H diverged: those get the full comparison.
+        // the inputs where its H diverged: those get their own screen.
         R.Mismatches = BaseMismatches * NumCombos;
         for (size_t Co = 1; Co < NumCombos; ++Co)
           for (const Divergence &D : Div[SI * NumCombos + Co]) {
@@ -481,13 +505,8 @@ std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
               continue;
             const size_t K = (D.I - First) / Step;
             R.Mismatches -= BaseBad[K];
-            for (unsigned M = 0; M < NumModes; ++M) {
-              uint64_t GotEnc = Cmp.roundDouble(D.H, Modes[M]);
-              if (GotEnc != Want[M * NK + K]) {
-                ++R.Mismatches;
-                record(K, GotEnc, M, Co);
-              }
-            }
+            if (Screen.roundDouble(D.H, RoundingMode::ToOdd) != Want[K])
+              R.Mismatches += missed(K, D.H, Co);
           }
         std::sort(Keyed.begin(), Keyed.end(), [](const auto &A, const auto &B) {
           return A.first < B.first;
@@ -498,6 +517,7 @@ std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
           R.Records.push_back(Keyed[J].second);
       }
     }
+    CScreenMisses.add(ScreenMisses);
     return Rs;
   };
 

@@ -23,7 +23,7 @@
 /// format, stride). A group decodes each enumerated encoding to the float
 /// input, obtains RO_34(f(x)) once per input from the certified fast-path
 /// oracle (exact-oracle fallback, both memoized), evaluates H once per
-/// (scheme, path, lane) and input, and then checks, for every unit and
+/// (scheme, path, lane) and input, and then proves, for every unit and
 /// every (path, lane, mode) in the sweep matrix, that
 ///
 ///     roundDouble(H(x), fmt, mode) == roundDouble(RO_34, fmt, mode)
@@ -31,20 +31,30 @@
 /// So the oracle answers each (function, input) of an exhaustive sweep
 /// once, whatever the number of schemes and formats.
 ///
-/// FP(32, 8) units, whose inputs are exactly the float32 values, make one
-/// comparison per input instead: roundDouble(H(x), FP34, ToOdd) == RO_34.
-/// A round-to-odd result at 34 bits rounds correctly to every FP(k <= 32,
-/// 8) format in every standard mode (RLIBM-ALL), so that one comparison
-/// proves all of them for the input -- and it is the criterion the
-/// generator constrains H to.
+/// It proves the five modes of a format FP(k, 8) with one comparison per
+/// input, a round-to-odd screen at FP(k + 2, 8):
 ///
-/// The base path does the rounded comparisons per input; every other
-/// (path, lane) first bit-compares its H against the base H -- identical
-/// bits prove the comparisons transitively, so verifying four extra
-/// ISA/lane combinations costs little more than their evaluations. Only
-/// when an H diverges (a kernel parity bug, a mode leak) does the engine
-/// fall back to the full per-mode comparison and record what actually
-/// misrounds.
+///     roundDouble(H(x), FP(k + 2, 8), ToOdd)
+///         == roundDouble(RO_34, FP(k + 2, 8), ToOdd)
+///
+/// A value rounded to odd with two extra bits rounds to FP(k, 8) in every
+/// standard mode as the value itself does (RLIBM-ALL), so equal encodings
+/// prove all five modes. Only an input that misses the screen is compared
+/// mode by mode, and its mismatches and records are the per-mode ones, so
+/// the counts and records are those of five comparisons per input. For
+/// FP(32, 8) units, whose inputs are exactly the float32 values, the
+/// screen format is FP34 and the screen is the RO_34 comparison itself,
+/// one "mode" per input: it proves every FP(k <= 32, 8) format in every
+/// standard mode for the input, and it is the criterion the generator
+/// constrains H to.
+///
+/// The base path screens per input; every other (path, lane) first
+/// bit-compares its H against the base H -- identical bits prove the
+/// comparisons transitively, so verifying four extra ISA/lane
+/// combinations costs little more than their evaluations. Only when an H
+/// diverges (a kernel parity bug, a mode leak) does the engine screen
+/// that H, compare it mode by mode where it misses, and record what
+/// actually misrounds.
 ///
 /// H comes from the shipped tables (scalar cores and batch kernels) or,
 /// when SweepConfig::Candidate is set, from a caller's block evaluator --
@@ -63,7 +73,9 @@
 /// verify.units, verify.units_resumed, verify.oracle.fast,
 /// verify.oracle.exact (per unit, like UnitResult's fields),
 /// verify.oracle.queries (the RO_34 results the process obtained, one per
-/// input a group enumerates) counters and the verify.unit_ms histogram.
+/// input a group enumerates), verify.screen_misses (base-combination
+/// (unit, input) pairs that missed the round-to-odd screen) counters and
+/// the verify.unit_ms histogram.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -221,8 +233,9 @@ struct Mismatch {
 /// Aggregated outcome of one unit.
 struct UnitResult {
   uint64_t Inputs = 0;      ///< encodings evaluated (independent of paths)
-  uint64_t Comparisons = 0; ///< logical (mode x path x lane) comparisons;
-                            ///< one mode (RO_34) at FP(32, 8)
+  uint64_t Comparisons = 0; ///< logical (mode x path x lane) comparisons,
+                            ///< five modes proved by one screen; one mode
+                            ///< (RO_34) at FP(32, 8)
   uint64_t Mismatches = 0;  ///< total wrong results (exact, never capped)
   uint64_t OracleFast = 0;  ///< of Inputs, decided by the certified fast path
   uint64_t OracleExact = 0; ///< of Inputs, decided by the exact oracle

@@ -10,7 +10,8 @@
 // FP34 rounding boundaries (anchors with exactly representable results,
 // where a wrong acceptance predicate would first go wrong), plus the
 // cache-transparency, batch-consistency, and acceptance-rate properties
-// the prepare pipeline relies on.
+// the prepare pipeline relies on. The committed constant tables must equal
+// the MP layer's recipe bit for bit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include "libm/RangeReduction.h"
 #include "oracle/Oracle.h"
 #include "oracle/OracleCache.h"
+#include "oracle/OracleFastTables.h"
 
 #include "gtest/gtest.h"
 
@@ -270,6 +272,24 @@ TEST_P(OracleFastTest, CacheTransparency) {
   ASSERT_EQ(FastOn.size(), FastOff.size());
   for (size_t I = 0; I < FastOn.size(); ++I)
     ASSERT_EQ(FastOn[I], FastOff[I]);
+}
+
+/// The committed constant tables are the MP layer's, bit for bit: every
+/// entry recomputed by the one recipe that also writes the file.
+TEST(OracleFastTest, ConstantTablesMatchTheMPLayer) {
+  using oracle_fast::DD;
+  const oracle_fast::Tables Want = oracle_fast::computeTables();
+  DD W[oracle_fast::NumTableEntries], G[oracle_fast::NumTableEntries];
+  std::memcpy(W, &Want, sizeof(W));
+  std::memcpy(G, &oracle_fast::tables(), sizeof(G));
+  unsigned Differ = 0;
+  for (size_t I = 0; I < oracle_fast::NumTableEntries; ++I)
+    if (std::memcmp(&W[I], &G[I], sizeof(DD)) != 0 && Differ++ < 8)
+      ADD_FAILURE() << "entry " << I << ": committed {" << std::hexfloat
+                    << G[I].Hi << ", " << G[I].Lo << "}, MP layer {"
+                    << W[I].Hi << ", " << W[I].Lo
+                    << "}; regenerate with tools/gentables";
+  EXPECT_EQ(Differ, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFuncs, OracleFastTest,

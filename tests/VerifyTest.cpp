@@ -9,8 +9,10 @@
 // and lane, an injected wrong H must be detected with exact counts and
 // faithful records (the engine can't be blind), float32 units must make
 // one RO_34 comparison per input that catches every per-format misround,
-// a candidate H source must be swept whatever the shipped tables offer,
-// results must be bit-identical across thread counts and block sizes, a
+// the round-to-odd screen must give a five-mode referee's counts and
+// records exactly, a candidate H source must be swept whatever the
+// shipped tables offer, results must be bit-identical across thread
+// counts and block sizes, a
 // group -- every scheme and exhaustive format of a function -- must share
 // one oracle query per input without changing any unit's counts or
 // records, and the sharded store must round-trip, reject corruption, and
@@ -549,6 +551,113 @@ TEST(VerifyTest, CrossFormatGroupMatchesPerFormatSweeps) {
     Matched += J;
   }
   EXPECT_EQ(Matched, All.Units.size());
+}
+
+TEST(VerifyTest, ScreenedSweepMatchesFiveModeReferee) {
+  // The engine screens each (unit, input) with one round-to-odd comparison
+  // at FP(k + 2, 8) and compares the five modes only where that misses.
+  // The referee here compares all five modes at every input itself, with
+  // FPFormat::roundDouble of the candidate's H under each lane and of the
+  // exact oracle's RO_34, and the engine must match its counts and
+  // records exactly.
+  //
+  // RO at FP(k + 2) tells apart an FP(k) value, the open lower half of its
+  // cell, the midpoint and the open upper half; the five modes tell apart
+  // all of these but the midpoint and the upper half when the tie goes up.
+  // So besides the nudges, which misround wherever they miss, some inputs
+  // get an H exactly on the midpoint of its FP(13) cell when H lies above
+  // it and the upper end is even: at FP(13) that H misses the screen but
+  // rounds like RO_34 in all five modes, the fallback's clean branch.
+  SweepConfig C = nudgedCrossFormat();
+  C.MaxRecordsPerUnit = UINT_MAX;
+  C.Candidate = [Nudged = C.Candidate](ElemFunc F, EvalScheme S,
+                                       const float *In, double *H, size_t N) {
+    Nudged(F, S, In, H, N);
+    const FPFormat F13 = FPFormat::withBits(13);
+    for (size_t I = 0; I < N; ++I) {
+      if (bitsOf(In[I]) % 3 != 1 || !(H[I] > 0) || std::isinf(H[I]))
+        continue;
+      const uint64_t Lo = F13.roundDouble(H[I], RoundingMode::TowardZero);
+      const uint64_t Hi = F13.roundDouble(H[I], RoundingMode::Upward);
+      const double Mid = (F13.decode(Lo) + F13.decode(Hi)) / 2;
+      if (Hi % 2 == 0 && F13.isFinite(Hi) && H[I] > Mid)
+        H[I] = Mid;
+    }
+  };
+  const uint64_t Misses0 = telemetry::counterValue("verify.screen_misses");
+  const SweepReport R = runSweep(C);
+  const uint64_t ScreenMisses =
+      telemetry::counterValue("verify.screen_misses") - Misses0;
+  const std::vector<FeLane> Lanes = planLanes(C);
+  ASSERT_EQ(R.Units.size(), 2u * 4 * 4);
+
+  const FPFormat F34 = FPFormat::fp34();
+  std::map<std::pair<ElemFunc, uint32_t>, double> RO34;
+  uint64_t BaseMisrounding = 0; // (unit, input) pairs, default lane
+  for (const UnitOutcome &O : R.Units) {
+    const Unit &U = O.U;
+    const FPFormat Fmt = FPFormat::withBits(U.FormatBits);
+    std::vector<float> In(U.NumEncodings);
+    for (uint64_t E = 0; E < U.NumEncodings; ++E)
+      In[E] = static_cast<float>(Fmt.decode(E));
+    std::vector<std::vector<double>> H(Lanes.size(),
+                                       std::vector<double>(In.size()));
+    for (size_t L = 0; L < Lanes.size(); ++L) {
+      const int Fe = feLaneMode(Lanes[L]);
+      if (Fe >= 0)
+        std::fesetround(Fe);
+      C.Candidate(U.Func, U.Scheme, In.data(), H[L].data(), In.size());
+      std::fesetround(FE_TONEAREST);
+    }
+
+    uint64_t Mismatches = 0;
+    std::vector<Mismatch> Records;
+    for (size_t I = 0; I < In.size(); ++I) {
+      const uint32_t XBits = bitsOf(In[I]);
+      auto [It, New] = RO34.try_emplace({U.Func, XBits}, 0.0);
+      if (New)
+        It->second = F34.decode(
+            Oracle::eval(U.Func, In[I], F34, RoundingMode::ToOdd));
+      bool BaseWrong = false;
+      for (size_t L = 0; L < Lanes.size(); ++L)
+        for (RoundingMode M : StandardRoundingModes) {
+          const uint64_t Got = Fmt.roundDouble(H[L][I], M);
+          const uint64_t Want = Fmt.roundDouble(It->second, M);
+          if (Got == Want)
+            continue;
+          ++Mismatches;
+          BaseWrong |= L == 0;
+          Mismatch Rec;
+          Rec.XBits = XBits;
+          Rec.GotEnc = Got;
+          Rec.WantEnc = Want;
+          Rec.Func = static_cast<uint8_t>(U.Func);
+          Rec.Scheme = static_cast<uint8_t>(U.Scheme);
+          Rec.FormatBits = static_cast<uint8_t>(U.FormatBits);
+          Rec.Mode = static_cast<uint8_t>(M);
+          Rec.Path = static_cast<uint8_t>(EvalPath::Candidate);
+          Rec.ISA = static_cast<uint8_t>(libm::BatchISA::Scalar);
+          Rec.Lane = static_cast<uint8_t>(Lanes[L]);
+          Records.push_back(Rec);
+        }
+      BaseMisrounding += BaseWrong ? 1 : 0;
+    }
+
+    const UnitResult &Got = O.R;
+    const std::string Name = std::string(elemFuncName(U.Func)) + "/" +
+                             evalSchemeName(U.Scheme) + " fp" +
+                             std::to_string(U.FormatBits);
+    EXPECT_EQ(Got.Inputs, In.size()) << Name;
+    EXPECT_EQ(Got.Comparisons, In.size() * 5 * Lanes.size()) << Name;
+    EXPECT_EQ(Got.Mismatches, Mismatches) << Name;
+    ASSERT_EQ(Got.Records.size(), Records.size()) << Name;
+    for (size_t J = 0; J < Records.size(); ++J)
+      EXPECT_TRUE(Got.Records[J] == Records[J]) << Name << " record " << J;
+  }
+  // Some inputs miss the screen yet round correctly in all five modes, so
+  // the five-mode fallback's clean branch ran.
+  EXPECT_GT(BaseMisrounding, 0u);
+  EXPECT_GT(ScreenMisses, BaseMisrounding);
 }
 
 TEST(VerifyTest, RecordsDoNotDependOnBlockElems) {

@@ -6,10 +6,12 @@
 //
 // Front end for verify/Verify.h: sweeps every input of every FP(k, 8)
 // format x all five rounding modes x all shipped functions x both eval
-// paths against the certified oracle, bit for bit. Float32 (FP(32, 8))
-// units make one RO_34 comparison per input, which covers every format
-// and mode for that input. Exit status is the gate: 0 only when every
-// comparison matched; 2 is a usage error.
+// paths against the certified oracle, bit for bit. Every format is
+// screened with one round-to-odd comparison at FP(k + 2, 8) per input,
+// which proves all five modes; only a miss is compared mode by mode. At
+// float32 (FP(32, 8)) that screen is the RO_34 comparison, which covers
+// every format and mode for the input. Exit status is the gate: 0 only
+// when every comparison matched; 2 is a usage error.
 //
 //   verify                                  # full default sweep
 //   verify --max-bits 14                    # CI smoke: small formats only
@@ -29,7 +31,10 @@
 // for the exhaustive formats, by every format: FP(k, 8)'s inputs are
 // among its widest exhaustive format's -- and split the certified fast
 // oracle's verdicts on them (accepted / boundary / domain), so a run
-// answers why inputs left the fast path for the exact oracle.
+// answers why inputs left the fast path for the exact oracle. They also
+// count the screen misses: the (unit, input) pairs whose base H missed
+// the round-to-odd screen. The shipped tables' H lie inside their RO_34
+// intervals, so they never miss at the exhaustive widths.
 //
 //===----------------------------------------------------------------------===//
 
@@ -80,8 +85,10 @@ int usage(const char *Prog) {
       "nest in the widest one's; one per function, format and encoding for\n"
       "strided formats) and splits the certified fast oracle's verdicts on\n"
       "them into accepted / boundary / domain (the latter two go to the\n"
-      "exact oracle); both cover only units computed in this process, not\n"
-      "resumed shards.\n",
+      "exact oracle). It also counts the screen misses: (unit, input) pairs\n"
+      "whose H and RO_34 round to odd differently at FP(k + 2, 8), the\n"
+      "only ones compared mode by mode. All three cover only units computed\n"
+      "in this process, not resumed shards.\n",
       Prog, bench::ReportOptions::usage());
   return 2;
 }
@@ -130,19 +137,23 @@ bool parseList(const char *Arg, std::vector<EvalScheme> &Out) {
   return !Out.empty();
 }
 
-/// The oracle's work in this process, from the telemetry counters (the
+/// The sweep's work in this process, from the telemetry counters (the
 /// sweep is the tool's only oracle user): the RO_34 results the sweep
 /// obtained, one per input its groups enumerate whatever the number of
-/// schemes and nested formats, and the certified fast oracle's verdicts
-/// on them.
-struct OracleWork {
+/// schemes and nested formats, the certified fast oracle's verdicts on
+/// them, and the screen misses.
+struct ProcessWork {
   uint64_t Queries, Accepted, Boundary, Domain;
+  /// Base-combination (unit, input) pairs that missed the round-to-odd
+  /// screen and took the five-mode comparison (at FP(32, 8), mismatches).
+  uint64_t ScreenMisses;
 
-  static OracleWork read() {
+  static ProcessWork read() {
     return {telemetry::counterValue("verify.oracle.queries"),
             telemetry::counterValue("oracle.fast.accepts"),
             telemetry::counterValue("oracle.fast.fallbacks"),
-            telemetry::counterValue("oracle.fast.rejects")};
+            telemetry::counterValue("oracle.fast.rejects"),
+            telemetry::counterValue("verify.screen_misses")};
   }
 };
 
@@ -181,7 +192,7 @@ void printMismatch(const Mismatch &M) {
 }
 
 void writeReport(bench::Report &Rep, const SweepConfig &C,
-                 const SweepReport &R, const OracleWork &Work,
+                 const SweepReport &R, const ProcessWork &Work,
                  double WallMs) {
   json::Writer &W = Rep.writer();
   W.key("config");
@@ -217,6 +228,7 @@ void writeReport(bench::Report &Rep, const SweepConfig &C,
   W.kv("fast_accepted", Work.Accepted);
   W.kv("fast_boundary", Work.Boundary);
   W.kv("fast_domain", Work.Domain);
+  W.kv("screen_misses", Work.ScreenMisses);
   W.kv("units_resumed", static_cast<uint64_t>(R.UnitsResumed));
   W.kvFixed("wall_ms", WallMs, 1);
   double Secs = WallMs / 1000.0;
@@ -371,7 +383,7 @@ int main(int Argc, char **Argv) {
   double WallMs = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - T0)
                       .count();
-  const OracleWork Work = OracleWork::read();
+  const ProcessWork Work = ProcessWork::read();
 
   unsigned Printed = 0;
   for (const UnitOutcome &O : Report.Units)
@@ -387,7 +399,8 @@ int main(int Argc, char **Argv) {
                           : "";
   std::printf("verify: %llu inputs, %llu comparisons, %llu mismatches"
               "%s (%.1f s, %.0f inputs/s); %llu oracle queries, fast "
-              "oracle %llu accepted, %llu boundary, %llu domain\n",
+              "oracle %llu accepted, %llu boundary, %llu domain; %llu "
+              "screen misses\n",
               static_cast<unsigned long long>(Report.Inputs),
               static_cast<unsigned long long>(Report.Comparisons),
               static_cast<unsigned long long>(Report.Mismatches),
@@ -396,7 +409,8 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Work.Queries),
               static_cast<unsigned long long>(Work.Accepted),
               static_cast<unsigned long long>(Work.Boundary),
-              static_cast<unsigned long long>(Work.Domain));
+              static_cast<unsigned long long>(Work.Domain),
+              static_cast<unsigned long long>(Work.ScreenMisses));
 
   if (!Opts.JsonPath.empty()) {
     bench::Report Rep(Opts.JsonPath, "verify");
