@@ -15,15 +15,11 @@
 //   * whether the generated output is bit-identical across thread counts
 //     (coefficients, piece degrees, special cases) -- the determinism
 //     contract of the parallel layer
-//   * LP warm-start and presolve accounting: the thread ladder runs with
-//     incremental warm starts and the float presolve on, plus two
-//     referees at the base thread count -- warm+presolve both off (the
-//     pure cold-LP baseline for the wall-time speedup) and presolve off
-//     with warm on (isolating the presolve's contribution). The report
-//     carries warm/cold/presolve solve and pivot counters per run, the
-//     LP wall-time speedup, the presolve engagement rate (presolved
-//     solves over presolved + pure cold), and every referee's output
-//     joins the bit-identical comparison
+//   * LP accounting per run: warm/cold/presolve solve and pivot counters
+//     and the presolve engagement rate of the base run (presolved solves
+//     over presolved + pure cold). The generator's one LP path is the
+//     presolving PolyLPSession; its results equal cold solves by the LP
+//     layer's own differential tests
 //   * certified fast-oracle accounting: the ladder runs with the fast
 //     path on; one fast-off referee at the base thread count isolates the
 //     prepare speedup (oracle_fast_prepare_speedup) and joins the
@@ -65,9 +61,7 @@ double msSince(std::chrono::steady_clock::time_point T0) {
 
 struct RunResult {
   unsigned Threads = 0;
-  bool Warm = false; ///< LP warm starts enabled for this run.
-  bool Pre = false;  ///< LP float presolve enabled for this run.
-  bool Fast = true;  ///< Certified fast oracle enabled for this run.
+  bool Fast = true; ///< Certified fast oracle enabled for this run.
   double PrepareMs = 0, GenerateMs = 0;
   double CheckPhaseHitRate = 0;
   /// Per-phase prepare breakdown plus the run's oracle telemetry deltas.
@@ -100,18 +94,14 @@ bool identicalOutput(const GeneratedImpl &A, const GeneratedImpl &B) {
   return true;
 }
 
-RunResult runPipeline(ElemFunc F, GenConfig Cfg, unsigned Threads, bool Warm,
-                      bool Pre, bool Fast) {
+RunResult runPipeline(ElemFunc F, GenConfig Cfg, unsigned Threads,
+                      bool Fast) {
   Cfg.NumThreads = Threads;
-  Cfg.WarmStart = Warm ? 1 : 0;
-  Cfg.LPPresolve = Pre ? 1 : 0;
   oracle_cache::clear();
   oracle_fast::setEnabled(Fast);
 
   RunResult R;
   R.Threads = Threads;
-  R.Warm = Warm;
-  R.Pre = Pre;
   R.Fast = Fast;
   PolyGenerator Gen(F, Cfg);
 
@@ -134,8 +124,7 @@ RunResult runPipeline(ElemFunc F, GenConfig Cfg, unsigned Threads, bool Warm,
   for (const GeneratedImpl &Impl : R.Impls) {
     R.LPStats.LPTimeMs += Impl.Stats.LPTimeMs;
     R.LPStats.LPPivots += Impl.Stats.LPPivots;
-    R.LPStats.LPRowsBeforeDedup += Impl.Stats.LPRowsBeforeDedup;
-    R.LPStats.LPRowsAfterDedup += Impl.Stats.LPRowsAfterDedup;
+    R.LPStats.LPRows += Impl.Stats.LPRows;
     R.LPStats.LPExactPricings += Impl.Stats.LPExactPricings;
     R.LPStats.LPWarmSolves += Impl.Stats.LPWarmSolves;
     R.LPStats.LPColdSolves += Impl.Stats.LPColdSolves;
@@ -212,28 +201,19 @@ int main(int Argc, char **Argv) {
 
   std::printf("Generator pipeline wall-clock, %s, stride %u\n",
               elemFuncName(Func), Cfg.SampleStride);
-  std::printf("%8s %5s %4s %5s %12s %12s %12s %10s %10s %10s %8s %14s\n",
-              "threads", "warm", "pre", "fast", "prepare ms", "generate ms",
-              "total ms", "speedup", "hit rate", "lp ms", "pivots",
-              "warm/pre/cold");
+  std::printf("%8s %5s %12s %12s %12s %10s %10s %10s %8s %14s\n",
+              "threads", "fast", "prepare ms", "generate ms", "total ms",
+              "speedup", "hit rate", "lp ms", "pivots", "warm/pre/cold");
 
-  // The thread ladder runs with LP warm starts, the float presolve, and
-  // the certified fast oracle on; referees at the base thread count
-  // isolate each speedup -- warm+presolve off (pure cold LP), presolve
-  // off (warm contribution alone), fast oracle off -- and all referees
-  // join the bit-identical output comparison.
+  // The thread ladder runs with the certified fast oracle on; a fast-off
+  // referee at the base thread count isolates its prepare speedup and
+  // joins the bit-identical output comparison.
   std::vector<RunResult> Runs;
   for (unsigned T : ThreadLadder)
-    Runs.push_back(runPipeline(Func, Cfg, T, /*Warm=*/true, /*Pre=*/true,
-                               /*Fast=*/true));
-  if (!ThreadLadder.empty()) {
-    Runs.push_back(runPipeline(Func, Cfg, ThreadLadder.front(),
-                               /*Warm=*/false, /*Pre=*/false, /*Fast=*/true));
-    Runs.push_back(runPipeline(Func, Cfg, ThreadLadder.front(),
-                               /*Warm=*/true, /*Pre=*/false, /*Fast=*/true));
-    Runs.push_back(runPipeline(Func, Cfg, ThreadLadder.front(),
-                               /*Warm=*/true, /*Pre=*/true, /*Fast=*/false));
-  }
+    Runs.push_back(runPipeline(Func, Cfg, T, /*Fast=*/true));
+  if (!ThreadLadder.empty())
+    Runs.push_back(
+        runPipeline(Func, Cfg, ThreadLadder.front(), /*Fast=*/false));
 
   double BaseTotal = Runs.empty()
                          ? 0
@@ -242,10 +222,9 @@ int main(int Argc, char **Argv) {
   for (const RunResult &R : Runs) {
     double Total = R.PrepareMs + R.GenerateMs;
     std::printf(
-        "%8u %5s %4s %5s %12.1f %12.1f %12.1f %9.2fx %9.1f%% %10.1f %8llu "
+        "%8u %5s %12.1f %12.1f %12.1f %9.2fx %9.1f%% %10.1f %8llu "
         "%4llu/%llu/%-4llu\n",
-        R.Threads, R.Warm ? "on" : "off", R.Pre ? "on" : "off",
-        R.Fast ? "on" : "off", R.PrepareMs, R.GenerateMs, Total,
+        R.Threads, R.Fast ? "on" : "off", R.PrepareMs, R.GenerateMs, Total,
         Total > 0 ? BaseTotal / Total : 0.0, 100.0 * R.CheckPhaseHitRate,
         R.LPStats.LPTimeMs,
         static_cast<unsigned long long>(R.LPStats.LPPivots),
@@ -262,8 +241,8 @@ int main(int Argc, char **Argv) {
       if (!identicalOutput(Runs.front().Impls[S], R.Impls[S]))
         AllIdentical = false;
   }
-  std::printf("output bit-identical across thread counts, warm modes, "
-              "presolve modes, and fast-oracle modes: %s\n",
+  std::printf("output bit-identical across thread counts and fast-oracle "
+              "modes: %s\n",
               AllIdentical ? "yes" : "NO -- DETERMINISM VIOLATION");
 
   // Fast-oracle prepare speedup: ladder base run vs the fast-off referee
@@ -274,17 +253,6 @@ int main(int Argc, char **Argv) {
   if (FastPrepareSpeedup > 0)
     std::printf("prepare speedup, fast oracle vs exact (%u threads): %.2fx\n",
                 Runs.front().Threads, FastPrepareSpeedup);
-
-  // LP wall-time speedup: warm+presolve ladder base run vs the pure-cold
-  // referee at the same thread count.
-  double LPWarmSpeedup = 0;
-  for (const RunResult &R : Runs)
-    if (!R.Warm && !R.Pre && Runs.front().LPStats.LPTimeMs > 0)
-      LPWarmSpeedup = R.LPStats.LPTimeMs / Runs.front().LPStats.LPTimeMs;
-  if (LPWarmSpeedup > 0)
-    std::printf(
-        "LP wall-time speedup, warm+presolve vs cold (%u threads): %.2fx\n",
-        Runs.front().Threads, LPWarmSpeedup);
 
   // Presolve engagement on the ladder base run: of the solves the warm
   // path could not serve, the fraction the presolver did.
@@ -314,8 +282,6 @@ int main(int Argc, char **Argv) {
     W.kv("func", elemFuncName(Func));
     W.kv("sample_stride", Cfg.SampleStride);
     W.kv("bit_identical_across_threads", AllIdentical);
-    if (LPWarmSpeedup > 0)
-      W.kvFixed("lp_warm_speedup", LPWarmSpeedup, 3);
     if (!Runs.empty())
       W.kvFixed("lp_presolve_engagement", PreEngagement, 4);
     if (FastPrepareSpeedup > 0)
@@ -327,8 +293,6 @@ int main(int Argc, char **Argv) {
       W.inlineNext();
       W.beginObject();
       W.kv("threads", R.Threads);
-      W.kv("warm", R.Warm);
-      W.kv("presolve", R.Pre);
       W.kv("fast_oracle", R.Fast);
       W.kvFixed("prepare_ms", R.PrepareMs, 2);
       W.kvFixed("oracle_ms", R.Prep.OracleMs, 2);
@@ -343,8 +307,7 @@ int main(int Argc, char **Argv) {
       W.kvFixed("check_phase_cache_hit_rate", R.CheckPhaseHitRate, 4);
       W.kvFixed("lp_time_ms", R.LPStats.LPTimeMs, 2);
       W.kv("lp_pivots", R.LPStats.LPPivots);
-      W.kv("lp_rows_before_dedup", R.LPStats.LPRowsBeforeDedup);
-      W.kv("lp_rows_after_dedup", R.LPStats.LPRowsAfterDedup);
+      W.kv("lp_rows", R.LPStats.LPRows);
       W.kv("lp_warm_solves", R.LPStats.LPWarmSolves);
       W.kv("lp_cold_solves", R.LPStats.LPColdSolves);
       W.kv("lp_warm_fallbacks", R.LPStats.LPWarmFallbacks);

@@ -13,8 +13,8 @@
 // same way generatePiece does (MaxLPConstraints evenly spaced, extremes
 // included), so row counts and coefficient magnitudes match production.
 //
-// Reported per system and thread count: best-of-N wall-clock ms, simplex
-// pivot count, and LP rows before/after duplicate-row merging. Pivot
+// Reported per system and thread count: best-of-N wall-clock ms of the
+// cold solve (solvePolyLP), simplex pivot count, and LP rows. Pivot
 // counts must be identical across the thread ladder (the determinism
 // contract); a mismatch makes the run exit 1.
 //
@@ -120,7 +120,7 @@ struct Measurement {
   unsigned Threads = 0;
   double BestMs = 0;
   unsigned Pivots = 0;
-  unsigned RowsBefore = 0, RowsAfter = 0;
+  unsigned Rows = 0;
   bool Feasible = false;
 };
 
@@ -133,8 +133,7 @@ Measurement measure(const LPSystem &Sys, unsigned Threads, unsigned Repeats) {
     PolyLPResult LP = solvePolyLP(Sys.Cons, Sys.Degree, Threads);
     M.BestMs = std::min(M.BestMs, msSince(T0));
     M.Pivots = LP.Pivots;
-    M.RowsBefore = LP.RowsBeforeDedup;
-    M.RowsAfter = LP.RowsAfterDedup;
+    M.Rows = LP.Rows;
     M.Feasible = LP.Feasible;
   }
   return M;
@@ -363,8 +362,8 @@ int main(int Argc, char **Argv) {
               elemFuncName(Func), Cfg.SampleStride);
   std::vector<LPSystem> Systems = captureSystems(Func, Cfg);
 
-  std::printf("%-24s %8s %10s %8s %12s %10s\n", "system", "threads",
-              "best ms", "pivots", "rows(dedup)", "speedup");
+  std::printf("%-24s %8s %10s %8s %8s %10s\n", "system", "threads",
+              "best ms", "pivots", "rows", "speedup");
 
   struct Row {
     const LPSystem *Sys;
@@ -380,9 +379,8 @@ int main(int Argc, char **Argv) {
     for (const Measurement &M : R.Ms) {
       if (M.Pivots != R.Ms.front().Pivots)
         PivotsInvariant = false;
-      std::printf("%-24s %8u %10.2f %8u %6u->%-5u %9.2fx\n",
-                  Sys.Name.c_str(), M.Threads, M.BestMs, M.Pivots,
-                  M.RowsBefore, M.RowsAfter,
+      std::printf("%-24s %8u %10.2f %8u %8u %9.2fx\n", Sys.Name.c_str(),
+                  M.Threads, M.BestMs, M.Pivots, M.Rows,
                   M.BestMs > 0 ? BaseMs / M.BestMs : 0.0);
     }
     Rows.push_back(std::move(R));
@@ -471,8 +469,7 @@ int main(int Argc, char **Argv) {
         W.kv("threads", M.Threads);
         W.kvFixed("best_ms", M.BestMs, 3);
         W.kv("pivots", M.Pivots);
-        W.kv("rows_before_dedup", M.RowsBefore);
-        W.kv("rows_after_dedup", M.RowsAfter);
+        W.kv("rows", M.Rows);
         W.kv("feasible", M.Feasible);
         W.endObject();
       }

@@ -14,12 +14,11 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <cstring>
-#include <optional>
 #include <unordered_map>
 
 using namespace rfp;
@@ -32,10 +31,7 @@ struct GenCounters {
   telemetry::Counter Iterations = telemetry::counter("polygen.iterations");
   telemetry::Counter LPSolves = telemetry::counter("polygen.lp.solves");
   telemetry::Counter LPPivots = telemetry::counter("polygen.lp.pivots");
-  telemetry::Counter LPRowsBefore =
-      telemetry::counter("polygen.lp.rows_before_dedup");
-  telemetry::Counter LPRowsAfter =
-      telemetry::counter("polygen.lp.rows_after_dedup");
+  telemetry::Counter LPRows = telemetry::counter("polygen.lp.rows");
   telemetry::Counter LPInfeasible =
       telemetry::counter("polygen.lp.infeasible");
   telemetry::Counter Retired = telemetry::counter("polygen.retired_constraints");
@@ -63,33 +59,14 @@ struct GenCounters {
       telemetry::counter("polygen.lp.presolve.float_iters");
   telemetry::Histogram LPSolveMs = telemetry::histogram("polygen.lp.solve_ms");
   /// Pivots per *re-solve* (iteration > 0 of a piece/degree attempt) --
-  /// the population warm starts exist to shrink. First solves are
-  /// excluded so warm and cold runs histogram the same events.
+  /// the population warm starts exist to shrink. First solves, which
+  /// have no basis to start from, are excluded.
   telemetry::Histogram LPResolvePivots =
       telemetry::histogram("polygen.lp.resolve_pivots");
 };
 const GenCounters &genCounters() {
   static GenCounters C;
   return C;
-}
-
-/// Resolves GenConfig::WarmStart: an explicit 0/1 wins; -1 defers to the
-/// RFP_LP_WARMSTART environment variable, where only "0" disables (warm
-/// starts are the default -- the cold path is the referee, not the norm).
-bool warmStartEnabled(int Setting) {
-  if (Setting >= 0)
-    return Setting != 0;
-  const char *Env = std::getenv("RFP_LP_WARMSTART");
-  return !Env || std::strcmp(Env, "0") != 0;
-}
-
-/// Resolves GenConfig::LPPresolve identically: explicit 0/1 wins, -1
-/// defers to RFP_LP_PRESOLVE, default on.
-bool presolveEnabled(int Setting) {
-  if (Setting >= 0)
-    return Setting != 0;
-  const char *Env = std::getenv("RFP_LP_PRESOLVE");
-  return !Env || std::strcmp(Env, "0") != 0;
 }
 } // namespace
 
@@ -587,9 +564,6 @@ bool PolyGenerator::generatePiece(
     LPSet.push_back(I);
   if (LPSet.back() != Piece.size() - 1)
     LPSet.push_back(Piece.size() - 1);
-  std::vector<bool> InLPSet(Piece.size(), false);
-  for (size_t I : LPSet)
-    InLPSet[I] = true;
 
   // Retires a constraint whose interval was exhausted: its inputs become
   // explicit special cases (what the paper counts in Table 1). Returns
@@ -612,28 +586,35 @@ bool PolyGenerator::generatePiece(
     return true;
   };
 
-  // Incremental LP (the default): one PolyLPSession per piece/degree
-  // attempt holds the live constraint system across iterations. Bound
-  // shrinks are applied in place by the shrink loop below, so after the
-  // first iteration constraint_build converts only the changed bounds,
-  // and each re-solve warm-starts from the previous optimal basis. The
-  // cold path (WarmStart off) rebuilds and solves from scratch every
-  // iteration and serves as the correctness referee: both paths produce
-  // bit-identical results.
-  const bool UseWarm = warmStartEnabled(Config.WarmStart);
-  const bool UsePresolve = presolveEnabled(Config.LPPresolve);
-  std::optional<PolyLPSession> Session;
-  std::vector<size_t> Handle; // Piece index -> session constraint id.
-  if (UseWarm)
-    Handle.assign(Piece.size(), SIZE_MAX);
-
-  // Progressive-degree plumbing: ConToPiece inverts Handle (session
-  // constraint ids are assigned sequentially, and retirement never reuses
-  // one, so the inverse survives retires); LastGoodBasis tracks the basis
-  // of the most recent feasible solve. ExportHint runs on the failure
-  // exits and rewrites that basis in piece-local terms for the next
-  // (higher-degree) attempt to seed its presolver with.
+  // One PolyLPSession per piece/degree attempt holds the live constraint
+  // system across iterations. The shrink loop below mirrors its edits
+  // into the session as it makes them, so after the first iteration no
+  // constraint is rebuilt, and each re-solve warm-starts from the
+  // previous optimal basis. Solves the warm path cannot serve go through
+  // the float presolve. Either way the result is bit-identical to a cold
+  // solve of the same rows (see DESIGN.md, "Incremental LP re-solving").
+  std::vector<unsigned> Terms(Degree + 1);
+  for (unsigned E = 0; E <= Degree; ++E)
+    Terms[E] = E;
+  PolyLPSession Session(std::move(Terms), Config.NumThreads);
+  Session.setPresolve(true);
+  // Handle maps a piece index to its session constraint id, ConToPiece
+  // back. Session ids are sequential and never reused, so the inverse
+  // survives retires.
+  std::vector<size_t> Handle(Piece.size(), SIZE_MAX);
   std::vector<size_t> ConToPiece;
+  auto AddToSession = [&](size_t I) {
+    Handle[I] = Session.addConstraint(Piece[I]->TX,
+                                      Rational::fromDouble(Piece[I]->Alpha),
+                                      Rational::fromDouble(Piece[I]->Beta));
+    assert(Handle[I] == ConToPiece.size() && "session ids are sequential");
+    ConToPiece.push_back(I);
+  };
+
+  // Progressive-degree plumbing: LastGoodBasis tracks the basis of the
+  // most recent feasible solve. ExportHint runs on the failure exits and
+  // rewrites that basis in piece-local terms for the next (higher-degree)
+  // attempt to seed its presolver with.
   std::vector<PolyLPSession::PolyBasisRow> LastGoodBasis;
   auto ExportHint = [&] {
     std::vector<std::pair<size_t, int>> Out;
@@ -651,80 +632,52 @@ bool PolyGenerator::generatePiece(
     TC.Iterations.inc();
     telemetry::Span IterSpan("polygen.iteration");
 
-    std::vector<IntervalConstraint> LPCons;
     {
+      // Later iterations have nothing to convert: the shrink loop already
+      // mirrored its edits into the session.
       telemetry::Span BuildSpan("polygen.constraint_build");
-      if (UseWarm) {
-        if (!Session) {
-          std::vector<unsigned> Terms(Degree + 1);
-          for (unsigned E = 0; E <= Degree; ++E)
-            Terms[E] = E;
-          Session.emplace(std::move(Terms), Config.NumThreads);
-          Session->setPresolve(UsePresolve);
-          for (size_t I : LPSet)
-            if (!Piece[I]->Dead) {
-              Handle[I] = Session->addConstraint(
-                  Piece[I]->TX, Rational::fromDouble(Piece[I]->Alpha),
-                  Rational::fromDouble(Piece[I]->Beta));
-              if (Handle[I] >= ConToPiece.size())
-                ConToPiece.resize(Handle[I] + 1, SIZE_MAX);
-              ConToPiece[Handle[I]] = I;
-            }
-          if (UsePresolve && !DegreeHint.empty()) {
-            // Seed the presolver with the lower-degree optimum's basis
-            // rows, re-keyed to this session's constraint handles.
-            // Entries whose constraint did not make this session's
-            // initial sample are dropped; the float solver fills the
-            // remaining basis slots itself.
-            std::vector<PolyLPSession::PolyBasisRow> Hint;
-            for (const auto &[I, Side] : DegreeHint) {
-              if (Side == 2)
-                Hint.push_back({0, 2});
-              else if (I < Handle.size() && Handle[I] != SIZE_MAX)
-                Hint.push_back({Handle[I], Side});
-            }
-            Session->hintBasis(Hint);
+      if (Iter == 0) {
+        for (size_t I : LPSet)
+          if (!Piece[I]->Dead)
+            AddToSession(I);
+        if (!DegreeHint.empty()) {
+          // Seed the presolver with the lower-degree optimum's basis rows,
+          // re-keyed to this session's constraint handles. Entries whose
+          // constraint did not make this session's initial sample are
+          // dropped; the float solver fills the remaining basis slots
+          // itself.
+          std::vector<PolyLPSession::PolyBasisRow> Hint;
+          for (const auto &[I, Side] : DegreeHint) {
+            if (Side == 2)
+              Hint.push_back({0, 2});
+            else if (I < Handle.size() && Handle[I] != SIZE_MAX)
+              Hint.push_back({Handle[I], Side});
           }
-        }
-        // Later iterations: the shrink loop already mirrored its edits
-        // into the session, so there is nothing left to convert here.
-      } else {
-        LPCons.reserve(LPSet.size());
-        for (size_t I : LPSet) {
-          if (Piece[I]->Dead)
-            continue;
-          LPCons.push_back({Piece[I]->TX,
-                            Rational::fromDouble(Piece[I]->Alpha),
-                            Rational::fromDouble(Piece[I]->Beta)});
+          Session.hintBasis(Hint);
         }
       }
     }
 
     ++Impl.LPSolves;
     TC.LPSolves.inc();
-    SimplexSession::Stats StatsBefore;
-    if (Session)
-      StatsBefore = Session->lpStats();
+    const SimplexSession::Stats StatsBefore = Session.lpStats();
     auto LPStart = std::chrono::steady_clock::now();
     PolyLPResult LP = [&] {
       // One span per LP solve: the trace's "polygen.lp_solve" event count
       // equals GenStats' LPSolves by construction.
       telemetry::Span SolveSpan("polygen.lp_solve");
-      return UseWarm ? Session->solve()
-                     : solvePolyLP(LPCons, Degree, Config.NumThreads);
+      return Session.solve();
     }();
     double LPMs = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - LPStart)
                       .count();
     Impl.Stats.LPTimeMs += LPMs;
     Impl.Stats.LPPivots += LP.Pivots;
-    Impl.Stats.LPRowsBeforeDedup += LP.RowsBeforeDedup;
-    Impl.Stats.LPRowsAfterDedup += LP.RowsAfterDedup;
+    Impl.Stats.LPRows += LP.Rows;
     Impl.Stats.LPExactPricings += LP.ExactPricings;
     TC.LPSolveMs.record(LPMs);
     TC.LPPivots.add(LP.Pivots);
-    TC.LPRowsBefore.add(LP.RowsBeforeDedup);
-    TC.LPRowsAfter.add(LP.RowsAfterDedup);
+    TC.LPRows.add(LP.Rows);
     // Three-way attribution: every solve is warm, presolved, or pure
     // cold. The presolve detail counters (certified/repaired/float
     // iterations) live in the session's stats; diffing around the solve
@@ -744,40 +697,35 @@ bool PolyGenerator::generatePiece(
       ++Impl.Stats.LPWarmFallbacks;
       TC.LPWarmFallbacks.inc();
     }
-    if (Session) {
-      const SimplexSession::Stats &Now = Session->lpStats();
-      auto Delta = [&](uint64_t SimplexSession::Stats::*F) {
-        return Now.*F - StatsBefore.*F;
-      };
-      Impl.Stats.LPPresolveAttempts += Delta(&SimplexSession::Stats::PresolveAttempts);
-      Impl.Stats.LPPresolveSolves += Delta(&SimplexSession::Stats::PresolveSolves);
-      Impl.Stats.LPPresolveCertified += Delta(&SimplexSession::Stats::PresolveCertified);
-      Impl.Stats.LPPresolveRepaired += Delta(&SimplexSession::Stats::PresolveRepaired);
-      Impl.Stats.LPPresolveFallbacks += Delta(&SimplexSession::Stats::PresolveFallbacks);
-      Impl.Stats.LPPresolvePivots += Delta(&SimplexSession::Stats::PresolvePivots);
-      Impl.Stats.LPPresolveFloatIters += Delta(&SimplexSession::Stats::PresolveFloatIters);
-      TC.LPPresolveAttempts.add(Delta(&SimplexSession::Stats::PresolveAttempts));
-      TC.LPPresolveSolves.add(Delta(&SimplexSession::Stats::PresolveSolves));
-      TC.LPPresolveCertified.add(Delta(&SimplexSession::Stats::PresolveCertified));
-      TC.LPPresolveRepaired.add(Delta(&SimplexSession::Stats::PresolveRepaired));
-      TC.LPPresolveFallbacks.add(Delta(&SimplexSession::Stats::PresolveFallbacks));
-      TC.LPPresolvePivots.add(Delta(&SimplexSession::Stats::PresolvePivots));
-      TC.LPPresolveFloatIters.add(Delta(&SimplexSession::Stats::PresolveFloatIters));
-    }
+    const SimplexSession::Stats &Now = Session.lpStats();
+    auto Delta = [&](uint64_t SimplexSession::Stats::*F) {
+      return Now.*F - StatsBefore.*F;
+    };
+    Impl.Stats.LPPresolveAttempts += Delta(&SimplexSession::Stats::PresolveAttempts);
+    Impl.Stats.LPPresolveSolves += Delta(&SimplexSession::Stats::PresolveSolves);
+    Impl.Stats.LPPresolveCertified += Delta(&SimplexSession::Stats::PresolveCertified);
+    Impl.Stats.LPPresolveRepaired += Delta(&SimplexSession::Stats::PresolveRepaired);
+    Impl.Stats.LPPresolveFallbacks += Delta(&SimplexSession::Stats::PresolveFallbacks);
+    Impl.Stats.LPPresolvePivots += Delta(&SimplexSession::Stats::PresolvePivots);
+    Impl.Stats.LPPresolveFloatIters += Delta(&SimplexSession::Stats::PresolveFloatIters);
+    TC.LPPresolveAttempts.add(Delta(&SimplexSession::Stats::PresolveAttempts));
+    TC.LPPresolveSolves.add(Delta(&SimplexSession::Stats::PresolveSolves));
+    TC.LPPresolveCertified.add(Delta(&SimplexSession::Stats::PresolveCertified));
+    TC.LPPresolveRepaired.add(Delta(&SimplexSession::Stats::PresolveRepaired));
+    TC.LPPresolveFallbacks.add(Delta(&SimplexSession::Stats::PresolveFallbacks));
+    TC.LPPresolvePivots.add(Delta(&SimplexSession::Stats::PresolvePivots));
+    TC.LPPresolveFloatIters.add(Delta(&SimplexSession::Stats::PresolveFloatIters));
     if (Iter > 0)
       TC.LPResolvePivots.record(static_cast<double>(LP.Pivots));
     if (!LP.Feasible) {
       TC.LPInfeasible.inc();
       telemetry::logf(LogLevel::Debug, "polygen",
                       "iter %u: LP infeasible (deg %u, %zu cons)", Iter,
-                      Degree,
-                      UseWarm ? Session->numLiveConstraints()
-                              : LPCons.size());
+                      Degree, Session.numLiveConstraints());
       ExportHint();
       return false;
     }
-    if (Session)
-      LastGoodBasis = Session->lastBasisRows();
+    LastGoodBasis = Session.lastBasisRows();
 
     Polynomial P = LP.Poly.toDouble();
     // Flush effectively-zero coefficients: the margin-maximizing LP is
@@ -856,33 +804,20 @@ bool PolyGenerator::generatePiece(
         ExportHint();
         return false; // Special budget exhausted; escalate the shape.
       }
-      if (Session) {
-        // Mirror the edit into the LP session as it happens: retired
-        // constraints leave, shrunk bounds are converted (these are the
-        // only Rational conversions after iteration 0), and newly
-        // violated constraints append -- in the same ascending-index
-        // order the cold rebuild appends them to LPSet, so both paths
-        // present identical systems to the solver.
-        if (M.Dead) {
-          if (Handle[I] != SIZE_MAX) {
-            Session->retire(Handle[I]);
-            Handle[I] = SIZE_MAX;
-          }
-        } else if (Handle[I] != SIZE_MAX) {
-          Session->updateBound(Handle[I], Rational::fromDouble(M.Alpha),
-                               Rational::fromDouble(M.Beta));
-        } else {
-          Handle[I] = Session->addConstraint(
-              M.TX, Rational::fromDouble(M.Alpha),
-              Rational::fromDouble(M.Beta));
-          if (Handle[I] >= ConToPiece.size())
-            ConToPiece.resize(Handle[I] + 1, SIZE_MAX);
-          ConToPiece[Handle[I]] = I;
+      // Mirror the edit into the LP session as it happens: retired
+      // constraints leave, shrunk bounds are converted (these are the only
+      // Rational conversions after iteration 0), and newly violated
+      // constraints join the sample, appended in ascending index order.
+      if (M.Dead) {
+        if (Handle[I] != SIZE_MAX) {
+          Session.retire(Handle[I]);
+          Handle[I] = SIZE_MAX;
         }
-      }
-      if (!InLPSet[I]) {
-        InLPSet[I] = true;
-        LPSet.push_back(I);
+      } else if (Handle[I] != SIZE_MAX) {
+        Session.updateBound(Handle[I], Rational::fromDouble(M.Alpha),
+                            Rational::fromDouble(M.Beta));
+      } else {
+        AddToSession(I);
       }
     }
     if (Violations == 0) {

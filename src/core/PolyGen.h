@@ -80,27 +80,6 @@ struct GenConfig {
   /// is bit-identical for every thread count (see DESIGN.md, "Threading
   /// model and determinism").
   unsigned NumThreads = 0;
-  /// Incremental LP warm starts across the generate-check-constrain loop:
-  /// 1 keeps one PolyLPSession per piece/degree attempt and re-solves it
-  /// in place after bound shrinks; 0 rebuilds the system and solves cold
-  /// every iteration (the referee path). -1 defers to the
-  /// RFP_LP_WARMSTART environment variable, defaulting to on. Both paths
-  /// produce bit-identical polynomials, specials, and LP optima (see
-  /// DESIGN.md, "Incremental LP re-solving"); only the solve time and the
-  /// pivot counts differ.
-  int WarmStart = -1;
-  /// Float-first LP presolve for solves the warm path cannot serve (first
-  /// solve of each session, and warm fallbacks): 1 runs a long-double
-  /// simplex to near-optimality and lets the exact engine certify or
-  /// repair its basis; 0 disables it (every non-warm solve runs fully
-  /// cold). -1 defers to the RFP_LP_PRESOLVE environment variable,
-  /// defaulting to on. Accepted presolved results are provably
-  /// bit-identical to cold solves (see DESIGN.md, "Float-first LP
-  /// presolve"), so this knob -- like WarmStart -- changes pivot counts
-  /// and solve time only. Presolve also carries the progressive-degree
-  /// warm start: the optimal basis of the degree-(d-1) attempt seeds the
-  /// float solve at degree d.
-  int LPPresolve = -1;
   /// When non-empty, stream Chrome trace_event JSON for this generator's
   /// spans (per-iteration, constraint-build, LP-solve, check, shrink) to
   /// this path -- the programmatic equivalent of RFP_TRACE=<path>. The
@@ -144,8 +123,7 @@ struct GeneratedImpl {
   struct GenStats {
     double LPTimeMs = 0.0;          ///< Wall clock spent inside LP solves.
     uint64_t LPPivots = 0;          ///< Simplex pivots across all solves.
-    uint64_t LPRowsBeforeDedup = 0; ///< LP rows built, summed over solves.
-    uint64_t LPRowsAfterDedup = 0;  ///< LP rows kept after duplicate merge.
+    uint64_t LPRows = 0;            ///< LP rows solved, summed over solves.
     uint64_t LPExactPricings = 0;   ///< Exact-pricing fallbacks, all solves.
     uint64_t LPWarmSolves = 0;      ///< Solves served from a warm basis.
     uint64_t LPColdSolves = 0;      ///< Pure cold solves (neither warm nor
@@ -261,8 +239,8 @@ private:
     std::vector<uint32_t> Inputs; ///< Contributing input bit patterns.
     bool Dead = false;            ///< Retired into special cases.
     /// Exact form of T, converted once after the merge: T never changes
-    /// across iterations (only Alpha/Beta shrink), so neither path
-    /// re-runs Rational::fromDouble on it per solve.
+    /// across iterations (only Alpha/Beta shrink), so no LP session
+    /// re-runs Rational::fromDouble on it.
     Rational TX;
   };
 

@@ -9,172 +9,9 @@
 #include <algorithm>
 #include <cassert>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 using namespace rfp;
-
-namespace {
-
-/// Cheap numeric key for a coefficient row: FNV-style combination of the
-/// canonical numerator/denominator limb hashes. Collisions are resolved
-/// with an exact comparison, so the hash only has to be good, not perfect.
-uint64_t rowKey(const std::vector<Rational> &Row) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  constexpr uint64_t Prime = 0x100000001b3ull;
-  for (const Rational &V : Row) {
-    H = (H ^ V.numerator().hash()) * Prime;
-    H = (H ^ V.denominator().hash()) * Prime;
-  }
-  return H;
-}
-
-/// Early-out screen for dedupRows: proves all rows pairwise distinct from
-/// a cheap per-row key over the *second* coefficient only. For the poly
-/// LP's rows that entry is -X (lo row) or +X (hi row), and BigInt::hash
-/// folds in the sign, so distinct constraints -- and the two rows of one
-/// constraint -- almost always get distinct keys from this single
-/// rational. Equal rows imply equal keys, so all-keys-distinct implies
-/// all-rows-distinct and the full merge below would be the identity;
-/// any key repeat (a real duplicate, an X == 0 row pair meeting the
-/// all-zero delta cap, or a hash collision) just falls through to the
-/// full exact path. In the common duplicate-free case this replaces M
-/// full-width row hashes plus the rebuild of both vectors with one
-/// rational hash per row.
-bool allRowsDistinct(const std::vector<std::vector<Rational>> &A) {
-  std::unordered_set<uint64_t> Keys;
-  Keys.reserve(2 * A.size());
-  for (const std::vector<Rational> &Row : A) {
-    if (Row.size() < 2)
-      return false;
-    uint64_t H = 0xcbf29ce484222325ull;
-    constexpr uint64_t Prime = 0x100000001b3ull;
-    H = (H ^ Row[1].numerator().hash()) * Prime;
-    H = (H ^ Row[1].denominator().hash()) * Prime;
-    if (!Keys.insert(H).second)
-      return false;
-  }
-  return true;
-}
-
-/// Merges rows with identical coefficient vectors, keeping the minimum
-/// RHS (the others are dominated: any point satisfying the tightest copy
-/// satisfies them all). First-occurrence order is preserved so the column
-/// numbering -- and hence the pivot sequence -- only changes when
-/// duplicates actually exist.
-void dedupRows(std::vector<std::vector<Rational>> &A,
-               std::vector<Rational> &B) {
-  if (allRowsDistinct(A))
-    return;
-  std::unordered_map<uint64_t, std::vector<size_t>> Seen;
-  Seen.reserve(A.size());
-  std::vector<std::vector<Rational>> OutA;
-  std::vector<Rational> OutB;
-  OutA.reserve(A.size());
-  OutB.reserve(B.size());
-  for (size_t I = 0; I < A.size(); ++I) {
-    std::vector<size_t> &Bucket = Seen[rowKey(A[I])];
-    size_t Found = SIZE_MAX;
-    for (size_t Idx : Bucket)
-      if (OutA[Idx] == A[I]) {
-        Found = Idx;
-        break;
-      }
-    if (Found == SIZE_MAX) {
-      Bucket.push_back(OutA.size());
-      OutA.push_back(std::move(A[I]));
-      OutB.push_back(std::move(B[I]));
-    } else if (B[I] < OutB[Found]) {
-      OutB[Found] = std::move(B[I]);
-    }
-  }
-  A = std::move(OutA);
-  B = std::move(OutB);
-}
-
-/// Maps an LPResult onto the PolyLPResult coefficient layout: shared by
-/// the one-shot path and both session paths so the mapping cannot drift.
-void fillFromLP(PolyLPResult &R, const LPResult &LP,
-                const std::vector<unsigned> &TermExponents) {
-  R.Pivots = LP.Pivots;
-  R.ExactPricings = LP.ExactPricings;
-  if (!LP.isOptimal() || LP.Objective.isNegative())
-    return;
-  R.Feasible = true;
-  R.Margin = LP.Objective;
-  unsigned MaxExp =
-      *std::max_element(TermExponents.begin(), TermExponents.end());
-  R.Poly.Coeffs.assign(MaxExp + 1, Rational());
-  for (size_t T = 0; T < TermExponents.size(); ++T)
-    R.Poly.Coeffs[TermExponents[T]] = LP.Z[T];
-}
-
-} // namespace
-
-PolyLPResult
-rfp::solvePolyLP(const std::vector<IntervalConstraint> &Constraints,
-                 const std::vector<unsigned> &TermExponents,
-                 unsigned NumThreads) {
-  assert(!TermExponents.empty() && "need at least one term");
-  size_t NumTerms = TermExponents.size();
-  size_t NumVars = NumTerms + 1; // Coefficients plus the margin delta.
-
-  // Primal rows with *relative* margins: the margin variable delta is the
-  // fraction of each interval's half-width the polynomial must clear,
-  //   -P(x) + w*delta <= -l   and   P(x) + w*delta <= h,  w = (h - l)/2,
-  // so singleton intervals (w = 0, exactly representable results) become
-  // equalities without capping the margin of every other constraint.
-  // A final row bounds delta at 1 so the LP stays bounded.
-  std::vector<std::vector<Rational>> A;
-  std::vector<Rational> B;
-  A.reserve(2 * Constraints.size() + 1);
-  B.reserve(2 * Constraints.size() + 1);
-  Rational Half(BigInt(1), BigInt(2));
-  for (const IntervalConstraint &Con : Constraints) {
-    assert(Con.Lo <= Con.Hi && "inverted interval constraint");
-    std::vector<Rational> Powers(NumTerms);
-    for (size_t T = 0; T < NumTerms; ++T)
-      Powers[T] = Con.X.pow(TermExponents[T]);
-    Rational W = (Con.Hi - Con.Lo) * Half;
-
-    std::vector<Rational> RowLo(NumVars), RowHi(NumVars);
-    for (size_t T = 0; T < NumTerms; ++T) {
-      RowLo[T] = -Powers[T];
-      RowHi[T] = Powers[T];
-    }
-    RowLo[NumTerms] = W;
-    RowHi[NumTerms] = W;
-    A.push_back(std::move(RowLo));
-    B.push_back(-Con.Lo);
-    A.push_back(std::move(RowHi));
-    B.push_back(Con.Hi);
-  }
-  std::vector<Rational> DeltaCap(NumVars);
-  DeltaCap[NumTerms] = Rational(1);
-  A.push_back(std::move(DeltaCap));
-  B.push_back(Rational(1));
-
-  std::vector<Rational> Objective(NumVars);
-  Objective[NumTerms] = Rational(1); // maximize the relative margin
-
-  PolyLPResult R;
-  R.RowsBeforeDedup = static_cast<unsigned>(A.size());
-  dedupRows(A, B);
-  R.RowsAfterDedup = static_cast<unsigned>(A.size());
-
-  LPResult LP = maximizeLP(A, B, Objective, NumThreads);
-  fillFromLP(R, LP, TermExponents);
-  return R;
-}
-
-PolyLPResult
-rfp::solvePolyLP(const std::vector<IntervalConstraint> &Constraints,
-                 unsigned Degree, unsigned NumThreads) {
-  std::vector<unsigned> Terms(Degree + 1);
-  for (unsigned E = 0; E <= Degree; ++E)
-    Terms[E] = E;
-  return solvePolyLP(Constraints, Terms, NumThreads);
-}
 
 //===----------------------------------------------------------------------===//
 // PolyLPSession
@@ -184,34 +21,20 @@ struct rfp::PolyLPSession::State {
   struct ConRec {
     std::vector<Rational> Powers; ///< X^e per term, computed once.
     Rational W;                   ///< Half-width (Hi - Lo) / 2.
-    Rational Lo, Hi;
     SimplexSession::RowId LoRow = 0, HiRow = 0;
-    uint64_t LoKey = 0, HiKey = 0; ///< Dedup keys of the two rows.
     bool Retired = false;
   };
 
   std::vector<unsigned> Exps;
   size_t NumTerms;
   size_t NumVars;
-  unsigned NumThreads;
   SimplexSession Sess;
   std::vector<ConRec> Cons;
   size_t LiveCount = 0;
 
-  /// The persistent dedup hash-set: row-key multiplicities over the live
-  /// rows (both constraint rows and the delta cap), maintained
-  /// incrementally across add/update/retire instead of being rebuilt per
-  /// solve. While no key repeats, every coefficient vector is provably
-  /// distinct and solvePolyLP's duplicate merge is the identity, so the
-  /// session may solve its rows directly; a repeat (a genuine duplicate,
-  /// or a hash collision) routes solve() through the literal cold
-  /// rebuild-dedup-solve path instead.
-  std::unordered_map<uint64_t, unsigned> KeyCount;
-  size_t RepeatedKeys = 0;
-
   State(std::vector<unsigned> TermExponents, unsigned Threads)
       : Exps(std::move(TermExponents)), NumTerms(Exps.size()),
-        NumVars(NumTerms + 1), NumThreads(Threads),
+        NumVars(NumTerms + 1),
         Sess(
             [&] {
               std::vector<Rational> Obj(NumTerms + 1);
@@ -219,30 +42,20 @@ struct rfp::PolyLPSession::State {
               return Obj;
             }(),
             Threads) {
-    // The delta-cap row exists for the session's lifetime and is pinned
-    // last so the column order always matches solvePolyLP's construction
-    // (constraint rows in insertion order, cap at the end).
+    // A final row bounds delta at 1 so the LP stays bounded. It exists for
+    // the session's lifetime and is pinned last, so the column order is
+    // the constraint rows in insertion order, then the cap.
     std::vector<Rational> DeltaCap(NumVars);
     DeltaCap[NumTerms] = Rational(1);
-    addKey(rowKey(DeltaCap));
     Sess.addRow(std::move(DeltaCap), Rational(1), /*PinLast=*/true);
   }
 
-  void addKey(uint64_t K) {
-    if (++KeyCount[K] == 2)
-      ++RepeatedKeys;
-  }
-  void removeKey(uint64_t K) {
-    auto It = KeyCount.find(K);
-    assert(It != KeyCount.end() && It->second > 0 && "untracked row key");
-    if (It->second-- == 2)
-      --RepeatedKeys;
-    if (It->second == 0)
-      KeyCount.erase(It);
-  }
-
-  /// Materializes the constraint's two LP rows from the cached powers:
-  ///   -P(x) + w*delta <= -Lo   and   P(x) + w*delta <= Hi.
+  /// Materializes the constraint's two LP rows from the cached powers.
+  /// The margin variable delta is *relative*: the fraction of the
+  /// interval's half-width w the polynomial must clear,
+  ///   -P(x) + w*delta <= -Lo   and   P(x) + w*delta <= Hi,
+  /// so singleton intervals (w = 0, exactly representable results) become
+  /// equalities without capping the margin of every other constraint.
   void buildRows(const ConRec &C, std::vector<Rational> &RowLo,
                  std::vector<Rational> &RowHi) const {
     RowLo.assign(NumVars, Rational());
@@ -278,14 +91,8 @@ PolyLPSession::ConstraintId PolyLPSession::addConstraint(const Rational &X,
 
   std::vector<Rational> RowLo, RowHi;
   S->buildRows(C, RowLo, RowHi);
-  C.LoKey = rowKey(RowLo);
-  C.HiKey = rowKey(RowHi);
-  S->addKey(C.LoKey);
-  S->addKey(C.HiKey);
   C.LoRow = S->Sess.addRow(std::move(RowLo), -Lo);
-  C.HiRow = S->Sess.addRow(std::move(RowHi), Hi);
-  C.Lo = std::move(Lo);
-  C.Hi = std::move(Hi);
+  C.HiRow = S->Sess.addRow(std::move(RowHi), std::move(Hi));
 
   ConstraintId Id = S->Cons.size();
   S->Cons.push_back(std::move(C));
@@ -302,24 +109,14 @@ void PolyLPSession::updateBound(ConstraintId Id, Rational Lo, Rational Hi) {
 
   std::vector<Rational> RowLo, RowHi;
   S->buildRows(C, RowLo, RowHi);
-  S->removeKey(C.LoKey);
-  S->removeKey(C.HiKey);
-  C.LoKey = rowKey(RowLo);
-  C.HiKey = rowKey(RowHi);
-  S->addKey(C.LoKey);
-  S->addKey(C.HiKey);
   S->Sess.updateRow(C.LoRow, std::move(RowLo), -Lo);
-  S->Sess.updateRow(C.HiRow, std::move(RowHi), Hi);
-  C.Lo = std::move(Lo);
-  C.Hi = std::move(Hi);
+  S->Sess.updateRow(C.HiRow, std::move(RowHi), std::move(Hi));
 }
 
 void PolyLPSession::retire(ConstraintId Id) {
   assert(Id < S->Cons.size() && !S->Cons[Id].Retired &&
          "retiring a retired or unknown constraint");
   State::ConRec &C = S->Cons[Id];
-  S->removeKey(C.LoKey);
-  S->removeKey(C.HiKey);
   S->Sess.retireRow(C.LoRow);
   S->Sess.retireRow(C.HiRow);
   C.Retired = true;
@@ -330,57 +127,23 @@ void PolyLPSession::retire(ConstraintId Id) {
 
 PolyLPResult PolyLPSession::solve() {
   PolyLPResult R;
-  R.RowsBeforeDedup = static_cast<unsigned>(2 * S->LiveCount + 1);
-
-  if (S->RepeatedKeys == 0) {
-    // Every live row is provably distinct: the duplicate merge would be
-    // the identity, so solve the session's cached rows directly (warm
-    // when the banked basis certifies it).
-    R.RowsAfterDedup = R.RowsBeforeDedup;
-    uint64_t AttemptsBefore = S->Sess.stats().WarmAttempts;
-    uint64_t PreAttemptsBefore = S->Sess.stats().PresolveAttempts;
-    LPResult LP = S->Sess.solve();
-    R.Warm = LP.Warm;
-    R.WarmFallback =
-        !LP.Warm && S->Sess.stats().WarmAttempts > AttemptsBefore;
-    R.Presolved = LP.Presolved;
-    R.PresolveFallback = !LP.Presolved &&
-                         S->Sess.stats().PresolveAttempts > PreAttemptsBefore;
-    R.FloatIterations = LP.FloatIterations;
-    fillFromLP(R, LP, S->Exps);
+  R.Rows = static_cast<unsigned>(2 * S->LiveCount + 1);
+  uint64_t AttemptsBefore = S->Sess.stats().WarmAttempts;
+  LPResult LP = S->Sess.solve();
+  R.Warm = LP.Warm;
+  R.WarmFallback = !LP.Warm && S->Sess.stats().WarmAttempts > AttemptsBefore;
+  R.Presolved = LP.Presolved;
+  R.Pivots = LP.Pivots;
+  R.ExactPricings = LP.ExactPricings;
+  // A negative optimal margin: no polynomial meets every interval.
+  if (!LP.isOptimal() || LP.Objective.isNegative())
     return R;
-  }
-
-  // A row key repeats: a duplicate row (or a hash collision) may exist,
-  // and duplicate merging can change the column order. Replay the exact
-  // one-shot path -- rebuild, dedup, cold solve -- so the result stays
-  // bit-identical to solvePolyLP. Rare by construction: the generator's
-  // constraints have distinct reduced inputs.
-  std::vector<std::vector<Rational>> A;
-  std::vector<Rational> B;
-  A.reserve(2 * S->LiveCount + 1);
-  B.reserve(2 * S->LiveCount + 1);
-  for (const State::ConRec &C : S->Cons) {
-    if (C.Retired)
-      continue;
-    std::vector<Rational> RowLo, RowHi;
-    S->buildRows(C, RowLo, RowHi);
-    A.push_back(std::move(RowLo));
-    B.push_back(-C.Lo);
-    A.push_back(std::move(RowHi));
-    B.push_back(C.Hi);
-  }
-  std::vector<Rational> DeltaCap(S->NumVars);
-  DeltaCap[S->NumTerms] = Rational(1);
-  A.push_back(std::move(DeltaCap));
-  B.push_back(Rational(1));
-  std::vector<Rational> Objective(S->NumVars);
-  Objective[S->NumTerms] = Rational(1);
-
-  dedupRows(A, B);
-  R.RowsAfterDedup = static_cast<unsigned>(A.size());
-  LPResult LP = maximizeLP(A, B, Objective, S->NumThreads);
-  fillFromLP(R, LP, S->Exps);
+  R.Feasible = true;
+  R.Margin = LP.Objective;
+  unsigned MaxExp = *std::max_element(S->Exps.begin(), S->Exps.end());
+  R.Poly.Coeffs.assign(MaxExp + 1, Rational());
+  for (size_t T = 0; T < S->NumTerms; ++T)
+    R.Poly.Coeffs[S->Exps[T]] = LP.Z[T];
   return R;
 }
 
@@ -433,3 +196,22 @@ const SimplexSession::Stats &PolyLPSession::lpStats() const {
 }
 
 size_t PolyLPSession::numLiveConstraints() const { return S->LiveCount; }
+
+PolyLPResult
+rfp::solvePolyLP(const std::vector<IntervalConstraint> &Constraints,
+                 const std::vector<unsigned> &TermExponents,
+                 unsigned NumThreads) {
+  PolyLPSession Sess(TermExponents, NumThreads);
+  for (const IntervalConstraint &Con : Constraints)
+    Sess.addConstraint(Con.X, Con.Lo, Con.Hi);
+  return Sess.solve();
+}
+
+PolyLPResult
+rfp::solvePolyLP(const std::vector<IntervalConstraint> &Constraints,
+                 unsigned Degree, unsigned NumThreads) {
+  std::vector<unsigned> Terms(Degree + 1);
+  for (unsigned E = 0; E <= Degree; ++E)
+    Terms[E] = E;
+  return solvePolyLP(Constraints, Terms, NumThreads);
+}

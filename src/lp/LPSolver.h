@@ -46,13 +46,10 @@ struct PolyLPResult {
   /// Pricing screens that fell through to the exact BigInt reduced cost
   /// (see LPResult::ExactPricings).
   uint64_t ExactPricings = 0;
-  /// LP rows built from the constraints, before/after duplicate-row
-  /// merging. Equal when every constraint row is distinct (always the
-  /// case for rounding-interval constraints merged by reduced input).
-  unsigned RowsBeforeDedup = 0;
-  unsigned RowsAfterDedup = 0;
+  /// LP rows solved: two per live constraint plus the delta cap.
+  unsigned Rows = 0;
   /// True when this solve was warm-started from a previous optimal basis
-  /// (PolyLPSession only; one-shot solvePolyLP solves are always cold).
+  /// (never for solvePolyLP, whose session solves once).
   bool Warm = false;
   /// True when a warm start was attempted but had to fall back to a cold
   /// solve (retired basis row, singular refactorization, infeasible or
@@ -62,22 +59,16 @@ struct PolyLPResult {
   /// long-double simplex basis was exactly certified or repaired; see
   /// SimplexSession::setPresolve). Mutually exclusive with Warm.
   bool Presolved = false;
-  /// True when a presolve was attempted but its basis was discarded and
-  /// the solve ran cold.
-  bool PresolveFallback = false;
-  /// Float simplex pivots spent presolving this solve (zero when no
-  /// presolve engaged).
-  unsigned FloatIterations = 0;
 };
 
 /// Solves the RLibm LP for a polynomial with terms x^e for each e in
 /// \p TermExponents (e.g. {0,1,2,3,4} for a dense degree-4 polynomial).
 /// Coefficients for missing exponents are zero in the returned polynomial.
 ///
-/// Rows with identical coefficient vectors are merged before the solve,
-/// keeping the tightest (minimum) right-hand side -- the duplicates are
-/// dominated and cannot change the optimum. \p NumThreads is forwarded to
-/// maximizeLP (see Simplex.h for the determinism contract).
+/// This is a fresh PolyLPSession (presolve off) holding \p Constraints in
+/// order, solved once: a cold solve, the referee every warm or presolved
+/// session solve must equal. \p NumThreads is forwarded to the simplex
+/// engine (see Simplex.h for the determinism contract).
 PolyLPResult solvePolyLP(const std::vector<IntervalConstraint> &Constraints,
                          const std::vector<unsigned> &TermExponents,
                          unsigned NumThreads = 0);
@@ -86,19 +77,21 @@ PolyLPResult solvePolyLP(const std::vector<IntervalConstraint> &Constraints,
 PolyLPResult solvePolyLP(const std::vector<IntervalConstraint> &Constraints,
                          unsigned Degree, unsigned NumThreads = 0);
 
-/// The incremental counterpart of solvePolyLP, built on SimplexSession:
-/// holds the margin-maximizing LP of one generate-check-constrain loop and
-/// re-solves it after bound shrinks without rebuilding the system.
+/// The margin LP's one solver, built on SimplexSession: holds the LP of
+/// one generate-check-constrain loop and re-solves it after each round's
+/// edits (bound shrinks, retires, new constraints) without rebuilding the
+/// system. solvePolyLP is its degenerate case, a fresh session solved once.
 ///
 /// Per constraint the session caches the term powers X^e (computed once --
 /// X never changes across iterations) and the two integerized LP rows; a
 /// one-ulp bound shrink re-derives just that constraint's pair of rows,
 /// and the solve re-enters the dual simplex from the previous optimal
 /// basis when the result is provably identical to a cold solve (see
-/// SimplexSession). solve() is bit-identical -- feasibility verdict,
-/// margin, and coefficients -- to calling solvePolyLP on the live
-/// constraint set in insertion order, which the differential tests
-/// enforce.
+/// SimplexSession). Duplicate rows are solved as they are; the warm and
+/// presolve gates accept only a unique optimum, so they stay exact.
+/// solve() is bit-identical -- feasibility verdict, margin, and
+/// coefficients -- to calling solvePolyLP on the live constraint set in
+/// insertion order, which the differential tests enforce.
 class PolyLPSession {
 public:
   /// Stable constraint handle, valid until retire().
@@ -114,8 +107,8 @@ public:
   PolyLPSession &operator=(PolyLPSession &&) noexcept;
 
   /// Adds the constraint Lo <= P(X) <= Hi and returns its handle.
-  /// Constraint order is solve order: match the order a cold rebuild
-  /// would pass to solvePolyLP to keep the two paths bit-identical.
+  /// Constraint order is solve order: the referee solvePolyLP takes the
+  /// live constraints in insertion order.
   ConstraintId addConstraint(const Rational &X, Rational Lo, Rational Hi);
 
   /// Shrinks (or otherwise replaces) the bounds of constraint \p Id. Only
@@ -147,8 +140,7 @@ public:
   };
 
   /// The basic rows of the most recent optimal solve (the banked warm
-  /// basis); empty when none is banked or the last solve took the literal
-  /// rebuild path.
+  /// basis); empty when none is banked.
   std::vector<PolyBasisRow> lastBasisRows() const;
 
   /// Suggests a starting basis for the next presolve attempt, typically

@@ -617,24 +617,19 @@ private:
   /// reduced cost (ties: minimum index) -- near-minimal iteration counts
   /// on the pipeline's margin LPs. Bland mode (UseBland, engaged after a
   /// degenerate streak) takes the minimum index with negative reduced
-  /// cost, which cannot cycle; its serial scan early-exits per column and
-  /// its parallel scan early-exits per block. Both rules reduce over
-  /// per-index results in index order, so the choice -- and therefore the
-  /// whole pivot sequence -- is thread-count-invariant.
+  /// cost, which cannot cycle; it prices whole PricingBlock-column blocks
+  /// and stops after the first block that holds one. Both rules reduce
+  /// over per-index results in index order and price the same columns on
+  /// any thread count (parallelFor runs inline on one), so the choice --
+  /// and therefore the whole pivot sequence and the exact-pricing count
+  /// -- is thread-count-invariant.
   size_t findEntering(const std::vector<BigInt> &Y, bool Phase1) const {
     size_t Limit = Phase1 ? M + N : M;
     std::vector<Apx> YA(N);
     for (size_t K = 0; K < N; ++K)
       YA[K] = approxOf(Y[K]);
     Apx PA = approxOf(P);
-    double Dummy = 0.0;
     if (UseBland) {
-      if (Threads <= 1) {
-        for (size_t J = 0; J < Limit; ++J)
-          if (!InBasis[J] && pricedSign(Y, YA, PA, J, Phase1, Dummy) < 0)
-            return J;
-        return SIZE_MAX;
-      }
       std::vector<int8_t> Signs(PricingBlock);
       for (size_t Base = 0; Base < Limit; Base += PricingBlock) {
         size_t Count = std::min(PricingBlock, Limit - Base);
@@ -666,18 +661,13 @@ private:
     };
     std::vector<int8_t> Signs(Limit);
     std::vector<double> Keys(Limit);
-    if (Threads <= 1) {
-      for (size_t J = 0; J < Limit; ++J)
-        Price(J, Signs[J], Keys[J]);
-    } else {
-      parallelFor(
-          Limit,
-          [&](size_t Begin, size_t End) {
-            for (size_t J = Begin; J < End; ++J)
-              Price(J, Signs[J], Keys[J]);
-          },
-          Threads);
-    }
+    parallelFor(
+        Limit,
+        [&](size_t Begin, size_t End) {
+          for (size_t J = Begin; J < End; ++J)
+            Price(J, Signs[J], Keys[J]);
+        },
+        Threads);
     size_t Best = SIZE_MAX;
     for (size_t J = 0; J < Limit; ++J)
       if (Signs[J] < 0 && (Best == SIZE_MAX || Keys[J] > Keys[Best]))

@@ -120,8 +120,8 @@ public:
 
   /// Appends the row Coeffs . z <= Rhs and returns its handle. Rows marked
   /// \p PinLast sort after every unpinned row in the solve's column order
-  /// (the poly LP keeps its delta-cap row last, matching solvePolyLP's
-  /// construction order so cold fallbacks replay the exact same tableau).
+  /// (the poly LP adds its delta-cap row first and pins it last, so its
+  /// columns are the constraint rows in insertion order, then the cap).
   RowId addRow(std::vector<Rational> Coeffs, Rational Rhs,
                bool PinLast = false);
 
@@ -146,7 +146,7 @@ public:
   /// near-optimality, primes its final basis into the exact engine, and
   /// the exact engine repairs and certifies -- accepted results are
   /// provably bit-identical to a cold solve, and any other outcome falls
-  /// back cold. Default off; PolyLPSession turns it on per GenConfig.
+  /// back cold. Default off; the generator's sessions turn it on.
   void setPresolve(bool Enabled);
 
   /// Suggests a starting basis for the *next* presolve attempt, as row

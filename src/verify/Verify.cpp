@@ -53,7 +53,9 @@
 // unit's records are the first MaxRecordsPerUnit in (input, path, lane,
 // mode) order: each block caps every combination's records, sorts them
 // into that order and truncates, and blocks merge in ascending order, so
-// the list depends neither on BlockElems nor on the group.
+// the list depends neither on BlockElems nor on the group. Shards split
+// the plan's groups, never a group, so sharding costs no extra oracle
+// query or evaluation.
 //
 // FE lanes pin the dynamic rounding mode only around the evaluation call
 // itself: decode, oracle, and comparison all run under the default
@@ -73,6 +75,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cfenv>
 #include <chrono>
 #include <cstring>
@@ -159,7 +162,7 @@ std::vector<EvalScheme> effectiveSchemes(const SweepConfig &C) {
 std::string configLine(const SweepConfig &C, const std::vector<Unit> &Units,
                        const std::vector<PathSpec> &Paths,
                        const std::vector<FeLane> &Lanes) {
-  std::string L = "v4 funcs=";
+  std::string L = "v5 funcs=";
   bool First = true;
   for (ElemFunc F : effectiveFuncs(C)) {
     if (!First)
@@ -252,14 +255,14 @@ std::vector<FeLane> verify::planLanes(const SweepConfig &C) {
 
 namespace {
 
-/// One past the last unit of the group that starts at \p Begin, within
-/// [Begin, End). A function's stride-1 units form one group, since their
-/// formats nest; strided units group by (function, format, stride). The
-/// plan's (function, bits, scheme) order keeps either kind contiguous.
-size_t groupEnd(const std::vector<Unit> &Units, size_t Begin, size_t End) {
+/// One past the last unit of the group that starts at \p Begin. A
+/// function's stride-1 units form one group, since their formats nest;
+/// strided units group by (function, format, stride). The plan's
+/// (function, bits, scheme) order keeps either kind contiguous.
+size_t groupEnd(const std::vector<Unit> &Units, size_t Begin) {
   const Unit &First = Units[Begin];
   size_t I = Begin + 1;
-  while (I < End && Units[I].Func == First.Func &&
+  while (I < Units.size() && Units[I].Func == First.Func &&
          Units[I].Stride == First.Stride &&
          (First.Stride == 1 || Units[I].FormatBits == First.FormatBits))
     ++I;
@@ -570,9 +573,8 @@ std::vector<UnitResult> runGroup(const SweepConfig &C, const Unit *G,
   return Rs;
 }
 
-/// Runs units [Begin, End) of the plan \p Units group by group, in plan
-/// order. A range that cuts a group runs the part of it inside the range:
-/// a unit's result does not depend on which others share its group.
+/// Runs units [Begin, End) of the plan \p Units, whole groups, group by
+/// group in plan order.
 std::vector<UnitOutcome> runUnits(const SweepConfig &C,
                                   const std::vector<Unit> &Units,
                                   size_t Begin, size_t End,
@@ -580,7 +582,8 @@ std::vector<UnitOutcome> runUnits(const SweepConfig &C,
   std::vector<UnitOutcome> Out;
   Out.reserve(End - Begin);
   for (size_t B = Begin; B < End;) {
-    const size_t E = groupEnd(Units, B, End);
+    const size_t E = groupEnd(Units, B);
+    assert(E <= End && "a unit range must hold whole groups");
     std::vector<UnitResult> Rs = runGroup(C, &Units[B], E - B);
     for (size_t I = B; I < E; ++I) {
       Out.push_back(UnitOutcome{Units[I], std::move(Rs[I - B]), false});
@@ -713,9 +716,9 @@ bool deserializeUnit(Cursor &C, UnitOutcome &U) {
 }
 
 /// Loads shard \p K's unit outcomes from disk; false when the shard is
-/// missing, fails the ShardFile checks, or does not decode to exactly its
-/// unit range.
-bool loadShard(const shard::ShardSet &Set, unsigned K,
+/// missing, fails the ShardFile checks, or does not decode to exactly
+/// \p NumUnits outcomes, the units of its groups.
+bool loadShard(const shard::ShardSet &Set, unsigned K, size_t NumUnits,
                std::vector<UnitOutcome> &Out) {
   shard::ShardReader R;
   if (!R.open(Set, K))
@@ -730,8 +733,17 @@ bool loadShard(const shard::ShardSet &Set, unsigned K,
     if (!deserializeUnit(Cur, Out.back()))
       return false;
   }
-  const auto [Begin, End] = Set.range(K);
-  return Out.size() == End - Begin;
+  return Out.size() == NumUnits;
+}
+
+/// The first unit of each group of the plan, then Units.size(): group G
+/// holds units [Starts[G], Starts[G + 1]).
+std::vector<size_t> groupStarts(const std::vector<Unit> &Units) {
+  std::vector<size_t> Starts;
+  for (size_t B = 0; B < Units.size(); B = groupEnd(Units, B))
+    Starts.push_back(B);
+  Starts.push_back(Units.size());
+  return Starts;
 }
 
 } // namespace
@@ -744,13 +756,18 @@ bool verify::runShard(const SweepConfig &C, const ShardOptions &Opts,
 
   if (Opts.Dir.empty())
     return fail(Err, "shard directory not set");
+  // The shard domain is the plan's groups, so a group's oracle queries
+  // and evaluations run once, in one shard, whatever the shard count.
   const std::vector<Unit> Units = planUnits(C);
+  const std::vector<size_t> Starts = groupStarts(Units);
   const shard::ShardSet Set{Opts.Dir, "verify",
                             configLine(C, Units, planPaths(C), planLanes(C)),
-                            Opts.NumShards, Units.size()};
+                            Opts.NumShards, Starts.size() - 1};
+  const auto [GroupBegin, GroupEnd] = Set.range(K);
+  const size_t Begin = Starts[GroupBegin], End = Starts[GroupEnd];
 
   // One read: a shard that loads is used as is, any other is recomputed.
-  if (Opts.Resume && loadShard(Set, K, Out)) {
+  if (Opts.Resume && loadShard(Set, K, End - Begin, Out)) {
     CResumed.add(Out.size());
     return true;
   }
@@ -758,7 +775,6 @@ bool verify::runShard(const SweepConfig &C, const ShardOptions &Opts,
   shard::ShardWriter W;
   if (!W.open(Set, K, Err))
     return false;
-  const auto [Begin, End] = Set.range(K);
   Out = runUnits(C, Units, Begin, End, {});
   std::vector<unsigned char> Payload;
   for (const UnitOutcome &O : Out)

@@ -14,7 +14,7 @@
 /// rounding mode* (RLibm-MultiRound's scenario, the `fesetround` lanes).
 ///
 /// The work decomposes into **units**: one (function, scheme, format)
-/// triple, the grain of results, records and shards. The engine runs
+/// triple, the grain of results and records. The engine runs
 /// **groups**. A function's exhaustive (stride-1) units form one group
 /// across schemes and formats: every FP(k, 8) value is an FP(w, 8) value
 /// for w >= k (encoding e is encoding e << (w - k)), so the group
@@ -63,11 +63,12 @@
 /// Groups run blocks through ThreadPool::parallelReduce with a fixed
 /// partition, so counts and mismatch records are bit-identical for every
 /// thread count; a unit's records are its first mismatches in (input,
-/// path, lane, mode) order, whatever the block size. Sharded runs persist
-/// per-unit results as support/ShardFile.h shard sets (checksummed,
-/// atomically renamed, pinned to the sweep's canonical config line) so
-/// `verify --shard K/M --resume` skips shards that already completed -- a
-/// killed run loses at most its in-flight shard.
+/// path, lane, mode) order, whatever the block size. Sharded runs split
+/// the plan's groups, never a group, and persist per-unit results as
+/// support/ShardFile.h shard sets (checksummed, atomically renamed,
+/// pinned to the sweep's canonical config line) so `verify --shard K/M
+/// --resume` skips shards that already completed -- a killed run loses
+/// at most its in-flight shard.
 ///
 /// Telemetry: verify.inputs, verify.comparisons, verify.mismatches,
 /// verify.units, verify.units_resumed, verify.oracle.fast,
@@ -171,8 +172,8 @@ struct SweepConfig {
       Candidate;
 };
 
-/// One (function, scheme, format) unit of the sweep: the grain of results,
-/// records and shards. A function's stride-1 units run together as one
+/// One (function, scheme, format) unit of the sweep: the grain of results
+/// and records. A function's stride-1 units run together as one
 /// group, and so do the units that share a strided (function, format,
 /// stride), on one oracle result and one H per (scheme, path, lane) per
 /// input.
@@ -291,11 +292,14 @@ struct ShardOptions {
 };
 
 /// Computes (or, with Resume, loads) shard \p K of \p Opts.NumShards: the
-/// K-th contiguous slice of the unit list (ShardSet::range's ceil split),
-/// run group by group; a group the slice cuts runs the part inside it.
-/// A shard that is missing or fails to load is recomputed. On success
-/// \p Out holds exactly that shard's outcomes and the shard file is on
-/// disk, checksummed and atomically renamed.
+/// units of the K-th contiguous slice of the plan's groups
+/// (ShardSet::range's ceil split of the group count). A shard holds whole
+/// groups, so each group queries the oracle and evaluates its schemes
+/// once whatever the shard count; with more shards than groups the last
+/// ones are empty. A shard that is missing or fails to load is
+/// recomputed. On success \p Out holds exactly that shard's outcomes and
+/// the shard file is on disk, checksummed and atomically renamed. Shard
+/// sets carry config line version v5; older sets are refused.
 bool runShard(const SweepConfig &C, const ShardOptions &Opts, unsigned K,
               std::vector<UnitOutcome> &Out, std::string *Err = nullptr);
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <string>
@@ -128,8 +129,9 @@ TEST(LPSolverTest, ManyConstraintsStaysExact) {
 }
 
 //===--------------------------------------------------------------------===//
-// PolyLPSession: the incremental path must be bit-identical to one-shot
-// solvePolyLP over the live constraints across shrink/retire schedules.
+// PolyLPSession: every solve must be bit-identical to a fresh session's
+// (solvePolyLP) over the live constraints across shrink, retire and
+// append schedules, warm or presolved.
 //===--------------------------------------------------------------------===//
 
 std::vector<IntervalConstraint> bandAroundLog1p(int Count, double Width) {
@@ -155,17 +157,42 @@ void expectSamePolyResult(const PolyLPResult &Want, const PolyLPResult &Got,
 }
 
 /// Drives a session and a fresh-solve referee through the generator's
-/// access pattern over \p Cons: initial solve, then \p Rounds rounds of
-/// shrinking every third live constraint by one interval-width quantum and
-/// retiring one constraint every other round. Returns warm-solve count.
-uint64_t runShrinkSchedule(std::vector<IntervalConstraint> Cons,
-                           const std::vector<unsigned> &Terms, int Rounds,
-                           unsigned Threads) {
+/// three kinds of edit over \p Pool. Three quarters of it are solved
+/// first; then each of \p Rounds rounds shrinks every third live
+/// constraint by one interval-width quantum, every other round retires
+/// one, and every third round appends one of the held-back quarter. Every
+/// solve must equal solvePolyLP on the live constraints in insertion
+/// order. With \p Presolve the session presolves, and its first solve is
+/// hinted with the optimal basis of the same constraints one degree lower,
+/// as the generator's degree ladder does. Returns the session's
+/// accounting.
+SimplexSession::Stats runShrinkSchedule(const std::vector<IntervalConstraint> &Pool,
+                                        const std::vector<unsigned> &Terms,
+                                        int Rounds, unsigned Threads,
+                                        bool Presolve = false) {
+  std::vector<IntervalConstraint> Cons, Held;
+  for (size_t I = 0; I < Pool.size(); ++I)
+    (I % 4 == 3 ? Held : Cons).push_back(Pool[I]);
+
   PolyLPSession Sess(Terms, Threads);
   std::vector<PolyLPSession::ConstraintId> Ids;
-  std::vector<bool> Live(Cons.size(), true);
-  for (const IntervalConstraint &C : Cons)
+  std::vector<bool> Live;
+  for (const IntervalConstraint &C : Cons) {
     Ids.push_back(Sess.addConstraint(C.X, C.Lo, C.Hi));
+    Live.push_back(true);
+  }
+  if (Presolve) {
+    PolyLPSession Lower({Terms.begin(), Terms.end() - 1}, Threads);
+    for (const IntervalConstraint &C : Cons)
+      Lower.addConstraint(C.X, C.Lo, C.Hi);
+    Lower.solve();
+    // Both sessions added the same constraints in the same order, so
+    // their handles agree.
+    std::vector<PolyLPSession::PolyBasisRow> Hint = Lower.lastBasisRows();
+    EXPECT_FALSE(Hint.empty());
+    Sess.setPresolve(true);
+    Sess.hintBasis(Hint);
+  }
 
   auto Referee = [&] {
     std::vector<IntervalConstraint> LiveCons;
@@ -176,6 +203,7 @@ uint64_t runShrinkSchedule(std::vector<IntervalConstraint> Cons,
   };
 
   expectSamePolyResult(Referee(), Sess.solve(), "initial");
+  size_t NextHeld = 0;
   for (int Round = 0; Round < Rounds; ++Round) {
     Rational Shrink =
         (Cons[0].Hi - Cons[0].Lo) * Rational(BigInt(1), BigInt(64));
@@ -193,26 +221,39 @@ uint64_t runShrinkSchedule(std::vector<IntervalConstraint> Cons,
         Sess.retire(Ids[Victim]);
       }
     }
+    if (Round % 3 == 2 && NextHeld < Held.size()) {
+      const IntervalConstraint &C = Held[NextHeld++];
+      Cons.push_back(C);
+      Ids.push_back(Sess.addConstraint(C.X, C.Lo, C.Hi));
+      Live.push_back(true);
+    }
     PolyLPResult Got = Sess.solve();
     expectSamePolyResult(Referee(), Got,
                          ("round " + std::to_string(Round)).c_str());
     if (!Got.Feasible)
       break;
   }
-  return Sess.lpStats().WarmSolves;
+  EXPECT_GT(NextHeld, 0u) << "the schedule never appended a constraint";
+  return Sess.lpStats();
 }
 
 TEST(PolyLPSessionTest, MatchesFreshSolvesOnExpBand) {
-  uint64_t Warm =
-      runShrinkSchedule(bandAroundExp(40, 5e-7), {0u, 1u, 2u, 3u}, 8, 1);
+  auto Band = bandAroundExp(40, 5e-7);
   // The schedule must actually exercise warm re-entry, not just fall back.
-  EXPECT_GT(Warm, 0u);
+  EXPECT_GT(runShrinkSchedule(Band, {0u, 1u, 2u, 3u}, 8, 1).WarmSolves, 0u);
+  SimplexSession::Stats Pre =
+      runShrinkSchedule(Band, {0u, 1u, 2u, 3u}, 8, 1, /*Presolve=*/true);
+  EXPECT_GT(Pre.PresolveAttempts, 0u);
+  EXPECT_GT(Pre.WarmSolves, 0u);
 }
 
 TEST(PolyLPSessionTest, MatchesFreshSolvesOnLogBand) {
-  uint64_t Warm =
-      runShrinkSchedule(bandAroundLog1p(48, 2e-7), {0u, 1u, 2u, 3u}, 8, 1);
-  EXPECT_GT(Warm, 0u);
+  auto Band = bandAroundLog1p(48, 2e-7);
+  EXPECT_GT(runShrinkSchedule(Band, {0u, 1u, 2u, 3u}, 8, 1).WarmSolves, 0u);
+  SimplexSession::Stats Pre =
+      runShrinkSchedule(Band, {0u, 1u, 2u, 3u}, 8, 1, /*Presolve=*/true);
+  EXPECT_GT(Pre.PresolveAttempts, 0u);
+  EXPECT_GT(Pre.WarmSolves, 0u);
 }
 
 TEST(PolyLPSessionTest, ThreadCountDoesNotChangeResults) {
@@ -222,10 +263,13 @@ TEST(PolyLPSessionTest, ThreadCountDoesNotChangeResults) {
     runShrinkSchedule(bandAroundExp(32, 5e-7), {0u, 1u, 2u, 3u}, 6, Threads);
 }
 
-TEST(PolyLPSessionTest, DuplicateRowsTakeTheDedupSlowPath) {
-  // Even-exponent terms make X and -X produce byte-identical LP rows; the
-  // session must detect the repeat and reproduce solvePolyLP's dedup
-  // behavior (merge to the tightest rhs) instead of solving the raw rows.
+TEST(PolyLPSessionTest, DuplicateRowsSolveUnmerged) {
+  // Even-exponent terms make X and -X produce identical LP rows. The
+  // session solves them unmerged: each solve equals the fresh-session
+  // referee on the same rows (warm solves allowed: the warm gate accepts
+  // only a unique optimum), and its verdict and margin equal those of the
+  // system with each exact duplicate removed, since a repeated row does
+  // not change the feasible set.
   std::vector<unsigned> Terms = {0u, 2u};
   std::vector<IntervalConstraint> Cons;
   for (int I = 1; I <= 6; ++I) {
@@ -240,18 +284,40 @@ TEST(PolyLPSessionTest, DuplicateRowsTakeTheDedupSlowPath) {
   std::vector<PolyLPSession::ConstraintId> Ids;
   for (const IntervalConstraint &C : Cons)
     Ids.push_back(Sess.addConstraint(C.X, C.Lo, C.Hi));
-  expectSamePolyResult(solvePolyLP(Cons, Terms, 1), Sess.solve(),
-                       "duplicates");
-  // Shrink one half of a mirrored pair: rows stay duplicates in shape but
-  // now differ in rhs; the dedup referee keeps the tighter side.
+
+  // With terms {0, 2}, two constraints give identical rows exactly when
+  // their X^2 and bounds agree.
+  auto WithoutDuplicates = [&] {
+    std::vector<IntervalConstraint> Out;
+    for (const IntervalConstraint &C : Cons)
+      if (std::none_of(Out.begin(), Out.end(), [&](const IntervalConstraint &K) {
+            return K.X * K.X == C.X * C.X && K.Lo == C.Lo && K.Hi == C.Hi;
+          }))
+        Out.push_back(C);
+    return Out;
+  };
+  auto Check = [&](const char *Ctx, size_t Distinct) {
+    PolyLPResult Got = Sess.solve();
+    EXPECT_EQ(Got.Rows, 2 * Cons.size() + 1) << Ctx;
+    expectSamePolyResult(solvePolyLP(Cons, Terms, 1), Got, Ctx);
+    std::vector<IntervalConstraint> Merged = WithoutDuplicates();
+    EXPECT_EQ(Merged.size(), Distinct) << Ctx;
+    PolyLPResult Want = solvePolyLP(Merged, Terms, 1);
+    ASSERT_EQ(Want.Feasible, Got.Feasible) << Ctx;
+    EXPECT_EQ(Want.Margin, Got.Margin) << Ctx;
+  };
+  Check("duplicates", 6);
+  // Shrink one half of a mirrored pair: its rows now differ from its
+  // mirror's in the margin coefficient and the rhs, so both stay.
   Cons[0].Lo = Cons[0].Lo + Rational::fromDouble(2e-10);
   Cons[0].Hi = Cons[0].Hi - Rational::fromDouble(2e-10);
   Sess.updateBound(Ids[0], Cons[0].Lo, Cons[0].Hi);
-  expectSamePolyResult(solvePolyLP(Cons, Terms, 1), Sess.solve(),
-                       "duplicates after shrink");
-  // All solves must have taken the cold dedup path: warm starts are only
-  // sound when the dedup is the identity.
-  EXPECT_EQ(Sess.lpStats().WarmSolves, 0u);
+  Check("duplicates after shrink", 7);
+  // Shrink the mirror the same way: the pair is an exact duplicate again.
+  Cons[1].Lo = Cons[0].Lo;
+  Cons[1].Hi = Cons[0].Hi;
+  Sess.updateBound(Ids[1], Cons[1].Lo, Cons[1].Hi);
+  Check("pair equal again", 6);
 }
 
 TEST(PolyLPSessionTest, RetireAllButOneStillMatches) {

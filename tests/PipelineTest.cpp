@@ -114,118 +114,92 @@ TEST(PipelineMiscTest, GenerationIsDeterministic) {
 
 TEST(PipelineMiscTest, GenerationIsBitIdenticalAcrossThreadCounts) {
   // The parallel layer's hard requirement: coefficients, piece degrees, and
-  // special cases must be bit-identical for every NumThreads setting. Runs
-  // the full pipeline at 1 and 4 threads and compares everything.
-  GenConfig Cfg = smallConfig();
-  Cfg.NumThreads = 1;
-  PolyGenerator Serial(ElemFunc::Exp2, Cfg);
-  Cfg.NumThreads = 4;
-  PolyGenerator Parallel(ElemFunc::Exp2, Cfg);
-  Serial.prepare();
-  Parallel.prepare();
-  ASSERT_EQ(Serial.numConstraints(), Parallel.numConstraints());
-  ASSERT_EQ(Serial.numInputs(), Parallel.numInputs());
+  // special cases must be bit-identical for every NumThreads setting, and
+  // so must every LP counter, the exact-pricing fallbacks included. Runs
+  // the pipeline at 1 and 4 threads and compares everything.
+  struct Case {
+    ElemFunc F;
+    std::vector<EvalScheme> Schemes;
+    GenConfig Cfg;
+  };
+  // log10/Knuth's degree-6 attempt on four pieces, seeded with the
+  // degree-5 basis, enters the simplex's Bland scan, whose one-thread
+  // pricing must match the pooled one column for column. The shape fails
+  // at either thread count; its LP counters must still agree.
+  GenConfig Bland = smallConfig();
+  Bland.PieceLadder = {4};
+  Bland.DegreeLadder = {5, 6};
+  Bland.MaxIterations = 4;
+  const Case Cases[] = {
+      {ElemFunc::Exp2, {EvalScheme::Horner, EvalScheme::EstrinFMA},
+       smallConfig()},
+      {ElemFunc::Log10, {EvalScheme::Knuth}, Bland},
+  };
+  uint64_t WarmSolves = 0, PresolveAttempts = 0, PresolveSolves = 0,
+           ColdSolves = 0;
+  for (const Case &C : Cases) {
+    GenConfig Cfg = C.Cfg;
+    Cfg.NumThreads = 1;
+    PolyGenerator Serial(C.F, Cfg);
+    Cfg.NumThreads = 4;
+    PolyGenerator Parallel(C.F, Cfg);
+    Serial.prepare();
+    Parallel.prepare();
+    ASSERT_EQ(Serial.numConstraints(), Parallel.numConstraints());
+    ASSERT_EQ(Serial.numInputs(), Parallel.numInputs());
 
-  for (EvalScheme S : {EvalScheme::Horner, EvalScheme::EstrinFMA}) {
-    GeneratedImpl A = Serial.generate(S);
-    GeneratedImpl B = Parallel.generate(S);
-    ASSERT_EQ(A.Success, B.Success) << evalSchemeName(S);
-    if (!A.Success)
-      continue;
-    EXPECT_EQ(A.LPSolves, B.LPSolves);
-    EXPECT_EQ(A.LoopIterations, B.LoopIterations);
-    // The simplex inner loops are parallel too; the pivot sequence (and
-    // the dedup row counts) must not depend on the thread count.
-    EXPECT_EQ(A.Stats.LPPivots, B.Stats.LPPivots);
-    EXPECT_EQ(A.Stats.LPRowsBeforeDedup, B.Stats.LPRowsBeforeDedup);
-    EXPECT_EQ(A.Stats.LPRowsAfterDedup, B.Stats.LPRowsAfterDedup);
-    ASSERT_EQ(A.NumPieces, B.NumPieces);
-    EXPECT_EQ(A.PieceDegrees, B.PieceDegrees);
-    for (int P = 0; P < A.NumPieces; ++P) {
-      ASSERT_EQ(A.Pieces[P].Coeffs.size(), B.Pieces[P].Coeffs.size());
-      for (size_t C = 0; C < A.Pieces[P].Coeffs.size(); ++C) {
-        uint64_t BitsA, BitsB;
-        std::memcpy(&BitsA, &A.Pieces[P].Coeffs[C], sizeof(BitsA));
-        std::memcpy(&BitsB, &B.Pieces[P].Coeffs[C], sizeof(BitsB));
-        EXPECT_EQ(BitsA, BitsB)
-            << evalSchemeName(S) << " piece " << P << " coeff " << C;
+    for (EvalScheme S : C.Schemes) {
+      SCOPED_TRACE(std::string(elemFuncName(C.F)) + "/" + evalSchemeName(S));
+      GeneratedImpl A = Serial.generate(S);
+      GeneratedImpl B = Parallel.generate(S);
+      ASSERT_EQ(A.Success, B.Success);
+      EXPECT_EQ(A.LPSolves, B.LPSolves);
+      EXPECT_EQ(A.LoopIterations, B.LoopIterations);
+      // The simplex inner loops are parallel too; the pivot sequence, the
+      // rows and the exact-pricing fallbacks must not depend on the
+      // thread count.
+      EXPECT_EQ(A.Stats.LPPivots, B.Stats.LPPivots);
+      EXPECT_EQ(A.Stats.LPRows, B.Stats.LPRows);
+      EXPECT_EQ(A.Stats.LPExactPricings, B.Stats.LPExactPricings);
+      // Every solve is exactly one of warm, presolved or pure cold.
+      for (const GeneratedImpl *I : {&A, &B})
+        EXPECT_EQ(I->Stats.LPWarmSolves + I->Stats.LPPresolveSolves +
+                      I->Stats.LPColdSolves,
+                  static_cast<uint64_t>(I->LPSolves));
+      WarmSolves += A.Stats.LPWarmSolves;
+      PresolveAttempts += A.Stats.LPPresolveAttempts;
+      PresolveSolves += A.Stats.LPPresolveSolves;
+      ColdSolves += A.Stats.LPColdSolves;
+      if (!A.Success)
+        continue;
+      ASSERT_EQ(A.NumPieces, B.NumPieces);
+      EXPECT_EQ(A.PieceDegrees, B.PieceDegrees);
+      for (int P = 0; P < A.NumPieces; ++P) {
+        ASSERT_EQ(A.Pieces[P].Coeffs.size(), B.Pieces[P].Coeffs.size());
+        for (size_t K = 0; K < A.Pieces[P].Coeffs.size(); ++K) {
+          uint64_t BitsA, BitsB;
+          std::memcpy(&BitsA, &A.Pieces[P].Coeffs[K], sizeof(BitsA));
+          std::memcpy(&BitsB, &B.Pieces[P].Coeffs[K], sizeof(BitsB));
+          EXPECT_EQ(BitsA, BitsB) << "piece " << P << " coeff " << K;
+        }
+      }
+      ASSERT_EQ(A.Specials.size(), B.Specials.size());
+      for (size_t I = 0; I < A.Specials.size(); ++I) {
+        EXPECT_EQ(A.Specials[I].Bits, B.Specials[I].Bits);
+        uint64_t HA, HB;
+        std::memcpy(&HA, &A.Specials[I].H, sizeof(HA));
+        std::memcpy(&HB, &B.Specials[I].H, sizeof(HB));
+        EXPECT_EQ(HA, HB);
       }
     }
-    ASSERT_EQ(A.Specials.size(), B.Specials.size());
-    for (size_t I = 0; I < A.Specials.size(); ++I) {
-      EXPECT_EQ(A.Specials[I].Bits, B.Specials[I].Bits);
-      uint64_t HA, HB;
-      std::memcpy(&HA, &A.Specials[I].H, sizeof(HA));
-      std::memcpy(&HB, &B.Specials[I].H, sizeof(HB));
-      EXPECT_EQ(HA, HB);
-    }
   }
-}
-
-TEST(PipelineMiscTest, WarmStartOnAndOffAreBitIdentical) {
-  // The incremental-LP contract end to end: a generator running one
-  // PolyLPSession per shape attempt (WarmStart = 1) must ship the exact
-  // implementation of a generator that rebuilds and cold-solves every
-  // iteration (WarmStart = 0) -- same coefficients, specials, degrees, and
-  // iteration counts. Only the pivot totals and warm/cold accounting may
-  // differ.
-  GenConfig Cfg = smallConfig();
-  Cfg.WarmStart = 1;
-  PolyGenerator WarmGen(ElemFunc::Exp2, Cfg);
-  Cfg.WarmStart = 0;
-  PolyGenerator ColdGen(ElemFunc::Exp2, Cfg);
-  WarmGen.prepare();
-  ColdGen.prepare();
-  ASSERT_EQ(WarmGen.numConstraints(), ColdGen.numConstraints());
-
-  uint64_t WarmSolvesTotal = 0;
-  for (EvalScheme S : {EvalScheme::Horner, EvalScheme::EstrinFMA}) {
-    GeneratedImpl A = WarmGen.generate(S);
-    GeneratedImpl B = ColdGen.generate(S);
-    ASSERT_EQ(A.Success, B.Success) << evalSchemeName(S);
-    if (!A.Success)
-      continue;
-    EXPECT_EQ(A.LPSolves, B.LPSolves);
-    EXPECT_EQ(A.LoopIterations, B.LoopIterations);
-    // Pivot totals are the one statistic that legitimately differs: warm
-    // re-solves spend fewer pivots than cold rebuilds. Row accounting and
-    // everything downstream of the optima must still agree.
-    EXPECT_EQ(A.Stats.LPRowsBeforeDedup, B.Stats.LPRowsBeforeDedup);
-    EXPECT_EQ(A.Stats.LPRowsAfterDedup, B.Stats.LPRowsAfterDedup);
-    // The referee path never warm-starts or presolves (both require a
-    // session). Every session solve is exactly one of warm / presolved /
-    // pure cold.
-    EXPECT_EQ(B.Stats.LPWarmSolves, 0u);
-    EXPECT_EQ(B.Stats.LPPresolveSolves, 0u);
-    EXPECT_EQ(B.Stats.LPColdSolves, static_cast<uint64_t>(B.LPSolves));
-    EXPECT_EQ(A.Stats.LPWarmSolves + A.Stats.LPPresolveSolves +
-                  A.Stats.LPColdSolves,
-              static_cast<uint64_t>(A.LPSolves));
-    WarmSolvesTotal += A.Stats.LPWarmSolves;
-    ASSERT_EQ(A.NumPieces, B.NumPieces);
-    EXPECT_EQ(A.PieceDegrees, B.PieceDegrees);
-    for (int P = 0; P < A.NumPieces; ++P) {
-      ASSERT_EQ(A.Pieces[P].Coeffs.size(), B.Pieces[P].Coeffs.size());
-      for (size_t C = 0; C < A.Pieces[P].Coeffs.size(); ++C) {
-        uint64_t BitsA, BitsB;
-        std::memcpy(&BitsA, &A.Pieces[P].Coeffs[C], sizeof(BitsA));
-        std::memcpy(&BitsB, &B.Pieces[P].Coeffs[C], sizeof(BitsB));
-        EXPECT_EQ(BitsA, BitsB)
-            << evalSchemeName(S) << " piece " << P << " coeff " << C;
-      }
-    }
-    ASSERT_EQ(A.Specials.size(), B.Specials.size());
-    for (size_t I = 0; I < A.Specials.size(); ++I) {
-      EXPECT_EQ(A.Specials[I].Bits, B.Specials[I].Bits);
-      uint64_t HA, HB;
-      std::memcpy(&HA, &A.Specials[I].H, sizeof(HA));
-      std::memcpy(&HB, &B.Specials[I].H, sizeof(HB));
-      EXPECT_EQ(HA, HB);
-    }
-  }
-  // The warm generator must actually warm-start somewhere, or the test
-  // degenerates into comparing the cold path with itself.
-  EXPECT_GT(WarmSolvesTotal, 0u);
+  // The LP session must actually re-solve warm, and the float presolver
+  // must serve the solves the warm path cannot: at least 80% of the
+  // non-warm solves are presolved rather than pure cold.
+  EXPECT_GT(WarmSolves, 0u);
+  EXPECT_GT(PresolveAttempts, 0u);
+  EXPECT_GE(static_cast<double>(PresolveSolves),
+            0.80 * static_cast<double>(PresolveSolves + ColdSolves));
 }
 
 TEST(PipelineMiscTest, FlushedCoefficientStillPassesTheCheckStep) {

@@ -16,8 +16,8 @@
 // group -- every scheme and exhaustive format of a function -- must share
 // one oracle query per input without changing any unit's counts or
 // records, and the sharded store must round-trip, reject corruption, and
-// resume without changing a single count or record, also where a shard
-// boundary cuts a group.
+// resume without changing a single count or record, with every shard
+// holding whole groups so that sharding adds no oracle query.
 //
 //===----------------------------------------------------------------------===//
 
@@ -754,8 +754,9 @@ TEST(VerifyStoreTest, ShardRoundTripAndCorruptionRejection) {
   std::vector<UnitOutcome> Written;
   ASSERT_TRUE(runShard(C, Opts, 1, Written, &Err)) << Err;
 
-  // Reconstruct the identity the engine stored (manifest holds the line).
-  shard::ShardSet Set{Dir, "verify", "", 3, planUnits(C).size()};
+  // Reconstruct the identity the engine stored (the manifest holds the
+  // config line and the domain, the plan's group count).
+  shard::ShardSet Set{Dir, "verify", "", 3, 0};
   {
     std::ifstream In(Set.manifestPath());
     std::string Tag, Ver, Line;
@@ -764,7 +765,15 @@ TEST(VerifyStoreTest, ShardRoundTripAndCorruptionRejection) {
     std::getline(In, Line); // "config <line>"
     ASSERT_EQ(Line.rfind("config ", 0), 0u);
     Set.ConfigLine = Line.substr(7);
+    std::string Key;
+    unsigned Shards = 0;
+    In >> Key >> Shards >> Key >> Set.DomainSize;
+    ASSERT_EQ(Key, "domain");
+    ASSERT_EQ(Shards, 3u);
   }
+  // smallConfig's two functions sweep exhaustive formats: one group each.
+  EXPECT_EQ(Set.DomainSize, 2u);
+  ASSERT_FALSE(Written.empty());
   ASSERT_TRUE(shard::shardValid(Set, 1));
 
   // Resume loads the shard back instead of recomputing it.
@@ -890,39 +899,53 @@ TEST(VerifyStoreTest, ShardedSweepMatchesInProcessSweep) {
 }
 
 TEST(VerifyStoreTest, ShardBoundaryInsideAGroupMatchesInProcessSweep) {
-  // One function's four schemes at FP(10) and FP(11): 8 units in one
-  // group. Three shards split them 3/3/2, so both boundaries cut it, and
-  // the middle shard's part holds FP(10)'s last scheme and FP(11)'s first
-  // two.
+  // Three functions' four schemes at FP(10) and FP(11): 24 units in three
+  // groups of 8, so a split of the units into 2, 3 or 7 shards would cut
+  // groups. Shards split the groups instead: no shard holds part of a
+  // group, the assembled report equals runSweep's, and the oracle answers
+  // exactly the unsharded run's queries.
   SweepConfig C = smallConfig();
-  C.Funcs = {ElemFunc::Exp2};
+  C.Funcs = {ElemFunc::Exp2, ElemFunc::Log, ElemFunc::Exp10};
   C.Schemes.assign(std::begin(AllEvalSchemes), std::end(AllEvalSchemes));
   C.Candidate = nudgedPerScheme();
+  ASSERT_EQ(planUnits(C).size(), 24u);
+  auto Queries = [] {
+    return telemetry::counterValue("verify.oracle.queries");
+  };
+  const uint64_t Q0 = Queries();
   SweepReport Ref = runSweep(C);
+  const uint64_t RefQueries = Queries() - Q0;
   ASSERT_GT(Ref.Mismatches, 0u);
+  ASSERT_GT(RefQueries, 0u);
 
-  std::string Dir = tempDir("splitgroup");
-  ShardOptions Opts;
-  Opts.Dir = Dir;
-  Opts.NumShards = 3;
-  const std::vector<Unit> Units = planUnits(C);
-  ASSERT_EQ(Units.size(), 8u);
-  const shard::ShardSet Set{Dir, "verify", "", Opts.NumShards, Units.size()};
-  unsigned Splits = 0;
-  for (unsigned K = 1; K < Opts.NumShards; ++K) {
-    const uint64_t B = Set.range(K).first;
-    Splits += Units[B - 1].Func == Units[B].Func ? 1 : 0;
+  for (unsigned M : {2u, 3u, 7u}) {
+    SCOPED_TRACE(std::to_string(M) + " shards");
+    std::string Dir = tempDir("splitgroup");
+    ShardOptions Opts;
+    Opts.Dir = Dir;
+    Opts.NumShards = M;
+    SweepReport R;
+    R.Paths = Ref.Paths;
+    R.Lanes = Ref.Lanes;
+    const uint64_t Before = Queries();
+    for (unsigned K = 0; K < M; ++K) {
+      std::vector<UnitOutcome> Out;
+      std::string Err;
+      ASSERT_TRUE(runShard(C, Opts, K, Out, &Err)) << Err;
+      std::map<ElemFunc, size_t> PerFunc;
+      for (UnitOutcome &O : Out) {
+        ++PerFunc[O.U.Func];
+        R.Units.push_back(std::move(O));
+      }
+      for (const auto &[F, N] : PerFunc)
+        EXPECT_EQ(N, 8u) << "shard " << K << " holds part of "
+                         << elemFuncName(F) << "'s group";
+    }
+    EXPECT_EQ(Queries() - Before, RefQueries);
+    R.accumulate();
+    expectSameOutcomes(Ref, R);
+    std::filesystem::remove_all(Dir);
   }
-  EXPECT_EQ(Splits, 2u);
-  const auto [MidBegin, MidEnd] = Set.range(1);
-  EXPECT_EQ(Units[MidBegin].FormatBits, 10u);
-  EXPECT_EQ(Units[MidEnd - 1].FormatBits, 11u);
-
-  SweepReport R;
-  std::string Err;
-  ASSERT_TRUE(runShardedSweep(C, Opts, R, &Err)) << Err;
-  expectSameOutcomes(Ref, R);
-  std::filesystem::remove_all(Dir);
 }
 
 } // namespace

@@ -76,6 +76,8 @@ int usage(const char *Prog) {
       "                         RFP_THREADS/cores)\n"
       "  --max-records <n>      mismatch records kept per unit (default 64)\n"
       "  --shards <m>           split the sweep into m resumable shards\n"
+      "                         of whole groups (a function's exhaustive\n"
+      "                         formats, or one strided format)\n"
       "  --shard <k>/<m>        run only shard k of m (0-based)\n"
       "  --shard-dir <dir>      shard directory (required with shards)\n"
       "  --resume               reuse shards already valid on disk\n"
