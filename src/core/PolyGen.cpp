@@ -121,14 +121,7 @@ static bool setErr(std::string *Err, const std::string &Msg) {
   return false;
 }
 
-/// The window patterns around the boundary anchors, sorted and deduped.
-/// The candidate domain is the union of these with the implicit strided
-/// sweep over all 2^32 bit patterns (reduceInput later filters out the
-/// non-polynomial paths).
-static std::vector<uint32_t> buildWindowBits(ElemFunc Func,
-                                             const GenConfig &Config) {
-  std::vector<uint32_t> Bits;
-
+std::vector<uint32_t> rfp::windowAnchors(ElemFunc Func) {
   // Dense windows around boundary values where special-path handoffs and
   // exactly representable results live.
   std::vector<float> Anchors = {0.0f, 1.0f, -1.0f, 2.0f, 0.5f};
@@ -167,28 +160,52 @@ static std::vector<uint32_t> buildWindowBits(ElemFunc Func,
     break;
   }
   }
-  for (float A : Anchors) {
-    uint32_t C = floatToBits(A);
-    uint32_t W = Config.BoundaryWindow;
-    for (uint32_t D = 0; D <= W; ++D) {
-      Bits.push_back(C + D);
-      Bits.push_back(C - D);
-      // Mirror to the negative range for exp-family functions.
-      Bits.push_back((C + D) ^ 0x80000000u);
-      Bits.push_back((C - D) ^ 0x80000000u);
-    }
-  }
+  std::vector<uint32_t> Bits(Anchors.size());
+  for (size_t I = 0; I < Anchors.size(); ++I)
+    Bits[I] = floatToBits(Anchors[I]);
+  return Bits;
+}
 
-  std::sort(Bits.begin(), Bits.end());
-  Bits.erase(std::unique(Bits.begin(), Bits.end()), Bits.end());
+std::vector<uint32_t> rfp::windowOnlyBits(const std::vector<uint32_t> &Anchors,
+                                          uint32_t Window, uint32_t Stride) {
+  // Each anchor C and its mirror C ^ 0x80000000 (the XOR adds 2^31 modulo
+  // 2^32) cover the cyclic range [C - W, C + W]. Ranges that wrap at 0 or
+  // 2^32 split in two; sorted by start, each range then emits only what
+  // lies above everything emitted before it, so the output ascends without
+  // a sort or a dedup pass.
+  constexpr uint64_t Space = 1ull << 32;
+  const uint64_t Len = std::min<uint64_t>(2 * uint64_t(Window) + 1, Space);
+  std::vector<std::pair<uint64_t, uint64_t>> Ranges; // Half-open [Lo, Hi).
+  for (uint32_t A : Anchors)
+    for (uint32_t C : {A, A ^ 0x80000000u}) {
+      uint64_t Lo = (uint64_t(C) + Space - Window) % Space;
+      uint64_t Hi = Lo + Len;
+      if (Hi <= Space) {
+        Ranges.push_back({Lo, Hi});
+      } else {
+        Ranges.push_back({Lo, Space});
+        Ranges.push_back({0, Hi - Space});
+      }
+    }
+  std::sort(Ranges.begin(), Ranges.end());
+
   // Patterns on the stride already live in the implicit strided set; what
   // remains is exactly the "window only" complement, keeping the union
   // free of duplicates without materializing the strided side.
-  Bits.erase(std::remove_if(Bits.begin(), Bits.end(),
-                            [&](uint32_t B) {
-                              return B % Config.SampleStride == 0;
-                            }),
-             Bits.end());
+  std::vector<uint32_t> Bits;
+  uint64_t Done = 0; // Every pattern below Done has been considered.
+  for (auto [Lo, Hi] : Ranges) {
+    Lo = std::max(Lo, Done);
+    uint64_t NextOnStride = (Lo + Stride - 1) / Stride * Stride;
+    for (uint64_t B = Lo; B < Hi; ++B) {
+      if (B == NextOnStride) {
+        NextOnStride += Stride;
+        continue;
+      }
+      Bits.push_back(static_cast<uint32_t>(B));
+    }
+    Done = std::max(Done, Hi);
+  }
   return Bits;
 }
 
@@ -242,7 +259,8 @@ void PolyGenerator::initCandidates() {
   CandsBuilt = true;
   Cands.Stride = Config.SampleStride;
   Cands.NumStrided = 0xFFFFFFFFull / Config.SampleStride + 1;
-  Cands.WinOnly = buildWindowBits(Func, Config);
+  Cands.WinOnly = windowOnlyBits(windowAnchors(Func), Config.BoundaryWindow,
+                                 Config.SampleStride);
 }
 
 uint64_t PolyGenerator::candidateCount() {

@@ -158,6 +158,19 @@ struct GeneratedImpl {
   double evalH(float X) const;
 };
 
+/// Bit patterns of the boundary anchors around which the generator samples
+/// dense windows: special-path handoffs and exactly representable results.
+std::vector<uint32_t> windowAnchors(ElemFunc Func);
+
+/// The window patterns off the stride, ascending and distinct: every
+/// pattern within \p Window of an anchor or of its sign mirror
+/// (anchor ^ 0x80000000), modulo 2^32, that is not a multiple of
+/// \p Stride. The generator's candidate domain is their union with the
+/// strided patterns 0, Stride, 2 * Stride, ... (reduceInput later filters
+/// out the inputs that take a special path).
+std::vector<uint32_t> windowOnlyBits(const std::vector<uint32_t> &Anchors,
+                                     uint32_t Window, uint32_t Stride);
+
 /// Drives constraint construction (shared across schemes) and per-scheme
 /// generation for one elementary function.
 class PolyGenerator {

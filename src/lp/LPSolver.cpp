@@ -85,8 +85,12 @@ PolyLPSession::ConstraintId PolyLPSession::addConstraint(const Rational &X,
   assert(Lo <= Hi && "inverted interval constraint");
   State::ConRec C;
   C.Powers.resize(S->NumTerms);
+  // Consecutive exponents extend the previous power by one factor of X
+  // (one dyadic product each); any other term list keeps pow.
   for (size_t T = 0; T < S->NumTerms; ++T)
-    C.Powers[T] = X.pow(S->Exps[T]);
+    C.Powers[T] = T > 0 && S->Exps[T] == S->Exps[T - 1] + 1
+                      ? C.Powers[T - 1] * X
+                      : X.pow(S->Exps[T]);
   C.W = (Hi - Lo) * Rational(BigInt(1), BigInt(2));
 
   std::vector<Rational> RowLo, RowHi;

@@ -31,17 +31,22 @@
 //    per pricing candidate.
 //
 //  * The O(N*M) pricing sweep -- and, for large N, the column transform
-//    and the pivot update -- run chunked on the shared ThreadPool. Bland's
-//    entering column is the minimum index with negative reduced cost, so
+//    and the pivot update -- run chunked on the shared ThreadPool. The
+//    entering column is the most negative scale-free reduced cost (ties:
+//    minimum index), or under the Bland fallback the minimum index with a
+//    negative one; both reduce over per-column results in index order, so
 //    the parallel pick is deterministic by construction; all arithmetic is
 //    exact, so evaluation order cannot perturb values.
 //
 // Inputs are integerized by scaling each dual column (primal constraint)
 // by the lcm of its denominators, which rescales the dual variable but
-// leaves the primal solution and objective unchanged.
+// leaves the primal solution and objective unchanged. The generator's
+// rows are dyadic, so that lcm is the largest denominator and the scaling
+// is a shift.
 //
 // Status mapping: dual infeasible => primal unbounded; dual unbounded =>
-// primal infeasible. Bland's rule guarantees termination.
+// primal infeasible. The Bland fallback after a degenerate streak
+// guarantees termination.
 //
 // The integerization (ColData) and the fixed dual row frame (DualFrame)
 // are split out of the engine so SimplexSession can cache them across
@@ -103,14 +108,23 @@ BigInt exactDiv(const BigInt &N, const BigInt &D) {
   return Q;
 }
 
+/// lcm of two positive denominators. The generator's rows are dyadic (every
+/// entry is a double or a product of doubles), so when both are powers of
+/// two the lcm is simply the larger one.
 BigInt lcm(const BigInt &A, const BigInt &B) {
+  if (A.isPowerOfTwo() && B.isPowerOfTwo())
+    return A >= B ? A : B;
   BigInt G = BigInt::gcd(A, B);
   return (A / G) * B;
 }
 
 BigInt scaleToInt(const Rational &V, const BigInt &Scale) {
   // V * Scale is an integer because Scale is a multiple of V's
-  // denominator.
+  // denominator. A power-of-two Scale has only power-of-two divisors, so
+  // the multiplier Scale / den is 2^(difference of their bit lengths).
+  if (Scale.isPowerOfTwo())
+    return V.numerator().shl(Scale.bitLength() -
+                             V.denominator().bitLength());
   return V.numerator() * (Scale / V.denominator());
 }
 
@@ -794,10 +808,13 @@ private:
         ZK = -ZK;
       R.Z[K] = ZK * Rational(Frame.RowScale[K]);
     }
-    // Objective: sum over basic dual variables of cost * value.
+    // Objective: sum over basic dual variables of cost * value. Every
+    // value is XB[K] / P, so the sum is one fraction over P, reduced once.
+    BigInt Obj;
     for (size_t K = 0; K < N; ++K)
       if (Basis[K] < M)
-        R.Objective += Rational(CD[Basis[K]]->Cost) * Rational(XB[K], P);
+        Obj += CD[Basis[K]]->Cost * XB[K];
+    R.Objective = Rational(std::move(Obj), P);
   }
 
   /// One phase of simplex iterations (greedy entering rule with Bland

@@ -8,10 +8,15 @@
 /// An exact rational LP solver -- the stand-in for SoPlex in the paper's
 /// pipeline. The RLibm LPs have very few unknowns (polynomial coefficients
 /// plus a margin variable, <= 10) and many constraints, so we solve the
-/// *dual* with a dense two-phase tableau: the tableau then has one row per
-/// unknown and one column per constraint, keeping pivots cheap. Bland's
-/// rule guarantees termination; all arithmetic is exact, so the verdict
-/// (optimal/infeasible/unbounded) is never a numerical artifact.
+/// *dual* with a two-phase revised simplex: only the N x N basis inverse
+/// is kept (fraction-free integers over one common denominator), and the
+/// thousands of constraint columns are touched only by pricing. The
+/// entering column is the most negative scale-free reduced cost; after a
+/// streak of degenerate pivots the solver falls back to Bland's rule,
+/// which cannot cycle, so every solve terminates. All arithmetic is exact,
+/// so the verdict (optimal/infeasible/unbounded) is never a numerical
+/// artifact. SimplexSession adds warm re-solves and a float presolve on
+/// top, each certified equal to a cold solve.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,9 +80,10 @@ struct LPResult {
 ///
 /// \p NumThreads follows ThreadPool::resolveThreads (0 = RFP_THREADS env,
 /// then hardware). The pricing / column-transform / pivot-update kernels
-/// run on the shared pool; Bland's rule makes the entering column the
-/// minimum index with negative reduced cost, so the result -- including
-/// the pivot sequence -- is bit-identical for every thread count.
+/// run on the shared pool. Both entering rules (greedy, and the Bland
+/// fallback) reduce over per-column results in index order, so the result
+/// -- including the pivot sequence -- is bit-identical for every thread
+/// count.
 LPResult maximizeLP(const std::vector<std::vector<Rational>> &A,
                     const std::vector<Rational> &B,
                     const std::vector<Rational> &C,

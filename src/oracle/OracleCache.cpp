@@ -8,6 +8,7 @@
 
 #include "oracle/Oracle.h"
 #include "oracle/OracleFast.h"
+#include "support/ShardFile.h"
 #include "support/Telemetry.h"
 
 #include <cstdlib>
@@ -34,10 +35,14 @@ struct CacheState {
 
   CacheState() {
     if (const char *Env = std::getenv("RFP_ORACLE_CACHE_CAP")) {
-      long long Cap = std::atoll(Env);
-      if (Cap > 0)
-        CapPerShard =
-            (static_cast<size_t>(Cap) + NumShards - 1) / NumShards;
+      uint64_t Cap = 0;
+      if (!parseCount(Env, 0, UINT64_MAX, Cap))
+        telemetry::logf(telemetry::LogLevel::Warn, "oracle",
+                        "ignoring malformed RFP_ORACLE_CACHE_CAP value \"%s\"",
+                        Env);
+      else if (Cap > 0)
+        CapPerShard = static_cast<size_t>(Cap / NumShards +
+                                          (Cap % NumShards != 0));
     }
   }
 };

@@ -136,6 +136,19 @@ bool BigInt::testBit(unsigned I) const {
   return (Limbs[Limb] >> (I % 32)) & 1;
 }
 
+bool BigInt::isPowerOfTwo() const {
+  if (Limbs.empty())
+    return false;
+  const uint32_t *D = Limbs.data();
+  size_t Top = Limbs.size() - 1;
+  if (D[Top] & (D[Top] - 1))
+    return false;
+  for (size_t I = 0; I < Top; ++I)
+    if (D[I] != 0)
+      return false;
+  return true;
+}
+
 bool BigInt::anyBitBelow(unsigned I) const {
   unsigned FullLimbs = I / 32;
   for (unsigned L = 0; L < FullLimbs && L < Limbs.size(); ++L)
@@ -412,6 +425,26 @@ void BigInt::divMod(const BigInt &A, const BigInt &B, BigInt &Q, BigInt &R) {
     return;
   }
 
+  // Dyadic fast path, |B| = 2^K: the quotient is |A| >> K (truncation
+  // toward zero, since the magnitude is what shifts) and the remainder is
+  // the low K bits of |A|, both signed as in the general path.
+  if (B.isPowerOfTwo()) {
+    unsigned K = B.bitLength() - 1;
+    BigInt Rem; // |A| >= 2^K, so A has all ceil(K / 32) low limbs.
+    Rem.Limbs.resize((K + 31) / 32);
+    std::memcpy(Rem.Limbs.data(), A.Limbs.data(),
+                Rem.Limbs.size() * sizeof(uint32_t));
+    if (K % 32 != 0)
+      Rem.Limbs.back() &= (1u << (K % 32)) - 1;
+    Rem.Negative = A.Negative;
+    Rem.trim();
+    BigInt Quo = A.shr(K); // Non-zero, for the same reason.
+    Quo.Negative = A.Negative != B.Negative;
+    Q = std::move(Quo);
+    R = std::move(Rem);
+    return;
+  }
+
   // Single-limb fast path.
   if (B.Limbs.size() == 1) {
     uint64_t D = B.Limbs[0];
@@ -585,13 +618,15 @@ BigInt BigInt::gcd(BigInt A, BigInt B) {
     return B;
   if (B.isZero())
     return A;
-  // gcd(x, 1) = 1: frequent in the Henrici fast paths (integer-valued
-  // operands), and Stein on a long operand against 1 walks every bit.
-  if (A.isOne() || B.isOne())
-    return BigInt(1);
   unsigned Za = A.countTrailingZeros();
   unsigned Zb = B.countTrailingZeros();
   unsigned Shift = std::min(Za, Zb);
+  // Dyadic fast path: when either odd part is 1 the gcd is the common
+  // power of two. This is the exact layer's common case -- a dyadic
+  // denominator against anything, and gcd(x, 1) in the Henrici paths --
+  // where the loop below would walk the other operand bit by bit.
+  if (A.isPowerOfTwo() || B.isPowerOfTwo())
+    return pow2(Shift);
   A = A.shr(Za);
   B = B.shr(Zb);
   // Both odd from here on.

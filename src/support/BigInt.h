@@ -166,6 +166,12 @@ public:
   bool isNegative() const { return Negative; }
   bool isOne() const { return !Negative && Limbs.size() == 1 && Limbs[0] == 1; }
 
+  /// True iff the magnitude is 2^K for some K >= 0 (false for zero). The
+  /// dyadic fast paths of gcd, divMod and the LP's integerization key on
+  /// it: every double is a dyadic rational, so the generator's
+  /// denominators are all powers of two.
+  bool isPowerOfTwo() const;
+
   /// Returns true iff the value fits in int64_t.
   bool fitsInt64() const;
 
@@ -202,7 +208,8 @@ public:
   BigInt operator+(const BigInt &RHS) const;
   BigInt operator-(const BigInt &RHS) const;
   BigInt operator*(const BigInt &RHS) const;
-  /// Truncating division (C semantics: quotient rounds toward zero).
+  /// Truncating division (C semantics: quotient rounds toward zero). A
+  /// divisor of +-2^K costs a shift (see divMod).
   BigInt operator/(const BigInt &RHS) const;
   /// Remainder paired with operator/ (sign follows the dividend).
   BigInt operator%(const BigInt &RHS) const;
@@ -211,7 +218,8 @@ public:
   BigInt &operator-=(const BigInt &RHS) { return *this = *this - RHS; }
   BigInt &operator*=(const BigInt &RHS) { return *this = *this * RHS; }
 
-  /// Computes quotient and remainder in one pass (Knuth Algorithm D).
+  /// Computes quotient and remainder in one pass (Knuth Algorithm D; a
+  /// shift and a mask when |B| is a power of two).
   static void divMod(const BigInt &A, const BigInt &B, BigInt &Q, BigInt &R);
 
   /// Limb count at and above which operator* switches from schoolbook to
@@ -236,6 +244,8 @@ public:
   bool operator>=(const BigInt &RHS) const { return compare(RHS) >= 0; }
 
   /// Greatest common divisor of the magnitudes (always non-negative).
+  /// When either magnitude is a power of two the answer is 2^(the smaller
+  /// trailing-zero count), returned without running the binary gcd.
   static BigInt gcd(BigInt A, BigInt B);
 
   /// Base-10 rendering with leading '-' when negative.

@@ -7,6 +7,7 @@
 #include "support/Rational.h"
 
 #include <cmath>
+#include <cstring>
 
 using namespace rfp;
 
@@ -41,14 +42,29 @@ Rational Rational::fromDouble(double V) {
   assert(std::isfinite(V) && "fromDouble requires a finite value");
   if (V == 0.0)
     return Rational();
-  int Exp;
-  double Frac = std::frexp(V, &Exp); // V = Frac * 2^Exp, |Frac| in [0.5, 1)
-  int64_t Mant = static_cast<int64_t>(std::ldexp(Frac, 53));
-  int E2 = Exp - 53;
-  BigInt N(Mant);
-  if (E2 >= 0)
-    return Rational(N.shl(static_cast<unsigned>(E2)));
-  return Rational(std::move(N), BigInt::pow2(static_cast<unsigned>(-E2)));
+  // Decode V = Mant * 2^Exp from its bits and strip Mant's trailing zeros:
+  // an odd numerator over a power of two (or an integer) is already the
+  // canonical pair, so no gcd runs.
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof Bits);
+  uint64_t Mant = Bits & ((1ull << 52) - 1);
+  int BiasedExp = static_cast<int>((Bits >> 52) & 0x7ff);
+  int Exp = -1074; // Subnormal.
+  if (BiasedExp != 0) {
+    Mant |= 1ull << 52;
+    Exp = BiasedExp - 1075;
+  }
+  int TZ = __builtin_ctzll(Mant);
+  Mant >>= TZ;
+  Exp += TZ;
+  BigInt N(Mant, /*UnsignedTag=*/true);
+  if (Bits >> 63)
+    N = -N;
+  if (Exp >= 0)
+    return Rational(N.shl(static_cast<unsigned>(Exp)), BigInt(1),
+                    CanonicalTag{});
+  return Rational(std::move(N), BigInt::pow2(static_cast<unsigned>(-Exp)),
+                  CanonicalTag{});
 }
 
 double rfp::roundScaledToDouble(const BigInt &Q, int64_t BinExp, bool Sticky,
@@ -114,8 +130,9 @@ Rational Rational::addSub(const Rational &RHS, bool Sub) const {
   //   t = n1*(d2/g) +- n2*(d1/g)   over the lcm (d1/g)*d2,
   //   g2 = gcd(t, g),  result = (t/g2) / ((d1/g)*(d2/g2)),
   // which is fully reduced. When g == 1 (and in particular for integer
-  // operands) no reduction is needed at all -- the common LP case, since
-  // dyadic denominators share their full power of two.
+  // operands) no reduction is needed at all. Dyadic operands share their
+  // smaller power of two, so they take the general path, where every gcd
+  // against g and every division by it is a shift.
   if (isZero())
     return Sub ? -RHS : RHS;
   if (RHS.isZero())

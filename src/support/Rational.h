@@ -27,8 +27,11 @@ namespace rfp {
 /// result with one large gcd, they cancel the small gcds between each
 /// numerator and the opposite denominator first, so intermediate operands
 /// stay near the size of the *reduced* result. For the LP pipeline's
-/// dyadic data (power-of-two denominators) the gcds are cheap shifts and
-/// the products shrink by the full cancelled factor.
+/// dyadic data (power-of-two denominators) the gcds are cheap shifts --
+/// BigInt::gcd answers 2^min(trailing zeros) once either operand is a
+/// power of two, and BigInt::divMod divides by +-2^K with a shift -- and
+/// the products shrink by the full cancelled factor. fromDouble builds the
+/// canonical pair (odd numerator over 2^K, or an integer) directly.
 class Rational {
 public:
   /// Constructs zero.
@@ -38,8 +41,8 @@ public:
   Rational(BigInt N) : Num(std::move(N)), Den(1) {}
   Rational(BigInt N, BigInt D);
 
-  /// Exact conversion from a finite double (mantissa * 2^exp).
-  /// Asserts on NaN/inf.
+  /// Exact conversion from a finite double (mantissa * 2^exp), built
+  /// canonical without a gcd. Asserts on NaN/inf.
   static Rational fromDouble(double V);
 
   /// Correctly rounded (nearest-even) conversion to double.

@@ -6,6 +6,7 @@
 
 #include "support/ThreadPool.h"
 
+#include "support/ShardFile.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -91,9 +92,18 @@ unsigned ThreadPool::resolveThreads(unsigned Requested) {
   if (Requested > 0)
     return Requested;
   if (const char *Env = std::getenv("RFP_THREADS")) {
-    long V = std::atol(Env);
-    if (V > 0)
-      return static_cast<unsigned>(std::min<long>(V, 1024));
+    // Decimal digits only, as every numeric setting: 0 keeps the default,
+    // and so does a malformed value (reported once -- this runs per solve).
+    uint64_t V = 0;
+    if (parseCount(Env, 0, UINT64_MAX, V)) {
+      if (V > 0)
+        return static_cast<unsigned>(std::min<uint64_t>(V, 1024));
+    } else {
+      static std::atomic<bool> Warned{false};
+      if (!Warned.exchange(true))
+        telemetry::logf(telemetry::LogLevel::Warn, "threadpool",
+                        "ignoring malformed RFP_THREADS value \"%s\"", Env);
+    }
   }
   unsigned HW = std::thread::hardware_concurrency();
   return HW > 0 ? HW : 1;

@@ -47,8 +47,9 @@ namespace rfp {
 class ThreadPool {
 public:
   /// Resolves a requested thread count: explicit > 0 wins, then the
-  /// RFP_THREADS environment variable, then hardware_concurrency()
-  /// (minimum 1).
+  /// RFP_THREADS environment variable (decimal digits, clamped to 1024; 0
+  /// or a malformed value such as "4x" or "1e3" is ignored with a
+  /// warning for the latter), then hardware_concurrency() (minimum 1).
   static unsigned resolveThreads(unsigned Requested);
 
   /// The process-wide pool, sized to resolveThreads(0) at first use.

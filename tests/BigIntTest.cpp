@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <random>
+#include <vector>
 
 using namespace rfp;
 
@@ -177,6 +178,95 @@ TEST(BigIntTest, GcdProperties) {
   EXPECT_EQ(BigInt::gcd(BigInt(12), BigInt(18)), BigInt(6));
   EXPECT_EQ(BigInt::gcd(BigInt(-12), BigInt(18)), BigInt(6));
   EXPECT_EQ(BigInt::gcd(BigInt(0), BigInt(7)), BigInt(7));
+}
+
+/// Exponents at and around the 32-bit limb boundaries.
+const unsigned DyadicExps[] = {0, 1, 31, 32, 33, 63, 64, 65, 200};
+
+/// Euclid's algorithm on magnitudes: the referee for gcd's dyadic path.
+BigInt euclidGcd(BigInt A, BigInt B) {
+  if (A.isNegative())
+    A = -A;
+  if (B.isNegative())
+    B = -B;
+  while (!B.isZero()) {
+    BigInt R = A % B;
+    A = std::move(B);
+    B = std::move(R);
+  }
+  return A;
+}
+
+TEST(BigIntTest, IsPowerOfTwo) {
+  EXPECT_FALSE(BigInt().isPowerOfTwo());
+  EXPECT_FALSE(BigInt(3).isPowerOfTwo());
+  EXPECT_FALSE(BigInt(-6).isPowerOfTwo());
+  for (unsigned K : DyadicExps) {
+    BigInt P = BigInt::pow2(K);
+    EXPECT_TRUE(P.isPowerOfTwo()) << K;
+    EXPECT_TRUE((-P).isPowerOfTwo()) << K;
+    EXPECT_FALSE((P * BigInt(3)).isPowerOfTwo()) << K;
+    EXPECT_FALSE((P + BigInt::pow2(K + 40)).isPowerOfTwo()) << K;
+    if (K >= 2) {
+      EXPECT_FALSE((P - BigInt(1)).isPowerOfTwo()) << K;
+    }
+    if (K >= 1) {
+      EXPECT_FALSE((P + BigInt(1)).isPowerOfTwo()) << K;
+    }
+  }
+}
+
+TEST(BigIntTest, GcdWithPowersOfTwoMatchesEuclid) {
+  std::mt19937_64 Rng(7);
+  std::vector<BigInt> Others = {BigInt(1), BigInt(-1), BigInt(3),
+                                BigInt(-12)};
+  for (int Limbs : {1, 2, 3, 5, 9}) {
+    BigInt Odd = randomBig(Rng, Limbs);
+    if (!Odd.testBit(0))
+      Odd = Odd + BigInt(1);
+    for (unsigned Z : {0u, 1u, 37u, 64u, 250u})
+      Others.push_back(Odd.shl(Z));
+  }
+  for (unsigned K : DyadicExps)
+    Others.push_back(BigInt::pow2(K));
+  for (unsigned K : DyadicExps)
+    for (const BigInt &D : {BigInt::pow2(K), -BigInt::pow2(K)})
+      for (const BigInt &X : Others) {
+        BigInt Want = euclidGcd(D, X);
+        EXPECT_EQ(BigInt::gcd(D, X), Want)
+            << D.toHex() << " vs " << X.toHex();
+        EXPECT_EQ(BigInt::gcd(X, D), Want)
+            << X.toHex() << " vs " << D.toHex();
+      }
+}
+
+TEST(BigIntTest, DivModByPowersOfTwo) {
+  // Q * D + R == A with |R| < |D| and R signed like A pins down truncating
+  // division; A / D and A % D must agree with divMod.
+  std::mt19937_64 Rng(8);
+  for (unsigned K : DyadicExps)
+    for (const BigInt &D : {BigInt::pow2(K), -BigInt::pow2(K)}) {
+      std::vector<BigInt> As = {BigInt(0), BigInt(1), BigInt(-1), D,
+                                -D, D - BigInt(1), D + BigInt(1)};
+      for (int T = 0; T < 24; ++T) {
+        BigInt A = randomBig(Rng, 1 + T % 10);
+        As.push_back(A);
+        As.push_back(A * D); // Exact multiple.
+        As.push_back(A * D + BigInt(T % 2 ? 1 : -1));
+      }
+      for (const BigInt &A : As) {
+        BigInt Q, R;
+        BigInt::divMod(A, D, Q, R);
+        EXPECT_EQ(Q * D + R, A) << A.toHex() << " / " << D.toHex();
+        EXPECT_LT(R.compareMagnitude(D), 0) << A.toHex() << " / " << D.toHex();
+        if (!R.isZero()) {
+          EXPECT_EQ(R.isNegative(), A.isNegative())
+              << A.toHex() << " / " << D.toHex();
+        }
+        EXPECT_EQ(A / D, Q);
+        EXPECT_EQ(A % D, R);
+      }
+    }
 }
 
 TEST(BigIntTest, ToDoubleExactSmall) {

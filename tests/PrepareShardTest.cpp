@@ -16,6 +16,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -239,6 +240,63 @@ TEST(PrepareShardTest, CorruptionDetected) {
   PolyGenerator GOther(F, Other);
   EXPECT_FALSE(GOther.prepareShard(0, M, Dir, &Err));
   EXPECT_FALSE(Err.empty());
+}
+
+/// The window set as first written: four patterns per anchor and offset
+/// (C + D, C - D and their sign mirrors, all modulo 2^32), sorted and
+/// deduplicated. Kept as the referee for the range-merging construction.
+std::vector<uint32_t> bruteForceWindow(const std::vector<uint32_t> &Anchors,
+                                       uint32_t W) {
+  std::vector<uint32_t> Bits;
+  for (uint32_t C : Anchors)
+    for (uint32_t D = 0; D <= W; ++D) {
+      Bits.push_back(C + D);
+      Bits.push_back(C - D);
+      Bits.push_back((C + D) ^ 0x80000000u);
+      Bits.push_back((C - D) ^ 0x80000000u);
+    }
+  std::sort(Bits.begin(), Bits.end());
+  Bits.erase(std::unique(Bits.begin(), Bits.end()), Bits.end());
+  return Bits;
+}
+
+TEST(WindowBitsTest, MergedRangesMatchBruteForce) {
+  for (ElemFunc F : AllElemFuncs) {
+    const std::vector<uint32_t> Anchors = windowAnchors(F);
+    for (uint32_t W : {0u, 1u, 256u, 1024u}) {
+      const std::vector<uint32_t> All = bruteForceWindow(Anchors, W);
+      for (uint32_t Stride : {1009u, 65537u, 131071u}) {
+        std::vector<uint32_t> Want;
+        for (uint32_t B : All)
+          if (B % Stride != 0)
+            Want.push_back(B);
+        EXPECT_EQ(windowOnlyBits(Anchors, W, Stride), Want)
+            << elemFuncName(F) << " window " << W << " stride " << Stride;
+        GenConfig C;
+        C.SampleStride = Stride;
+        C.BoundaryWindow = W;
+        PolyGenerator G(F, C);
+        EXPECT_EQ(G.candidateCount(), 0xFFFFFFFFull / Stride + 1 + Want.size())
+            << elemFuncName(F) << " window " << W << " stride " << Stride;
+      }
+    }
+  }
+}
+
+TEST(WindowBitsTest, RangesWrapAtBothEndsOfTheSpace) {
+  // Anchors next to 0, 2^31 and 2^32 - 1: their ranges and their mirrors'
+  // wrap around both ends of the 32-bit space and collide with each other.
+  const std::vector<uint32_t> Anchors = {0u, 1u, 0x7ffffffeu, 0x80000001u,
+                                         0xfffffffeu, 0xffffffffu};
+  for (uint32_t W : {0u, 1u, 2u, 3u, 17u})
+    for (uint32_t Stride : {1u, 2u, 3u, 1009u}) {
+      std::vector<uint32_t> Want;
+      for (uint32_t B : bruteForceWindow(Anchors, W))
+        if (B % Stride != 0)
+          Want.push_back(B);
+      EXPECT_EQ(windowOnlyBits(Anchors, W, Stride), Want)
+          << "window " << W << " stride " << Stride;
+    }
 }
 
 } // namespace

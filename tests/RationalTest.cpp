@@ -10,7 +10,9 @@
 
 #include <cfloat>
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <vector>
 
 using namespace rfp;
 
@@ -66,6 +68,53 @@ TEST(RationalTest, FromDoubleSpecialValues) {
   EXPECT_EQ(Rational::fromDouble(0x1p-1074).toString(),
             Rational(BigInt(1), BigInt::pow2(1074)).toString());
   EXPECT_EQ(Rational::fromDouble(DBL_MAX).toDouble(), DBL_MAX);
+}
+
+/// fromDouble as first written -- frexp's 53-bit mantissa over 2^-exp,
+/// reduced by the normalizing constructor's gcd: the referee for the
+/// canonical pair built directly from the bits.
+Rational fromDoubleViaGcd(double V) {
+  if (V == 0.0)
+    return Rational();
+  int Exp;
+  double Frac = std::frexp(V, &Exp);
+  BigInt N(static_cast<int64_t>(std::ldexp(Frac, 53)));
+  int E2 = Exp - 53;
+  if (E2 >= 0)
+    return Rational(N.shl(static_cast<unsigned>(E2)));
+  return Rational(std::move(N), BigInt::pow2(static_cast<unsigned>(-E2)));
+}
+
+TEST(RationalTest, FromDoubleIsCanonicalAndRoundTrips) {
+  std::vector<double> Values = {
+      0.0, -0.0, 0x1p-1074, -0x1p-1074,
+      0x0.fffffffffffffp-1022,  // Largest subnormal.
+      -0x0.fffffffffffffp-1022, 0x0.8p-1022, 0x0.0000000000018p-1022,
+      DBL_MIN, DBL_MAX, -DBL_MAX,
+      0x1p53, 0x1p53 + 2, -0x1.8p60, 0x1.fffffffffffffp62, 0x1p1023,
+      1.5, 0.75, -0x1.8p-1000, 0x1.0000000000001p0, 0x1.00000000000f0p-3,
+      0.1, 1.0 / 3.0, -123.456, 1e300};
+  for (int K = -1074; K <= 1023; K += 37)
+    Values.push_back(std::ldexp(1.0, K));
+  std::mt19937_64 Rng(13);
+  for (int T = 0; T < 500; ++T) {
+    uint64_t Bits = Rng();
+    double V;
+    std::memcpy(&V, &Bits, sizeof V);
+    if (std::isfinite(V))
+      Values.push_back(V);
+  }
+  for (double V : Values) {
+    Rational R = Rational::fromDouble(V);
+    const BigInt &N = R.numerator(), &D = R.denominator();
+    EXPECT_FALSE(D.isNegative()) << V;
+    EXPECT_TRUE(D.isPowerOfTwo()) << V;
+    EXPECT_TRUE(N.testBit(0) || D.isOne()) << V;
+    EXPECT_EQ(R.toDouble(), V) << V;
+    Rational Ref = fromDoubleViaGcd(V);
+    EXPECT_EQ(N, Ref.numerator()) << V;
+    EXPECT_EQ(D, Ref.denominator()) << V;
+  }
 }
 
 TEST(RationalTest, ToDoubleCorrectRounding) {

@@ -625,4 +625,82 @@ TEST(SimplexSessionTest, WarmResultsAreThreadCountInvariant) {
   }
 }
 
+TEST(SimplexSessionTest, MixedDyadicAndNonDyadicRowsMatchMaximizeLP) {
+  // The generator's rows are all dyadic, so its integerization always takes
+  // the power-of-two shortcut. Rows mixing dyadic entries with 1/3 and 2/7
+  // keep the general lcm path covered: the session must match maximizeLP,
+  // and both must reach the optimum of the same LP with every row scaled
+  // to integers by the product of its denominators (a positive row scale
+  // changes no feasible point), which the integerization cannot alter.
+  const Rational Pool[] = {
+      Rational(BigInt(1), BigInt(3)),      Rational(BigInt(2), BigInt(7)),
+      Rational(BigInt(-5), BigInt(21)),    Rational::fromDouble(0.375),
+      Rational::fromDouble(-0x1.8p-40),    Rational::fromDouble(0x1.3p-7),
+      Rational(2),                         Rational(-1),
+      Rational(BigInt(3), BigInt::pow2(70)), Rational()};
+  std::mt19937_64 Rng(2024);
+  int Optimal = 0;
+  for (int Trial = 0; Trial < 60; ++Trial) {
+    size_t N = 2 + Trial % 3, M = 4 + Trial % 7;
+    Matrix A(M, Vector(N));
+    Vector B(M), C(N);
+    for (auto &Row : A)
+      for (auto &V : Row)
+        V = Pool[Rng() % std::size(Pool)];
+    for (auto &V : B)
+      V = Pool[Rng() % std::size(Pool)] + Rational(3);
+    for (auto &V : C)
+      V = Pool[Rng() % std::size(Pool)];
+    // Box rows keep most trials bounded.
+    for (size_t K = 0; K < N; ++K)
+      for (int Sign : {1, -1}) {
+        Vector Row(N);
+        Row[K] = Rational(Sign);
+        A.push_back(Row);
+        B.push_back(Trial % 2 ? Rational(BigInt(7), BigInt(3))
+                              : Rational::fromDouble(0.625));
+      }
+
+    LPResult Want = maximizeLP(A, B, C);
+    SimplexSession Sess(C);
+    for (size_t I = 0; I < A.size(); ++I)
+      Sess.addRow(A[I], B[I]);
+    LPResult Got = Sess.solve();
+    EXPECT_EQ(Want.Pivots, Got.Pivots) << "trial " << Trial;
+    expectSameResult(Want, Got, "mixed rows");
+
+    Matrix IntA = A;
+    Vector IntB = B;
+    for (size_t I = 0; I < A.size(); ++I) {
+      Rational Scale(1);
+      for (const Rational &V : A[I])
+        Scale *= Rational(V.denominator());
+      Scale *= Rational(B[I].denominator());
+      for (Rational &V : IntA[I]) {
+        V *= Scale;
+        ASSERT_TRUE(V.isInteger());
+      }
+      IntB[I] *= Scale;
+    }
+    LPResult Int = maximizeLP(IntA, IntB, C);
+    ASSERT_EQ(Int.StatusCode, Want.StatusCode) << "trial " << Trial;
+    if (!Want.isOptimal())
+      continue;
+    ++Optimal;
+    EXPECT_EQ(Int.Objective, Want.Objective) << "trial " << Trial;
+    // Want.Z is feasible for the original rows and attains the objective.
+    Rational Obj;
+    for (size_t K = 0; K < N; ++K)
+      Obj += C[K] * Want.Z[K];
+    EXPECT_EQ(Obj, Want.Objective) << "trial " << Trial;
+    for (size_t I = 0; I < A.size(); ++I) {
+      Rational Dot;
+      for (size_t K = 0; K < N; ++K)
+        Dot += A[I][K] * Want.Z[K];
+      EXPECT_LE(Dot.compare(B[I]), 0) << "trial " << Trial << " row " << I;
+    }
+  }
+  EXPECT_GT(Optimal, 30);
+}
+
 } // namespace

@@ -268,7 +268,10 @@ TEST_F(ResolveThreadsEnvTest, GarbageValuesFallThroughToHardware) {
     unsigned HW = std::thread::hardware_concurrency();
     return HW > 0 ? HW : 1u;
   }();
-  for (const char *Bad : {"abc", "0", "-3", "", "  "}) {
+  // Anything but decimal digits is malformed, including a valid prefix or
+  // a number too large for 64 bits; 0 means the default.
+  for (const char *Bad : {"abc", "0", "-3", "", "  ", "4x", "1e3", " 4", "+4",
+                          "99999999999999999999"}) {
     setenv("RFP_THREADS", Bad, 1);
     EXPECT_EQ(ThreadPool::resolveThreads(0), Fallback)
         << "RFP_THREADS='" << Bad << "'";
@@ -282,6 +285,10 @@ TEST_F(ResolveThreadsEnvTest, AbsurdlyLargeValueIsClamped) {
   EXPECT_EQ(ThreadPool::resolveThreads(0), 1024u);
   setenv("RFP_THREADS", "1025", 1);
   EXPECT_EQ(ThreadPool::resolveThreads(0), 1024u);
+  setenv("RFP_THREADS", "18446744073709551615", 1); // 2^64 - 1: well formed.
+  EXPECT_EQ(ThreadPool::resolveThreads(0), 1024u);
+  setenv("RFP_THREADS", "004", 1);
+  EXPECT_EQ(ThreadPool::resolveThreads(0), 4u);
 }
 
 TEST_F(ResolveThreadsEnvTest, ParallelForStillRunsUnderGarbageEnv) {
