@@ -13,7 +13,10 @@
 //     threshold (recorded in EXPERIMENTS.md).
 //   * BM_MagMulSingleLimb / BM_MagMulLopsided -- the pivot-loop shapes
 //     (long x short) that must stay on the schoolbook fast path.
-//   * BM_Gcd -- Stein's gcd, the Henrici rational hot path.
+//   * BM_Gcd -- the Lehmer gcd on operands with a planted common factor
+//     (the simplex's read-back of y / P, the Henrici rational paths).
+//   * BM_DivMod vs BM_DivExact -- Algorithm D against the 2-adic exact
+//     division at the fraction-free pivot's shape.
 //   * BM_SmallValueChurn -- copy/arithmetic churn at 1..4 limbs, where the
 //     small-buffer representation avoids every heap touch.
 //   * BM_RationalNormalize* -- the Den.isOne() and Henrici fast paths.
@@ -37,11 +40,13 @@ using namespace rfp;
 
 namespace {
 
-/// A reproducible ~NumLimbs-limb positive integer.
-BigInt bigOperand(unsigned NumLimbs) {
-  BigInt V(0x9e3779b97f4a7c15ull, true);
+/// A reproducible ~NumLimbs-limb positive integer; another \p Seed and
+/// \p Mult give an unrelated one.
+BigInt bigOperand(unsigned NumLimbs, uint64_t Mult = 0xdeadbeefcafef00dull,
+                  uint64_t Seed = 0x9e3779b97f4a7c15ull) {
+  BigInt V(Seed, true);
   for (unsigned I = 1; I * 2 < NumLimbs; ++I)
-    V = V * BigInt(0xdeadbeefcafef00dull, true) + BigInt(12345);
+    V = V * BigInt(Mult, true) + BigInt(12345);
   return V;
 }
 
@@ -109,18 +114,48 @@ void BM_MagMulLopsided(benchmark::State &State) {
 }
 BENCHMARK(BM_MagMulLopsided)->Arg(32)->Arg(64)->Arg(128);
 
-/// Stein gcd ladder: the Henrici add/mul fast paths call this on operands
-/// near the size of the *reduced* result.
+/// Gcd ladder on two unrelated (L + 2)-limb operands sharing a 2-limb odd
+/// factor, so Euclid runs its full length (a pair like (A, 6A + 1) ends
+/// after two quotients). The simplex's read-back calls this on y_k and P,
+/// about 57 limbs each on the generator's LPs (Arg 55).
 void BM_Gcd(benchmark::State &State) {
   unsigned L = static_cast<unsigned>(State.range(0));
-  BigInt A = bigOperand(L);
-  BigInt B = bigOperand(L) * BigInt(6) + BigInt(1);
+  BigInt F(0xc2b2ae3d27d4eb4full, true);
+  BigInt A = bigOperand(L) * F;
+  BigInt B = bigOperand(L, 0x94d049bb133111ebull, 0x2545f4914f6cdd1dull) * F;
   for (auto _ : State) {
     BigInt G = BigInt::gcd(A, B);
     benchmark::DoNotOptimize(G);
   }
 }
-BENCHMARK(BM_Gcd)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+BENCHMARK(BM_Gcd)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(55);
+
+/// The fraction-free pivot's division: a ~90-limb dividend, known to be a
+/// multiple of the ~48-limb basis denominator P, divided by P.
+struct PivotDivision {
+  BigInt P = bigOperand(48) + BigInt(1);
+  BigInt Num = P * bigOperand(42, 0x94d049bb133111ebull);
+};
+
+void BM_DivMod(benchmark::State &State) {
+  PivotDivision D;
+  for (auto _ : State) {
+    BigInt Q, R;
+    BigInt::divMod(D.Num, D.P, Q, R);
+    benchmark::DoNotOptimize(Q);
+    benchmark::DoNotOptimize(R);
+  }
+}
+BENCHMARK(BM_DivMod);
+
+void BM_DivExact(benchmark::State &State) {
+  PivotDivision D;
+  for (auto _ : State) {
+    BigInt Q = BigInt::divExact(D.Num, D.P);
+    benchmark::DoNotOptimize(Q);
+  }
+}
+BENCHMARK(BM_DivExact);
 
 /// Value churn at small sizes: straddles the 4-limb inline capacity, so
 /// Arg(3)/Arg(4) run heap-free under the small-buffer layout while Arg(6)

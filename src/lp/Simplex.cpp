@@ -21,7 +21,9 @@
 //    denominator P (true inverse = Minv / P). The pivot update
 //        Minv'[k][j] = (u_r * Minv[k][j] - u_k * Minv[r][j]) / P
 //    divides exactly (Edmonds / Bareiss), so no gcd normalization ever
-//    runs and entry growth is bounded by minors of the input.
+//    runs and entry growth is bounded by minors of the input. The
+//    division is BigInt::divExact (2-adic, from the low limbs up), about
+//    half the limb products of a long division.
 //
 //  * The basic solution x_B = Minv * rhs is maintained incrementally with
 //    the same fraction-free recurrence instead of being recomputed as an
@@ -30,13 +32,17 @@
 //  * Basis membership is a bitmap (one byte per column), not an O(N) scan
 //    per pricing candidate.
 //
-//  * The O(N*M) pricing sweep -- and, for large N, the column transform
-//    and the pivot update -- run chunked on the shared ThreadPool. The
-//    entering column is the most negative scale-free reduced cost (ties:
-//    minimum index), or under the Bland fallback the minimum index with a
-//    negative one; both reduce over per-column results in index order, so
-//    the parallel pick is deterministic by construction; all arithmetic is
-//    exact, so evaluation order cannot perturb values.
+//  * The O(N*M) pricing sweep, the pivot update once its entries are
+//    wide, and for large N the column transform run chunked on the shared
+//    ThreadPool. The generator's LPs are small (N = 5..8) but their
+//    entries are not: basis entries reach 1,500 bits, where one serial
+//    pivot costs hundreds of microseconds, so the pivot gates on P's limb
+//    count rather than on N. The entering column is the most negative
+//    scale-free reduced cost (ties: minimum index), or under the Bland
+//    fallback the minimum index with a negative one; both reduce over
+//    per-column results in index order, so the parallel pick is
+//    deterministic by construction; all arithmetic is exact, so
+//    evaluation order cannot perturb values.
 //
 // Inputs are integerized by scaling each dual column (primal constraint)
 // by the lcm of its denominators, which rescales the dual variable but
@@ -98,24 +104,13 @@ Apx approxOf(const BigInt &V) {
   return A;
 }
 
-/// Exact division helper: asserts the division is exact.
-BigInt exactDiv(const BigInt &N, const BigInt &D) {
-  if (N.isZero())
-    return BigInt();
-  BigInt Q, R;
-  BigInt::divMod(N, D, Q, R);
-  assert(R.isZero() && "fraction-free pivot division was not exact");
-  return Q;
-}
-
 /// lcm of two positive denominators. The generator's rows are dyadic (every
 /// entry is a double or a product of doubles), so when both are powers of
 /// two the lcm is simply the larger one.
 BigInt lcm(const BigInt &A, const BigInt &B) {
   if (A.isPowerOfTwo() && B.isPowerOfTwo())
     return A >= B ? A : B;
-  BigInt G = BigInt::gcd(A, B);
-  return (A / G) * B;
+  return BigInt::divExact(A, BigInt::gcd(A, B)) * B;
 }
 
 BigInt scaleToInt(const Rational &V, const BigInt &Scale) {
@@ -125,7 +120,7 @@ BigInt scaleToInt(const Rational &V, const BigInt &Scale) {
   if (Scale.isPowerOfTwo())
     return V.numerator().shl(Scale.bitLength() -
                              V.denominator().bitLength());
-  return V.numerator() * (Scale / V.denominator());
+  return V.numerator() * BigInt::divExact(Scale, V.denominator());
 }
 
 /// Columns per pricing block: the Bland fallback sweep runs
@@ -139,12 +134,24 @@ constexpr size_t PricingBlock = 2048;
 /// nondegenerate pivot switches back.
 constexpr unsigned DegenerateLimit = 16;
 
-/// Row count at and above which the column transform and the pivot update
-/// are worth fanning out. The pipeline's LPs have N <= ~8, where the
-/// barrier costs more than the work; randomized/benchmark LPs can be
+/// Row count at and above which the column transform fans out. Its rows
+/// are N products each, so at the generator's N = 5..8 the barrier costs
+/// more than it saves even on wide entries (polygen-6's sample: 22 us per
+/// call serial, 33-51 us fanned out); randomized/benchmark LPs can be
 /// bigger. Determinism does not depend on this value (rows are
 /// index-addressed and arithmetic is exact).
 constexpr size_t ParallelRowThreshold = 16;
+
+/// Limb count of P (the basis denominator, about as wide as every Minv and
+/// x_B entry) at and above which the pivot update fans its rows out. Each
+/// row costs N + 1 updates of two products and one exact division of
+/// P-sized integers, so the generator's N = 5..8 LPs, whose entries reach
+/// 1,500 bits, pay hundreds of microseconds per serial pivot. Timed on
+/// polygen-6's sample (4 threads, quiet 4-vCPU host), a pooled pivot lost
+/// 22 us on average at 8..11 limbs and 5 us at 12..15, and gained 23 us
+/// at 16..19 and 250 us at 32 and more. Determinism does not depend on
+/// this value either.
+constexpr unsigned ParallelPivotLimbs = 16;
 
 /// Consecutive warm attempts ending in a degenerate optimum a session
 /// tolerates before it stops attempting warm starts altogether. A
@@ -741,38 +748,33 @@ private:
   }
 
   /// Basis change with the fraction-free update rule. Updates Minv, the
-  /// incremental basic solution, the membership bitmap, and P.
+  /// incremental basic solution, the membership bitmap, and P. Row K's new
+  /// entries read only row K and the pivot row, which keeps its values, so
+  /// the rows update in place and independently: they fan out on the pool
+  /// once P is ParallelPivotLimbs limbs wide.
   void pivot(size_t Row, const std::vector<BigInt> &U, size_t EnterCol) {
-    BigInt NewP = U[Row];
+    const BigInt &NewP = U[Row];
     assert(!NewP.isZero() && "pivot on zero element");
-    std::vector<std::vector<BigInt>> Next(N);
+    // x_B = Minv * rhs obeys the same row recurrence as Minv itself, so
+    // each row's basic value updates with it.
+    auto Update = [&](BigInt &V, size_t K, const BigInt &PivotV) {
+      V = BigInt::divExact(NewP * V - U[K] * PivotV, P);
+    };
     auto Rows = [&](size_t Begin, size_t End) {
       for (size_t K = Begin; K < End; ++K) {
-        std::vector<BigInt> NK(N);
-        if (K == Row) {
-          NK = Minv[K];
-        } else {
-          for (size_t J = 0; J < N; ++J)
-            NK[J] = exactDiv(NewP * Minv[K][J] - U[K] * Minv[Row][J], P);
-        }
-        Next[K] = std::move(NK);
+        if (K == Row)
+          continue;
+        for (size_t J = 0; J < N; ++J)
+          Update(Minv[K][J], K, Minv[Row][J]);
+        Update(XB[K], K, XB[Row]);
       }
     };
-    if (Threads > 1 && N >= ParallelRowThreshold)
+    if (Threads > 1 && (P.bitLength() + 31) / 32 >= ParallelPivotLimbs)
       parallelFor(N, Rows, Threads);
     else
       Rows(0, N);
 
-    // x_B = Minv * rhs obeys the same row recurrence as Minv itself, so
-    // one O(N) sweep replaces the old O(N^2) recomputation per iteration.
-    for (size_t K = 0; K < N; ++K) {
-      if (K == Row)
-        continue;
-      XB[K] = exactDiv(NewP * XB[K] - U[K] * XB[Row], P);
-    }
-
-    Minv = std::move(Next);
-    P = std::move(NewP);
+    P = NewP;
     InBasis[Basis[Row]] = 0;
     InBasis[EnterCol] = 1;
     Basis[Row] = EnterCol;

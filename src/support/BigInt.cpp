@@ -83,7 +83,8 @@ int64_t BigInt::toInt64() const {
     M = Limbs[0];
   if (Limbs.size() > 1)
     M |= static_cast<uint64_t>(Limbs[1]) << 32;
-  return Negative ? -static_cast<int64_t>(M) : static_cast<int64_t>(M);
+  // Negate in the unsigned domain: -2^63 has no positive int64_t image.
+  return static_cast<int64_t>(Negative ? ~M + 1 : M);
 }
 
 uint64_t BigInt::toUint64() const {
@@ -549,6 +550,112 @@ void BigInt::divMod(const BigInt &A, const BigInt &B, BigInt &Q, BigInt &R) {
     R.Negative = true;
 }
 
+namespace {
+
+/// Inverse of an odd D modulo 2^32 by Newton's iteration X <- X(2 - DX),
+/// which doubles the number of correct low bits: 3D xor 2 is right to 5
+/// bits, so three steps reach 40.
+uint32_t inverseMod32(uint32_t D) {
+  assert((D & 1) && "only odd words are invertible modulo 2^32");
+  uint32_t X = (3 * D) ^ 2;
+  X *= 2 - D * X;
+  X *= 2 - D * X;
+  X *= 2 - D * X;
+  return X;
+}
+
+/// Bits [Shift, Shift + 64) of the magnitude D[0..N), reading zero above
+/// the top.
+uint64_t bitsFrom(const uint32_t *D, size_t N, unsigned Shift) {
+  size_t L = Shift / 32;
+  unsigned B = Shift % 32;
+  auto Limb = [&](size_t I) -> uint64_t { return L + I < N ? D[L + I] : 0; };
+  uint64_t Lo = Limb(0) | Limb(1) << 32;
+  return B == 0 ? Lo : (Lo >> B) | (Limb(2) << (64 - B));
+}
+
+/// True when Q * B and A agree in their leading 40 bits. Q * B == A holds
+/// modulo 2^(32 * limbs of Q) by construction of divExact, so an inexact
+/// division shows in the high bits; this O(1) check catches it without the
+/// full product, which would cost more than the division.
+[[maybe_unused]] bool leadingBitsAgree(const BigInt &Q, const BigInt &B,
+                                       const BigInt &A) {
+  int64_t EQ, EB, EA;
+  double Prod = Q.frexpApprox(EQ) * B.frexpApprox(EB);
+  double Want = A.frexpApprox(EA);
+  int64_t Gap = EQ + EB - EA;
+  if (Gap < -1 || Gap > 1)
+    return false;
+  return std::fabs(std::ldexp(Prod, static_cast<int>(Gap)) - Want) <=
+         std::ldexp(std::fabs(Want), -40);
+}
+
+} // namespace
+
+BigInt BigInt::divExact(const BigInt &A, const BigInt &B) {
+  assert(!B.isZero() && "division by zero");
+  if (A.isZero())
+    return BigInt();
+  // A = Q * B, so A has at least B's trailing zeros; dropping them from
+  // both leaves an odd divisor, and Q < 2^(QBits) with QBits the
+  // difference of the stripped bit lengths plus one.
+  unsigned Z = B.countTrailingZeros();
+  assert(A.countTrailingZeros() >= Z && "divExact: inexact division");
+  unsigned ABits = A.bitLength() - Z, BBits = B.bitLength() - Z;
+  assert(ABits >= BBits && "divExact: inexact division");
+  size_t QN = (ABits - BBits + 32) / 32;
+  size_t BN = (BBits + 31) / 32;
+
+  // Q starts as the low QN limbs of |A| >> Z: the running remainder, read
+  // from the bottom. Limbs of A and B above QN never influence Q mod
+  // 2^(32 QN), which is all of Q.
+  BigInt Q;
+  Q.Limbs.resize(QN);
+  uint32_t *QD = Q.Limbs.data();
+  for (size_t I = 0; I < QN; ++I)
+    QD[I] = static_cast<uint32_t>(bitsFrom(A.Limbs.data(), A.Limbs.size(),
+                                           Z + 32 * static_cast<unsigned>(I)));
+  size_t DN = std::min(BN, QN);
+  LimbVec Shifted;
+  const uint32_t *DD = B.Limbs.data() + Z / 32;
+  if (Z % 32 != 0) {
+    Shifted.resize(DN);
+    for (size_t I = 0; I < DN; ++I)
+      Shifted[I] = static_cast<uint32_t>(bitsFrom(
+          B.Limbs.data(), B.Limbs.size(), Z + 32 * static_cast<unsigned>(I)));
+    DD = Shifted.data();
+  }
+
+  // Each step picks the limb q_I that clears remainder limb I modulo 2^32
+  // and subtracts q_I * D from the limbs above it, truncated at QN.
+  // Borrow stays below 2^32: q * d + Borrow <= 2^64 - 2^32.
+  uint32_t Inv = inverseMod32(DD[0]);
+  for (size_t I = 0; I < QN; ++I) {
+    uint32_t QI = QD[I] * Inv;
+    QD[I] = QI;
+    size_t Len = std::min(DN, QN - I);
+    uint64_t Borrow = (static_cast<uint64_t>(QI) * DD[0]) >> 32;
+    uint32_t *R = QD + I;
+    for (size_t J = 1; J < Len; ++J) {
+      uint64_t Prod = static_cast<uint64_t>(QI) * DD[J] + Borrow;
+      uint32_t Lo = static_cast<uint32_t>(Prod);
+      uint32_t Cur = R[J];
+      R[J] = Cur - Lo;
+      Borrow = (Prod >> 32) + (Cur < Lo);
+    }
+    for (size_t K = I + Len; Borrow != 0 && K < QN; ++K) {
+      uint32_t Lo = static_cast<uint32_t>(Borrow);
+      uint32_t Cur = QD[K];
+      QD[K] = Cur - Lo;
+      Borrow = Cur < Lo;
+    }
+  }
+  Q.Negative = A.Negative != B.Negative;
+  Q.trim();
+  assert(leadingBitsAgree(Q, B, A) && "divExact: inexact division");
+  return Q;
+}
+
 BigInt BigInt::operator/(const BigInt &RHS) const {
   BigInt Q, R;
   divMod(*this, RHS, Q, R);
@@ -609,37 +716,106 @@ unsigned BigInt::countTrailingZeros() const {
   return 0;
 }
 
+namespace {
+
+/// Out = X * U + Y * V for cofactors |X|, |Y| < 2^63 whose result is known
+/// to be non-negative and no longer than U (N limbs; V may be shorter).
+void cofactorCombine(const LimbVec &U, const LimbVec &V, int64_t X, int64_t Y,
+                     LimbVec &Out) {
+  size_t N = U.size(), VN = V.size();
+  Out.resize(N);
+  const uint32_t *UD = U.data(), *VD = V.data();
+  uint32_t *OD = Out.data();
+  __int128 Acc = 0;
+  for (size_t I = 0; I < N; ++I) {
+    Acc += static_cast<__int128>(X) * UD[I];
+    if (I < VN)
+      Acc += static_cast<__int128>(Y) * VD[I];
+    OD[I] = static_cast<uint32_t>(Acc);
+    Acc >>= 32;
+  }
+  assert(Acc == 0 && "Lehmer cofactor step left its range");
+  trimVec(Out);
+}
+
+} // namespace
+
 BigInt BigInt::gcd(BigInt A, BigInt B) {
-  // Binary (Stein) GCD: avoids the expensive long divisions of the
-  // Euclidean algorithm; this dominates rational-arithmetic throughput in
-  // the exact LP solver.
   A.Negative = B.Negative = false;
   if (A.isZero())
     return B;
   if (B.isZero())
     return A;
-  unsigned Za = A.countTrailingZeros();
-  unsigned Zb = B.countTrailingZeros();
-  unsigned Shift = std::min(Za, Zb);
-  // Dyadic fast path: when either odd part is 1 the gcd is the common
-  // power of two. This is the exact layer's common case -- a dyadic
-  // denominator against anything, and gcd(x, 1) in the Henrici paths --
-  // where the loop below would walk the other operand bit by bit.
+  // Dyadic fast path: when either operand is a power of two the gcd is
+  // the common power of two. This is the exact layer's common case -- a
+  // dyadic denominator against anything, and gcd(x, 1) in the Henrici
+  // paths.
   if (A.isPowerOfTwo() || B.isPowerOfTwo())
-    return pow2(Shift);
-  A = A.shr(Za);
-  B = B.shr(Zb);
-  // Both odd from here on.
-  while (true) {
-    int Cmp = A.compareMagnitude(B);
-    if (Cmp == 0)
-      break;
-    if (Cmp < 0)
+    return pow2(std::min(A.countTrailingZeros(), B.countTrailingZeros()));
+  if (magCompare(A.Limbs, B.Limbs) < 0)
+    std::swap(A, B);
+
+  // Lehmer: U >= V > 0 throughout. T and W are the next pair's buffers;
+  // swapping keeps every buffer's capacity, so the loop allocates only
+  // while the first pair of buffers grows.
+  LimbVec &U = A.Limbs, &V = B.Limbs;
+  LimbVec T, W;
+  while (!V.empty()) {
+    size_t N = U.size();
+    if (N <= 2) {
+      // Word-size finish.
+      uint64_t X = bitsFrom(U.data(), N, 0);
+      uint64_t Y = bitsFrom(V.data(), V.size(), 0);
+      while (Y != 0) {
+        uint64_t R = X % Y;
+        X = Y;
+        Y = R;
+      }
+      return BigInt(X, /*UnsignedTag=*/true);
+    }
+
+    // Algorithm L on the top 62 bits UH of U and the same bits VH of V,
+    // with cofactors (CA CB; CC CD). UH + CA, UH + CB, VH + CC and VH + CD
+    // stay in [0, 2^62] (they are Euclid's remainders of the box's corner
+    // pairs), so every quantity fits an int64_t, and a quotient on which
+    // both corners agree is Euclid's true one for U and V.
+    int64_t CA = 1, CB = 0, CC = 0, CD = 1;
+    if (N <= V.size() + 1) {
+      unsigned Shift = 32 * static_cast<unsigned>(N - 1) +
+                       (32 - static_cast<unsigned>(__builtin_clz(U[N - 1]))) -
+                       62;
+      int64_t UH = static_cast<int64_t>(bitsFrom(U.data(), N, Shift));
+      int64_t VH = static_cast<int64_t>(bitsFrom(V.data(), V.size(), Shift));
+      while (VH + CC != 0 && VH + CD != 0) {
+        int64_t Q = (UH + CA) / (VH + CC);
+        if (Q != (UH + CB) / (VH + CD))
+          break;
+        int64_t Tmp = CA - Q * CC;
+        CA = CC;
+        CC = Tmp;
+        Tmp = CB - Q * CD;
+        CB = CD;
+        CD = Tmp;
+        Tmp = UH - Q * VH;
+        UH = VH;
+        VH = Tmp;
+      }
+    }
+    if (CB == 0) {
+      // No simulated step (a long quotient, or lengths more than a limb
+      // apart): one full division.
+      BigInt Q, R;
+      divMod(A, B, Q, R);
       std::swap(A, B);
-    A = A - B; // Even and non-zero.
-    A = A.shr(A.countTrailingZeros());
+      B = std::move(R);
+      continue;
+    }
+    cofactorCombine(U, V, CA, CB, T);
+    cofactorCombine(U, V, CC, CD, W);
+    std::swap(U, T);
+    std::swap(V, W);
   }
-  return A.shl(Shift);
+  return A;
 }
 
 double BigInt::frexpApprox(int64_t &Exp) const {

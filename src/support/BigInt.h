@@ -12,12 +12,16 @@
 /// significant first; the sign is kept separately so the magnitude algorithms
 /// stay branch-free with respect to sign.
 ///
-/// Performance model (see DESIGN.md, "Exact-arithmetic substrate"): limb
-/// storage is a small-buffer vector with inline capacity for 4 limbs (128
-/// bits of magnitude), so the dominant small-operand path -- interval
-/// endpoints, LP columns, pivot scalars -- never touches the heap.
-/// Multiplication switches from schoolbook to Karatsuba above a tuned limb
-/// threshold.
+/// Performance model (see DESIGN.md, "Arithmetic substrate and the
+/// exact-LP performance model"): limb storage is a small-buffer vector with
+/// inline capacity for 4 limbs (128 bits of magnitude), so the dominant
+/// small-operand path -- interval endpoints, LP columns, pivot scalars --
+/// never touches the heap. Multiplication switches from schoolbook to
+/// Karatsuba above a tuned limb threshold. Divisions known to be exact (the
+/// simplex's fraction-free updates, cancelling a gcd) take divExact, a
+/// 2-adic division that builds the quotient from its low limbs and never
+/// reads the dividend's high half; gcd is Lehmer's algorithm, which
+/// replaces most multi-precision steps with word-size ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -222,6 +226,14 @@ public:
   /// shift and a mask when |B| is a power of two).
   static void divMod(const BigInt &A, const BigInt &B, BigInt &Q, BigInt &R);
 
+  /// A / B for a B that divides A exactly (asserted in debug builds; the
+  /// result is meaningless otherwise). Jebelean's 2-adic (Hensel) exact
+  /// division: strips B's trailing zeros, multiplies by the inverse of its
+  /// odd low limb modulo 2^32 and produces the quotient's limbs from the
+  /// bottom, touching only the quotient's low limbs of A and B -- about
+  /// half of Algorithm D's limb products and no normalization shifts.
+  static BigInt divExact(const BigInt &A, const BigInt &B);
+
   /// Limb count at and above which operator* switches from schoolbook to
   /// Karatsuba (both operands must reach it). Tuned with bench_bigint's
   /// mul ladder; see EXPERIMENTS.md.
@@ -245,7 +257,12 @@ public:
 
   /// Greatest common divisor of the magnitudes (always non-negative).
   /// When either magnitude is a power of two the answer is 2^(the smaller
-  /// trailing-zero count), returned without running the binary gcd.
+  /// trailing-zero count), returned at once. Otherwise Lehmer's algorithm
+  /// (Knuth 4.5.2, Algorithm L): Euclid's quotients are simulated on the
+  /// operands' top 62 bits, and each run of them is applied to the full
+  /// operands as one 2x2 cofactor step; a full division steps over a
+  /// length gap of more than a limb, and operands of 64 bits or fewer
+  /// finish in machine words.
   static BigInt gcd(BigInt A, BigInt B);
 
   /// Base-10 rendering with leading '-' when negative.

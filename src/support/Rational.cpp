@@ -27,14 +27,14 @@ void Rational::normalize() {
   }
   // Integer-valued rationals (Den == 1) need no gcd; they are common --
   // every Rational(int64_t)/Rational(BigInt) and every dyadic product that
-  // cancelled its denominator lands here -- and the binary gcd against a
-  // long numerator is pure waste.
+  // cancelled its denominator lands here -- and a gcd against a long
+  // numerator is pure waste.
   if (Den.isOne())
     return;
   BigInt G = BigInt::gcd(Num, Den);
   if (!G.isOne()) {
-    Num = Num / G;
-    Den = Den / G;
+    Num = BigInt::divExact(Num, G);
+    Den = BigInt::divExact(Den, G);
   }
 }
 
@@ -150,7 +150,7 @@ Rational Rational::addSub(const Rational &RHS, bool Sub) const {
       return Rational();
     return Rational(std::move(T), Den * RHS.Den, CanonicalTag{});
   }
-  BigInt D1 = Den / G, D2 = RHS.Den / G;
+  BigInt D1 = BigInt::divExact(Den, G), D2 = BigInt::divExact(RHS.Den, G);
   BigInt Cross = RHS.Num * D1;
   BigInt T = Num * D2;
   T = Sub ? T - Cross : T + Cross;
@@ -159,7 +159,8 @@ Rational Rational::addSub(const Rational &RHS, bool Sub) const {
   BigInt G2 = BigInt::gcd(T, G);
   if (G2.isOne())
     return Rational(std::move(T), D1 * RHS.Den, CanonicalTag{});
-  return Rational(T / G2, D1 * (RHS.Den / G2), CanonicalTag{});
+  return Rational(BigInt::divExact(T, G2),
+                  D1 * BigInt::divExact(RHS.Den, G2), CanonicalTag{});
 }
 
 Rational Rational::operator+(const Rational &RHS) const {
@@ -169,6 +170,15 @@ Rational Rational::operator+(const Rational &RHS) const {
 Rational Rational::operator-(const Rational &RHS) const {
   return addSub(RHS, /*Sub=*/true);
 }
+
+namespace {
+
+/// V / G for a gcd G of V and another value: exact by construction.
+BigInt cancel(const BigInt &V, const BigInt &G) {
+  return G.isOne() ? V : BigInt::divExact(V, G);
+}
+
+} // namespace
 
 Rational Rational::operator*(const Rational &RHS) const {
   // Henrici multiplication: cancel gcd(n1, d2) and gcd(n2, d1) before the
@@ -181,11 +191,8 @@ Rational Rational::operator*(const Rational &RHS) const {
     return Rational(Num * RHS.Num, BigInt(1), CanonicalTag{});
   BigInt G1 = BigInt::gcd(Num, RHS.Den);
   BigInt G2 = BigInt::gcd(RHS.Num, Den);
-  BigInt N = G1.isOne() ? Num : Num / G1;
-  BigInt N2 = G2.isOne() ? RHS.Num : RHS.Num / G2;
-  BigInt D = G2.isOne() ? Den : Den / G2;
-  BigInt D2 = G1.isOne() ? RHS.Den : RHS.Den / G1;
-  return Rational(N * N2, D * D2, CanonicalTag{});
+  return Rational(cancel(Num, G1) * cancel(RHS.Num, G2),
+                  cancel(Den, G2) * cancel(RHS.Den, G1), CanonicalTag{});
 }
 
 Rational Rational::operator/(const Rational &RHS) const {
@@ -196,8 +203,8 @@ Rational Rational::operator/(const Rational &RHS) const {
     return Rational();
   BigInt G1 = BigInt::gcd(Num, RHS.Num);
   BigInt G2 = BigInt::gcd(RHS.Den, Den);
-  BigInt N = (G1.isOne() ? Num : Num / G1) * (G2.isOne() ? RHS.Den : RHS.Den / G2);
-  BigInt D = (G2.isOne() ? Den : Den / G2) * (G1.isOne() ? RHS.Num : RHS.Num / G1);
+  BigInt N = cancel(Num, G1) * cancel(RHS.Den, G2);
+  BigInt D = cancel(Den, G2) * cancel(RHS.Num, G1);
   if (D.isNegative()) {
     N = -N;
     D = -D;

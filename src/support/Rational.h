@@ -26,12 +26,15 @@ namespace rfp {
 /// scheme): instead of forming the full cross products and reducing the
 /// result with one large gcd, they cancel the small gcds between each
 /// numerator and the opposite denominator first, so intermediate operands
-/// stay near the size of the *reduced* result. For the LP pipeline's
+/// stay near the size of the *reduced* result. Every cancellation divides
+/// by a known divisor, so it takes BigInt::divExact. For the LP pipeline's
 /// dyadic data (power-of-two denominators) the gcds are cheap shifts --
 /// BigInt::gcd answers 2^min(trailing zeros) once either operand is a
-/// power of two, and BigInt::divMod divides by +-2^K with a shift -- and
-/// the products shrink by the full cancelled factor. fromDouble builds the
-/// canonical pair (odd numerator over 2^K, or an integer) directly.
+/// power of two, and divExact by 2^K is a shifted copy -- and the products
+/// shrink by the full cancelled factor. Other gcds (the simplex's
+/// read-back of y / P) run Lehmer's algorithm on word-size heads.
+/// fromDouble builds the canonical pair (odd numerator over 2^K, or an
+/// integer) directly.
 class Rational {
 public:
   /// Constructs zero.

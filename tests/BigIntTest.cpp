@@ -269,6 +269,133 @@ TEST(BigIntTest, DivModByPowersOfTwo) {
     }
 }
 
+/// divExact against divMod: the remainder must be zero and the quotients
+/// equal.
+void expectDivExact(const BigInt &A, const BigInt &D) {
+  BigInt Q, R;
+  BigInt::divMod(A, D, Q, R);
+  ASSERT_TRUE(R.isZero()) << A.toHex() << " / " << D.toHex();
+  EXPECT_EQ(BigInt::divExact(A, D), Q) << A.toHex() << " / " << D.toHex();
+}
+
+TEST(BigIntTest, DivExactMatchesDivMod) {
+  std::mt19937_64 Rng(9);
+  // Random quotients of 1..70 limbs over divisors of 1..70 limbs, every
+  // sign combination.
+  for (int T = 0; T < 700; ++T) {
+    BigInt Q = randomBig(Rng, 1 + T % 70);
+    BigInt D = randomBig(Rng, 1 + (T * 7) % 70);
+    if (Q.isZero() || D.isZero())
+      continue;
+    expectDivExact(Q * D, D);
+    expectDivExact(Q * D, -D);
+    expectDivExact(-(Q * D), D);
+  }
+  // Divisors with trailing zeros, limb-aligned or not.
+  for (unsigned Z : {1u, 5u, 31u, 32u, 33u, 64u, 95u, 200u})
+    for (int T = 0; T < 12; ++T) {
+      BigInt Odd = randomBig(Rng, 1 + T * 5);
+      if (!Odd.testBit(0))
+        Odd = Odd + BigInt(1);
+      BigInt D = Odd.shl(Z);
+      expectDivExact(randomBig(Rng, 1 + T * 3) * D, D);
+    }
+  // One-limb and power-of-two divisors.
+  for (int64_t D : std::initializer_list<int64_t>{1, -1, 3, 7, -12, 0x7fffffff,
+                                                 0xffffffffll})
+    for (int T = 0; T < 10; ++T)
+      expectDivExact(randomBig(Rng, 1 + T * 7) * BigInt(D), BigInt(D));
+  for (unsigned K : DyadicExps) {
+    BigInt D = BigInt::pow2(K);
+    expectDivExact(randomBig(Rng, 9) * D, D);
+    expectDivExact(randomBig(Rng, 2) * D, -D);
+    expectDivExact(D, D);
+  }
+  // Quotients much shorter than the divisor.
+  for (int T = 0; T < 40; ++T) {
+    BigInt D = randomBig(Rng, 30 + T % 20);
+    BigInt Q = randomBig(Rng, 1 + T % 3);
+    if (!Q.isZero())
+      expectDivExact(Q * D, D);
+  }
+  // A zero dividend, and quotients with all-ones limbs (the longest
+  // borrow chains).
+  EXPECT_TRUE(BigInt::divExact(BigInt(), randomBig(Rng, 5)).isZero());
+  EXPECT_TRUE(BigInt::divExact(BigInt(), BigInt(-3)).isZero());
+  for (unsigned Bits : {32u, 64u, 96u, 640u}) {
+    BigInt Ones = BigInt::pow2(Bits) - BigInt(1);
+    expectDivExact(Ones * (Ones - BigInt(2)), Ones - BigInt(2));
+    expectDivExact(Ones * Ones.shl(7), Ones);
+  }
+}
+
+/// The Lehmer gcd against Euclid by divMod, in both argument orders and
+/// with either sign.
+void expectGcdMatchesEuclid(const BigInt &A, const BigInt &B) {
+  BigInt Want = euclidGcd(A, B);
+  EXPECT_EQ(BigInt::gcd(A, B), Want) << A.toHex() << " vs " << B.toHex();
+  EXPECT_EQ(BigInt::gcd(B, A), Want) << B.toHex() << " vs " << A.toHex();
+  EXPECT_EQ(BigInt::gcd(-A, B), Want) << A.toHex() << " vs " << B.toHex();
+}
+
+TEST(BigIntTest, LehmerGcdMatchesEuclid) {
+  std::mt19937_64 Rng(10);
+  // Planted common factors, from one limb to longer than the cofactors.
+  for (int T = 0; T < 300; ++T) {
+    BigInt G = randomBig(Rng, 1 + T % 20, /*AllowNegative=*/false);
+    BigInt X = randomBig(Rng, 1 + (T * 3) % 40);
+    BigInt Y = randomBig(Rng, 1 + (T * 5) % 40);
+    if (G.isZero())
+      continue;
+    expectGcdMatchesEuclid(G * X, G * Y);
+  }
+  // Consecutive Fibonacci numbers: every quotient is 1, the longest
+  // Euclidean sequence for their size. Also with a common factor.
+  BigInt F0(0), F1(1);
+  BigInt G = randomBig(Rng, 3, /*AllowNegative=*/false) + BigInt(1);
+  for (int I = 1; I <= 1500; ++I) {
+    BigInt F2 = F0 + F1;
+    F0 = std::move(F1);
+    F1 = std::move(F2);
+    if (I % 37 == 0 || I > 1490) {
+      EXPECT_TRUE(BigInt::gcd(F1, F0).isOne()) << I;
+      expectGcdMatchesEuclid(F1 * G, F0 * G);
+    }
+  }
+  // Lengths one limb apart, and many limbs apart.
+  for (int T = 0; T < 200; ++T) {
+    int L = 2 + T % 40;
+    int Gap = T % 2 ? 1 : 2 + T % 30;
+    BigInt A = randomBig(Rng, L + Gap);
+    BigInt B = randomBig(Rng, L);
+    if (B.isZero())
+      continue;
+    expectGcdMatchesEuclid(A, B);
+    BigInt C = randomBig(Rng, 2, /*AllowNegative=*/false) + BigInt(1);
+    expectGcdMatchesEuclid(A * C, B * C);
+  }
+  // Heads at the 2^62 boundary: the top 62 bits all ones or a lone top
+  // bit, equal heads, and a V whose head is zero or one.
+  for (unsigned Shift : {3u, 31u, 32u, 33u, 64u, 100u, 400u}) {
+    BigInt Top = BigInt::pow2(62) - BigInt(1);
+    BigInt Ones = BigInt::pow2(62 + Shift) - BigInt(1);
+    BigInt Lone = BigInt::pow2(61 + Shift);
+    std::vector<BigInt> Us = {Ones, Ones - BigInt(2), Lone + BigInt(1),
+                              Lone + BigInt(3), Top.shl(Shift) + BigInt(5)};
+    std::vector<BigInt> Vs = {Ones - BigInt(4), Lone - BigInt(1),
+                              Top.shl(Shift) - BigInt(9),
+                              BigInt::pow2(Shift) + BigInt(3),
+                              BigInt::pow2(Shift + 1) - BigInt(1)};
+    for (const BigInt &U : Us)
+      for (const BigInt &V : Vs)
+        expectGcdMatchesEuclid(U, V);
+  }
+  // Equal operands and multiples.
+  BigInt X = randomBig(Rng, 17, /*AllowNegative=*/false);
+  expectGcdMatchesEuclid(X, X);
+  expectGcdMatchesEuclid(X * BigInt(12345), X);
+}
+
 TEST(BigIntTest, ToDoubleExactSmall) {
   std::mt19937_64 Rng(7);
   for (int T = 0; T < 500; ++T) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 #include <string>
 
@@ -701,6 +703,52 @@ TEST(SimplexSessionTest, MixedDyadicAndNonDyadicRowsMatchMaximizeLP) {
     }
   }
   EXPECT_GT(Optimal, 30);
+}
+
+TEST(SimplexTest, WidePivotsMatchAcrossThreadCounts) {
+  // The generator's LP shape: a degree-6 polynomial's 7 coefficients plus
+  // the margin d (N = 8), with bands (-sum c_k T^k + d <= -lo,
+  // sum c_k T^k + d <= hi) around 1 / (1 + T) at doubles T. The powers of T
+  // integerize to entries of hundreds of bits and the basis denominator
+  // to thousands, so at 4 threads the pivot update fans out on the pool
+  // and at 1 it runs serially: Z, the pivot count and the exact-pricing
+  // count must be identical.
+  const size_t Degree = 6, N = Degree + 2;
+  std::mt19937_64 Rng(99);
+  Matrix A;
+  Vector B;
+  for (int I = 0; I < 64; ++I) {
+    double T = std::ldexp(static_cast<double>(Rng() >> 11), -54);
+    double Y = 1.0 / (1.0 + T); // IEEE division: the same on every host.
+    Vector RowLo(N), RowHi(N);
+    Rational TR = Rational::fromDouble(T), Pow(1);
+    for (size_t K = 0; K <= Degree; ++K) {
+      RowHi[K] = Pow;
+      RowLo[K] = -Pow;
+      Pow *= TR;
+    }
+    RowHi[N - 1] = RowLo[N - 1] = Rational(1);
+    A.push_back(RowLo);
+    B.push_back(-Rational::fromDouble(Y - 0x1p-30));
+    A.push_back(RowHi);
+    B.push_back(Rational::fromDouble(Y + 0x1p-30));
+  }
+  Vector C(N);
+  C[N - 1] = Rational(1);
+
+  LPResult Serial = maximizeLP(A, B, C, 1);
+  LPResult Pooled = maximizeLP(A, B, C, 4);
+  ASSERT_TRUE(Serial.isOptimal());
+  expectSameResult(Serial, Pooled, "threads 1 vs 4");
+  EXPECT_EQ(Serial.Pivots, Pooled.Pivots);
+  EXPECT_EQ(Serial.ExactPricings, Pooled.ExactPricings);
+  // Each Z_k is y_k / P times an integer row scale, so its reduced
+  // denominator divides the final P: a lower bound on how wide the basis
+  // got (16 limbs is where the pivot update starts fanning out).
+  unsigned DenBits = 0;
+  for (const Rational &Z : Serial.Z)
+    DenBits = std::max(DenBits, Z.denominator().bitLength());
+  EXPECT_GE(DenBits, 1000u);
 }
 
 } // namespace
