@@ -15,9 +15,10 @@
 //   * whether the generated output is bit-identical across thread counts
 //     (coefficients, piece degrees, special cases) -- the determinism
 //     contract of the parallel layer
-//   * LP accounting per run: warm/cold/presolve solve and pivot counters
-//     and the presolve engagement rate of the base run (presolved solves
-//     over presolved + pure cold). The generator's one LP path is the
+//   * LP accounting per run: warm/cold/presolve solve and pivot counters,
+//     the answers the generator's LP memo reused across schemes, and the
+//     presolve engagement rate of the base run (presolved solves over
+//     presolved + pure cold). The generator's one LP path is the
 //     presolving PolyLPSession; its results equal cold solves by the LP
 //     layer's own differential tests
 //   * certified fast-oracle accounting: the ladder runs with the fast
@@ -126,6 +127,7 @@ RunResult runPipeline(ElemFunc F, GenConfig Cfg, unsigned Threads,
     R.LPStats.LPPivots += Impl.Stats.LPPivots;
     R.LPStats.LPRows += Impl.Stats.LPRows;
     R.LPStats.LPExactPricings += Impl.Stats.LPExactPricings;
+    R.LPStats.LPReused += Impl.Stats.LPReused;
     R.LPStats.LPWarmSolves += Impl.Stats.LPWarmSolves;
     R.LPStats.LPColdSolves += Impl.Stats.LPColdSolves;
     R.LPStats.LPWarmFallbacks += Impl.Stats.LPWarmFallbacks;
@@ -201,9 +203,10 @@ int main(int Argc, char **Argv) {
 
   std::printf("Generator pipeline wall-clock, %s, stride %u\n",
               elemFuncName(Func), Cfg.SampleStride);
-  std::printf("%8s %5s %12s %12s %12s %10s %10s %10s %8s %14s\n",
+  std::printf("%8s %5s %12s %12s %12s %10s %10s %10s %8s %20s\n",
               "threads", "fast", "prepare ms", "generate ms", "total ms",
-              "speedup", "hit rate", "lp ms", "pivots", "warm/pre/cold");
+              "speedup", "hit rate", "lp ms", "pivots",
+              "warm/pre/cold/reused");
 
   // The thread ladder runs with the certified fast oracle on; a fast-off
   // referee at the base thread count isolates its prepare speedup and
@@ -223,14 +226,15 @@ int main(int Argc, char **Argv) {
     double Total = R.PrepareMs + R.GenerateMs;
     std::printf(
         "%8u %5s %12.1f %12.1f %12.1f %9.2fx %9.1f%% %10.1f %8llu "
-        "%4llu/%llu/%-4llu\n",
+        "%4llu/%llu/%llu/%-4llu\n",
         R.Threads, R.Fast ? "on" : "off", R.PrepareMs, R.GenerateMs, Total,
         Total > 0 ? BaseTotal / Total : 0.0, 100.0 * R.CheckPhaseHitRate,
         R.LPStats.LPTimeMs,
         static_cast<unsigned long long>(R.LPStats.LPPivots),
         static_cast<unsigned long long>(R.LPStats.LPWarmSolves),
         static_cast<unsigned long long>(R.LPStats.LPPresolveSolves),
-        static_cast<unsigned long long>(R.LPStats.LPColdSolves));
+        static_cast<unsigned long long>(R.LPStats.LPColdSolves),
+        static_cast<unsigned long long>(R.LPStats.LPReused));
     std::printf("         prepare: oracle %.1f + interval %.1f + merge %.1f "
                 "ms, fast accept/fallback %llu/%llu, ziv retries %llu\n",
                 R.Prep.OracleMs, R.Prep.IntervalMs, R.Prep.MergeMs,
@@ -308,6 +312,7 @@ int main(int Argc, char **Argv) {
       W.kvFixed("lp_time_ms", R.LPStats.LPTimeMs, 2);
       W.kv("lp_pivots", R.LPStats.LPPivots);
       W.kv("lp_rows", R.LPStats.LPRows);
+      W.kv("lp_reused", R.LPStats.LPReused);
       W.kv("lp_warm_solves", R.LPStats.LPWarmSolves);
       W.kv("lp_cold_solves", R.LPStats.LPColdSolves);
       W.kv("lp_warm_fallbacks", R.LPStats.LPWarmFallbacks);

@@ -49,9 +49,12 @@ int main() {
                   evalSchemeName(S));
       continue;
     }
-    std::printf("\n%s: %d piece(s), LP solves %u, loop iterations %u, "
-                "specials %zu\n",
+    // Later schemes pose many of the LPs an earlier scheme already
+    // solved; the generator answers those from its memo (reused).
+    std::printf("\n%s: %d piece(s), LP answers %u (%llu reused), loop "
+                "iterations %u, specials %zu\n",
                 evalSchemeName(S), Impl.NumPieces, Impl.LPSolves,
+                static_cast<unsigned long long>(Impl.Stats.LPReused),
                 Impl.LoopIterations, Impl.Specials.size());
     for (int P = 0; P < Impl.NumPieces; ++P) {
       std::printf("  piece %d (degree %u):", P, Impl.PieceDegrees[P]);

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 
 using namespace rfp;
@@ -35,6 +36,7 @@ struct GenCounters {
   telemetry::Counter LPInfeasible =
       telemetry::counter("polygen.lp.infeasible");
   telemetry::Counter Retired = telemetry::counter("polygen.retired_constraints");
+  telemetry::Counter LPReused = telemetry::counter("polygen.lp.reused");
   telemetry::Counter LPWarm = telemetry::counter("polygen.lp.warm_solves");
   telemetry::Counter LPCold = telemetry::counter("polygen.lp.cold_solves");
   telemetry::Counter LPWarmFallbacks =
@@ -560,10 +562,11 @@ static double evalCandidate(EvalScheme S, const Polynomial &P,
                     S == EvalScheme::Knuth ? &KA : nullptr);
 }
 
-bool PolyGenerator::generatePiece(
-    EvalScheme S, std::vector<MergedConstraint *> &Piece, unsigned Degree,
-    GeneratedImpl &Impl, Polynomial &OutPoly, KnuthAdapted &OutKA,
-    std::vector<std::pair<size_t, int>> &DegreeHint) {
+bool PolyGenerator::generatePiece(EvalScheme S,
+                                  std::vector<MergedConstraint *> &Piece,
+                                  unsigned Degree, size_t &Root,
+                                  GeneratedImpl &Impl, Polynomial &OutPoly,
+                                  KnuthAdapted &OutKA, PieceBasis &DegreeHint) {
   if (Piece.empty()) {
     // No constraints in this sub-domain: any polynomial works.
     OutPoly.Coeffs.assign(Degree + 1, 0.0);
@@ -574,14 +577,6 @@ bool PolyGenerator::generatePiece(
     }
     return true;
   }
-
-  // Progressive LP sample: evenly spaced constraints, extremes included.
-  std::vector<size_t> LPSet;
-  size_t Step = std::max<size_t>(1, Piece.size() / Config.MaxLPConstraints);
-  for (size_t I = 0; I < Piece.size(); I += Step)
-    LPSet.push_back(I);
-  if (LPSet.back() != Piece.size() - 1)
-    LPSet.push_back(Piece.size() - 1);
 
   // Retires a constraint whose interval was exhausted: its inputs become
   // explicit special cases (what the paper counts in Table 1). Returns
@@ -604,87 +599,78 @@ bool PolyGenerator::generatePiece(
     return true;
   };
 
-  // One PolyLPSession per piece/degree attempt holds the live constraint
-  // system across iterations. The shrink loop below mirrors its edits
-  // into the session as it makes them, so after the first iteration no
-  // constraint is rebuilt, and each re-solve warm-starts from the
-  // previous optimal basis. Solves the warm path cannot serve go through
-  // the float presolve. Either way the result is bit-identical to a cold
-  // solve of the same rows (see DESIGN.md, "Incremental LP re-solving").
-  std::vector<unsigned> Terms(Degree + 1);
-  for (unsigned E = 0; E <= Degree; ++E)
-    Terms[E] = E;
-  PolyLPSession Session(std::move(Terms), Config.NumThreads);
-  Session.setPresolve(true);
+  // The LP system: the constraints in Order that are still InLP, in that
+  // (insertion) order, with their current bounds. It starts as the
+  // progressive sample, evenly spaced constraints with the extremes
+  // included, and each iteration retires, shrinks or appends constraints.
+  std::vector<size_t> Order;
+  std::vector<char> InLP(Piece.size(), 0);
+  size_t Step = std::max<size_t>(1, Piece.size() / Config.MaxLPConstraints);
+  for (size_t I = 0; I < Piece.size(); I += Step)
+    Order.push_back(I);
+  if (Order.back() != Piece.size() - 1)
+    Order.push_back(Piece.size() - 1);
+  for (size_t I : Order)
+    InLP[I] = 1;
+
+  // The memo answers every system an earlier attempt of this (piece
+  // layout, piece, degree) posed, so while it answers, the loop only
+  // checks and shrinks. At the first miss one PolyLPSession is built from
+  // the live system, and from then on the shrink loop mirrors its edits
+  // into the session as it makes them: no constraint is rebuilt, and each
+  // re-solve warm-starts from the previous optimal basis. Solves the warm
+  // path cannot serve go through the float presolve. Either way the
+  // answer is bit-identical to a cold solve of the same rows (see
+  // DESIGN.md, "Incremental LP re-solving").
+  std::optional<PolyLPSession> Session;
   // Handle maps a piece index to its session constraint id, ConToPiece
   // back. Session ids are sequential and never reused, so the inverse
   // survives retires.
   std::vector<size_t> Handle(Piece.size(), SIZE_MAX);
   std::vector<size_t> ConToPiece;
   auto AddToSession = [&](size_t I) {
-    Handle[I] = Session.addConstraint(Piece[I]->TX,
-                                      Rational::fromDouble(Piece[I]->Alpha),
-                                      Rational::fromDouble(Piece[I]->Beta));
+    Handle[I] = Session->addConstraint(Piece[I]->TX,
+                                       Rational::fromDouble(Piece[I]->Alpha),
+                                       Rational::fromDouble(Piece[I]->Beta));
     assert(Handle[I] == ConToPiece.size() && "session ids are sequential");
     ConToPiece.push_back(I);
   };
-
-  // Progressive-degree plumbing: LastGoodBasis tracks the basis of the
-  // most recent feasible solve. ExportHint runs on the failure exits and
-  // rewrites that basis in piece-local terms for the next (higher-degree)
-  // attempt to seed its presolver with.
-  std::vector<PolyLPSession::PolyBasisRow> LastGoodBasis;
-  auto ExportHint = [&] {
-    std::vector<std::pair<size_t, int>> Out;
-    for (const PolyLPSession::PolyBasisRow &R : LastGoodBasis) {
-      if (R.Side == 2)
-        Out.emplace_back(size_t(0), 2);
-      else if (R.Con < ConToPiece.size())
-        Out.emplace_back(ConToPiece[R.Con], R.Side);
+  // Builds the session from the live system and seeds its presolver with
+  // \p Hint, the basis of the last answer (at iteration 0, the lower
+  // degree's). Hint rows whose constraint is not in the system are
+  // dropped; the presolve's exact repair fills the remaining basis slots.
+  auto BuildSession = [&](const PieceBasis &Hint) {
+    telemetry::Span BuildSpan("polygen.constraint_build");
+    std::vector<unsigned> Terms(Degree + 1);
+    for (unsigned E = 0; E <= Degree; ++E)
+      Terms[E] = E;
+    Session.emplace(std::move(Terms), Config.NumThreads);
+    Session->setPresolve(true);
+    for (size_t I : Order)
+      if (InLP[I])
+        AddToSession(I);
+    if (Hint.empty())
+      return;
+    std::vector<PolyLPSession::PolyBasisRow> Rows;
+    for (const auto &[I, Side] : Hint) {
+      if (Side == 2)
+        Rows.push_back({0, 2});
+      else if (I < Handle.size() && Handle[I] != SIZE_MAX)
+        Rows.push_back({Handle[I], Side});
     }
-    DegreeHint = std::move(Out);
+    Session->hintBasis(Rows);
   };
-
-  for (unsigned Iter = 0; Iter < Config.MaxIterations; ++Iter) {
-    ++Impl.LoopIterations;
-    TC.Iterations.inc();
-    telemetry::Span IterSpan("polygen.iteration");
-
-    {
-      // Later iterations have nothing to convert: the shrink loop already
-      // mirrored its edits into the session.
-      telemetry::Span BuildSpan("polygen.constraint_build");
-      if (Iter == 0) {
-        for (size_t I : LPSet)
-          if (!Piece[I]->Dead)
-            AddToSession(I);
-        if (!DegreeHint.empty()) {
-          // Seed the presolver with the lower-degree optimum's basis rows,
-          // re-keyed to this session's constraint handles. Entries whose
-          // constraint did not make this session's initial sample are
-          // dropped; the float solver fills the remaining basis slots
-          // itself.
-          std::vector<PolyLPSession::PolyBasisRow> Hint;
-          for (const auto &[I, Side] : DegreeHint) {
-            if (Side == 2)
-              Hint.push_back({0, 2});
-            else if (I < Handle.size() && Handle[I] != SIZE_MAX)
-              Hint.push_back({Handle[I], Side});
-          }
-          Session.hintBasis(Hint);
-        }
-      }
-    }
-
-    ++Impl.LPSolves;
-    TC.LPSolves.inc();
-    const SimplexSession::Stats StatsBefore = Session.lpStats();
+  // Solves the live system and hangs the answer in the memo: at Root when
+  // Parent is SIZE_MAX, else as Parent's child under Edits.
+  auto SolveAndMemoize = [&](unsigned Iter, size_t Parent,
+                             std::vector<uint64_t> &Edits) {
+    const SimplexSession::Stats StatsBefore = Session->lpStats();
     auto LPStart = std::chrono::steady_clock::now();
     PolyLPResult LP = [&] {
       // One span per LP solve: the trace's "polygen.lp_solve" event count
-      // equals GenStats' LPSolves by construction.
+      // equals GenStats' LPSolves - LPReused by construction.
       telemetry::Span SolveSpan("polygen.lp_solve");
-      return Session.solve();
+      return Session->solve();
     }();
     double LPMs = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - LPStart)
@@ -715,7 +701,7 @@ bool PolyGenerator::generatePiece(
       ++Impl.Stats.LPWarmFallbacks;
       TC.LPWarmFallbacks.inc();
     }
-    const SimplexSession::Stats &Now = Session.lpStats();
+    const SimplexSession::Stats &Now = Session->lpStats();
     auto Delta = [&](uint64_t SimplexSession::Stats::*F) {
       return Now.*F - StatsBefore.*F;
     };
@@ -735,15 +721,60 @@ bool PolyGenerator::generatePiece(
     TC.LPPresolveFloatIters.add(Delta(&SimplexSession::Stats::PresolveFloatIters));
     if (Iter > 0)
       TC.LPResolvePivots.record(static_cast<double>(LP.Pivots));
+
+    LPMemoNode A;
+    A.Feasible = LP.Feasible;
+    A.Poly = std::move(LP.Poly);
+    A.Margin = std::move(LP.Margin);
+    if (LP.Feasible)
+      for (const PolyLPSession::PolyBasisRow &R : Session->lastBasisRows())
+        A.Basis.emplace_back(R.Side == 2 ? 0 : ConToPiece[R.Con], R.Side);
+    size_t Node = LPMemo.size();
+    LPMemo.push_back(std::move(A));
+    if (Parent == SIZE_MAX)
+      Root = Node;
+    else
+      LPMemo[Parent].Next.emplace_back(std::move(Edits), Node);
+    return Node;
+  };
+
+  // Progressive-degree plumbing: LastGoodBasis is the basis of the most
+  // recent feasible answer. ExportHint runs on the failure exits and hands
+  // it to the next (higher-degree) attempt to seed its presolver with.
+  PieceBasis LastGoodBasis;
+  auto ExportHint = [&] { DegreeHint = std::move(LastGoodBasis); };
+
+  // Node answers this iteration's system, SIZE_MAX on a miss; a miss
+  // hangs its answer under Parent, keyed by the edit list that led here.
+  size_t Node = Root, Parent = SIZE_MAX;
+  std::vector<uint64_t> Edits;
+  for (unsigned Iter = 0; Iter < Config.MaxIterations; ++Iter) {
+    ++Impl.LoopIterations;
+    TC.Iterations.inc();
+    telemetry::Span IterSpan("polygen.iteration");
+
+    ++Impl.LPSolves;
+    TC.LPSolves.inc();
+    if (Node != SIZE_MAX) {
+      ++Impl.Stats.LPReused;
+      TC.LPReused.inc();
+    } else {
+      if (!Session)
+        BuildSession(Iter == 0 ? DegreeHint : LastGoodBasis);
+      Node = SolveAndMemoize(Iter, Parent, Edits);
+    }
+    const LPMemoNode &LP = LPMemo[Node];
     if (!LP.Feasible) {
       TC.LPInfeasible.inc();
       telemetry::logf(LogLevel::Debug, "polygen",
                       "iter %u: LP infeasible (deg %u, %zu cons)", Iter,
-                      Degree, Session.numLiveConstraints());
+                      Degree,
+                      static_cast<size_t>(
+                          std::count(InLP.begin(), InLP.end(), 1)));
       ExportHint();
       return false;
     }
-    LastGoodBasis = Session.lastBasisRows();
+    LastGoodBasis = LP.Basis;
 
     Polynomial P = LP.Poly.toDouble();
     // Flush effectively-zero coefficients: the margin-maximizing LP is
@@ -795,6 +826,7 @@ bool PolyGenerator::generatePiece(
 
     telemetry::Span ShrinkSpan("polygen.interval_shrink");
     size_t Violations = 0;
+    Edits.clear();
     for (size_t I = 0; I < Piece.size(); ++I) {
       MergedConstraint &M = *Piece[I];
       if (M.Dead)
@@ -822,20 +854,31 @@ bool PolyGenerator::generatePiece(
         ExportHint();
         return false; // Special budget exhausted; escalate the shape.
       }
-      // Mirror the edit into the LP session as it happens: retired
-      // constraints leave, shrunk bounds are converted (these are the only
-      // Rational conversions after iteration 0), and newly violated
-      // constraints join the sample, appended in ascending index order.
+      // Record the edit in the next system's memo key (the piece index,
+      // then retired or the new bounds' bits) and apply it to the system:
+      // retired constraints leave, shrunk bounds are converted (once a
+      // session exists, these are the only Rational conversions), and
+      // newly violated constraints join, appended in ascending index
+      // order.
+      Edits.push_back(uint64_t(I) << 1 | uint64_t(M.Dead));
       if (M.Dead) {
+        InLP[I] = 0;
         if (Handle[I] != SIZE_MAX) {
-          Session.retire(Handle[I]);
+          Session->retire(Handle[I]);
           Handle[I] = SIZE_MAX;
         }
-      } else if (Handle[I] != SIZE_MAX) {
-        Session.updateBound(Handle[I], Rational::fromDouble(M.Alpha),
-                            Rational::fromDouble(M.Beta));
-      } else {
-        AddToSession(I);
+        continue;
+      }
+      Edits.push_back(doubleKey(M.Alpha));
+      Edits.push_back(doubleKey(M.Beta));
+      if (Handle[I] != SIZE_MAX) {
+        Session->updateBound(Handle[I], Rational::fromDouble(M.Alpha),
+                             Rational::fromDouble(M.Beta));
+      } else if (!InLP[I]) {
+        Order.push_back(I);
+        InLP[I] = 1;
+        if (Session)
+          AddToSession(I);
       }
     }
     if (Violations == 0) {
@@ -848,6 +891,15 @@ bool PolyGenerator::generatePiece(
                       "piece failed to converge: %zu violations at final "
                       "iteration",
                       Violations);
+    // The next system is memoized when an earlier attempt made the same
+    // edits from this one. Keys are compared in full.
+    Parent = Node;
+    Node = SIZE_MAX;
+    for (const auto &[Key, Child] : LPMemo[Parent].Next)
+      if (Key == Edits) {
+        Node = Child;
+        break;
+      }
   }
   ExportHint();
   return false;
@@ -890,7 +942,7 @@ GeneratedImpl PolyGenerator::generate(EvalScheme S) {
       // The progressive-degree hint: a failed attempt leaves its last
       // feasible basis here (piece-local constraint indices), and the
       // next degree up seeds its LP presolver with it.
-      std::vector<std::pair<size_t, int>> DegreeHint;
+      PieceBasis DegreeHint;
       for (unsigned Degree : Config.DegreeLadder) {
         if (S == EvalScheme::Knuth && (Degree < 4 || Degree > 6))
           continue; // Adaptation exists only for degrees 4..6.
@@ -902,8 +954,11 @@ GeneratedImpl PolyGenerator::generate(EvalScheme S) {
           M->Dead = false;
         }
         size_t SpecialsMark = Impl.Specials.size();
-        if (generatePiece(S, Pieces[PieceIdx], Degree, Impl, Polys[PieceIdx],
-                          KAs[PieceIdx], DegreeHint)) {
+        size_t &Root =
+            LPMemoRoots.try_emplace({NumPieces, PieceIdx, Degree}, SIZE_MAX)
+                .first->second;
+        if (generatePiece(S, Pieces[PieceIdx], Degree, Root, Impl,
+                          Polys[PieceIdx], KAs[PieceIdx], DegreeHint)) {
           Degrees[PieceIdx] = Degree;
           PieceOk = true;
           break;

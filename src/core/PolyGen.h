@@ -40,7 +40,9 @@
 #include "support/ShardFile.h"
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -111,7 +113,8 @@ struct GeneratedImpl {
   };
   std::vector<Special> Specials;
 
-  unsigned LPSolves = 0;       ///< Total LP invocations.
+  unsigned LPSolves = 0;       ///< LP answers the loop consumed, solved or
+                               ///< reused.
   unsigned LoopIterations = 0; ///< Total generate-check-constrain rounds.
   size_t NumInputs = 0;        ///< Generation inputs considered.
   size_t NumConstraints = 0;   ///< Merged reduced constraints.
@@ -125,6 +128,8 @@ struct GeneratedImpl {
     uint64_t LPPivots = 0;          ///< Simplex pivots across all solves.
     uint64_t LPRows = 0;            ///< LP rows solved, summed over solves.
     uint64_t LPExactPricings = 0;   ///< Exact-pricing fallbacks, all solves.
+    uint64_t LPReused = 0;          ///< Answers the generator's LP memo
+                                    ///< supplied: no solve, no pivots.
     uint64_t LPWarmSolves = 0;      ///< Solves served from a warm basis.
     uint64_t LPColdSolves = 0;      ///< Pure cold solves (neither warm nor
                                     ///< presolved).
@@ -186,7 +191,13 @@ public:
   /// Observe them with RFP_LOG_LEVEL=info or telemetry::addLogSink().
   void prepare();
 
-  /// Runs the integrated generation loop for one evaluation scheme.
+  /// Runs the integrated generation loop for one evaluation scheme. The
+  /// LP does not depend on the scheme, only the check does, so the
+  /// generator keeps every LP answer it computes and answers a system any
+  /// earlier generate() call posed without solving it again (see
+  /// DESIGN.md, "Incremental LP re-solving"). The result does not depend
+  /// on which generate() calls came before; GenStats::LPReused counts the
+  /// answers taken from the memo.
   GeneratedImpl generate(EvalScheme S);
 
   /// Per-phase accounting of the last prepare()/prepareFromShards() run.
@@ -288,15 +299,21 @@ private:
   void consumeRecords(const Record *Recs, size_t N);
   /// Sorts constraints by reduced input and converts exact forms.
   void finalizePrepare();
+  /// Basis rows of an LP optimum in piece-local terms: (piece constraint
+  /// index, row side) pairs, side 2 being the delta cap.
+  using PieceBasis = std::vector<std::pair<size_t, int>>;
+
+  /// \p Root is the LP memo's root for this (piece layout, piece, degree)
+  /// attempt, SIZE_MAX until an attempt first solves it.
   /// \p DegreeHint is the progressive-degree channel (RLIBM-PROG): on
   /// entry, the optimal basis of this piece's previous (lower-degree)
-  /// attempt as (piece-local constraint index, row side) pairs, seeded
-  /// into the LP presolver; on a failed return, the last feasible basis
-  /// of this attempt, for the next degree to consume. Performance-only.
+  /// attempt, seeded into the LP presolver; on a failed return, the last
+  /// feasible basis of this attempt, for the next degree to consume.
+  /// Performance-only.
   bool generatePiece(EvalScheme S, std::vector<MergedConstraint *> &Piece,
-                     unsigned Degree, GeneratedImpl &Impl, Polynomial &OutPoly,
-                     KnuthAdapted &OutKA,
-                     std::vector<std::pair<size_t, int>> &DegreeHint);
+                     unsigned Degree, size_t &Root, GeneratedImpl &Impl,
+                     Polynomial &OutPoly, KnuthAdapted &OutKA,
+                     PieceBasis &DegreeHint);
 
   ElemFunc Func;
   GenConfig Config;
@@ -310,6 +327,23 @@ private:
   /// doubleKey(T) -> Constraints index; live only across consumeRecords
   /// calls of one prepare, released by finalizePrepare().
   std::unordered_map<uint64_t, size_t> MergeIndex;
+
+  /// The LP memo, a trie of answers (see DESIGN.md, "Incremental LP
+  /// re-solving"). A root is one (piece layout, piece, degree) attempt,
+  /// whose first system is the fixed progressive sample; an edge is one
+  /// iteration's ordered edit list, compared in full. The constraints are
+  /// fixed once prepared, so the memo is never invalidated.
+  struct LPMemoNode {
+    bool Feasible = false;
+    RationalPolynomial Poly; ///< Exact coefficients when Feasible.
+    Rational Margin;
+    PieceBasis Basis;        ///< The optimum's basis rows when Feasible.
+    /// (edit list, node) for every next system an iteration posed.
+    std::vector<std::pair<std::vector<uint64_t>, size_t>> Next;
+  };
+  std::vector<LPMemoNode> LPMemo;
+  /// (pieces, piece, degree) -> root node index, SIZE_MAX until solved.
+  std::map<std::tuple<int, int, unsigned>, size_t> LPMemoRoots;
 };
 
 } // namespace rfp

@@ -35,6 +35,36 @@ GenConfig smallConfig() {
   return Cfg;
 }
 
+/// Expects \p A and \p B to be the same table bit for bit: outcome,
+/// shape, degrees, coefficients and specials, and the loop's LP answer and
+/// iteration counts.
+void expectSameTable(const GeneratedImpl &A, const GeneratedImpl &B) {
+  ASSERT_EQ(A.Success, B.Success);
+  EXPECT_EQ(A.LPSolves, B.LPSolves);
+  EXPECT_EQ(A.LoopIterations, B.LoopIterations);
+  if (!A.Success)
+    return;
+  ASSERT_EQ(A.NumPieces, B.NumPieces);
+  EXPECT_EQ(A.PieceDegrees, B.PieceDegrees);
+  for (int P = 0; P < A.NumPieces; ++P) {
+    ASSERT_EQ(A.Pieces[P].Coeffs.size(), B.Pieces[P].Coeffs.size());
+    for (size_t K = 0; K < A.Pieces[P].Coeffs.size(); ++K) {
+      uint64_t BitsA, BitsB;
+      std::memcpy(&BitsA, &A.Pieces[P].Coeffs[K], sizeof(BitsA));
+      std::memcpy(&BitsB, &B.Pieces[P].Coeffs[K], sizeof(BitsB));
+      EXPECT_EQ(BitsA, BitsB) << "piece " << P << " coeff " << K;
+    }
+  }
+  ASSERT_EQ(A.Specials.size(), B.Specials.size());
+  for (size_t I = 0; I < A.Specials.size(); ++I) {
+    EXPECT_EQ(A.Specials[I].Bits, B.Specials[I].Bits);
+    uint64_t HA, HB;
+    std::memcpy(&HA, &A.Specials[I].H, sizeof(HA));
+    std::memcpy(&HB, &B.Specials[I].H, sizeof(HB));
+    EXPECT_EQ(HA, HB);
+  }
+}
+
 /// Verifies an implementation across formats and modes on a strided input
 /// subset, using the oracle's round-to-odd value (the double-rounding
 /// theorem is itself verified in OracleTest).
@@ -152,45 +182,24 @@ TEST(PipelineMiscTest, GenerationIsBitIdenticalAcrossThreadCounts) {
       SCOPED_TRACE(std::string(elemFuncName(C.F)) + "/" + evalSchemeName(S));
       GeneratedImpl A = Serial.generate(S);
       GeneratedImpl B = Parallel.generate(S);
-      ASSERT_EQ(A.Success, B.Success);
-      EXPECT_EQ(A.LPSolves, B.LPSolves);
-      EXPECT_EQ(A.LoopIterations, B.LoopIterations);
+      expectSameTable(A, B);
       // The simplex inner loops are parallel too; the pivot sequence, the
       // rows and the exact-pricing fallbacks must not depend on the
       // thread count.
       EXPECT_EQ(A.Stats.LPPivots, B.Stats.LPPivots);
       EXPECT_EQ(A.Stats.LPRows, B.Stats.LPRows);
       EXPECT_EQ(A.Stats.LPExactPricings, B.Stats.LPExactPricings);
-      // Every solve is exactly one of warm, presolved or pure cold.
+      EXPECT_EQ(A.Stats.LPReused, B.Stats.LPReused);
+      // Every LP answer is exactly one of warm, presolved, pure cold or
+      // reused from the generator's memo.
       for (const GeneratedImpl *I : {&A, &B})
         EXPECT_EQ(I->Stats.LPWarmSolves + I->Stats.LPPresolveSolves +
-                      I->Stats.LPColdSolves,
+                      I->Stats.LPColdSolves + I->Stats.LPReused,
                   static_cast<uint64_t>(I->LPSolves));
       WarmSolves += A.Stats.LPWarmSolves;
       PresolveAttempts += A.Stats.LPPresolveAttempts;
       PresolveSolves += A.Stats.LPPresolveSolves;
       ColdSolves += A.Stats.LPColdSolves;
-      if (!A.Success)
-        continue;
-      ASSERT_EQ(A.NumPieces, B.NumPieces);
-      EXPECT_EQ(A.PieceDegrees, B.PieceDegrees);
-      for (int P = 0; P < A.NumPieces; ++P) {
-        ASSERT_EQ(A.Pieces[P].Coeffs.size(), B.Pieces[P].Coeffs.size());
-        for (size_t K = 0; K < A.Pieces[P].Coeffs.size(); ++K) {
-          uint64_t BitsA, BitsB;
-          std::memcpy(&BitsA, &A.Pieces[P].Coeffs[K], sizeof(BitsA));
-          std::memcpy(&BitsB, &B.Pieces[P].Coeffs[K], sizeof(BitsB));
-          EXPECT_EQ(BitsA, BitsB) << "piece " << P << " coeff " << K;
-        }
-      }
-      ASSERT_EQ(A.Specials.size(), B.Specials.size());
-      for (size_t I = 0; I < A.Specials.size(); ++I) {
-        EXPECT_EQ(A.Specials[I].Bits, B.Specials[I].Bits);
-        uint64_t HA, HB;
-        std::memcpy(&HA, &A.Specials[I].H, sizeof(HA));
-        std::memcpy(&HB, &B.Specials[I].H, sizeof(HB));
-        EXPECT_EQ(HA, HB);
-      }
     }
   }
   // The LP session must actually re-solve warm, and the float presolver
@@ -200,6 +209,56 @@ TEST(PipelineMiscTest, GenerationIsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(PresolveAttempts, 0u);
   EXPECT_GE(static_cast<double>(PresolveSolves),
             0.80 * static_cast<double>(PresolveSolves + ColdSolves));
+}
+
+TEST(PipelineMiscTest, SharedGeneratorMatchesFreshGenerators) {
+  // The LP memo: a generator answers every LP system an earlier
+  // generate() call posed without solving it again. Its tables must not
+  // depend on that. Every shipped scheme generated on one generator must
+  // match, bit for bit, the same scheme on a fresh generator, at 1 and 4
+  // threads. Only the shared generator reuses answers, and it does from
+  // its second scheme on.
+  struct Case {
+    ElemFunc F;
+    std::vector<EvalScheme> Schemes;
+    GenConfig Cfg;
+  };
+  // log10 needs four pieces here: its 1-piece shape fails at every degree,
+  // so the later schemes reuse its infeasible answers too. log10/Knuth
+  // ships unavailable and is left out.
+  GenConfig Log10 = smallConfig();
+  Log10.PieceLadder = {1, 4};
+  const Case Cases[] = {
+      {ElemFunc::Exp2,
+       {EvalScheme::Horner, EvalScheme::Knuth, EvalScheme::Estrin,
+        EvalScheme::EstrinFMA},
+       smallConfig()},
+      {ElemFunc::Log10,
+       {EvalScheme::Horner, EvalScheme::Estrin, EvalScheme::EstrinFMA},
+       Log10},
+  };
+  for (const Case &C : Cases)
+    for (unsigned Threads : {1u, 4u}) {
+      GenConfig Cfg = C.Cfg;
+      Cfg.NumThreads = Threads;
+      PolyGenerator Shared(C.F, Cfg);
+      Shared.prepare();
+      for (EvalScheme S : C.Schemes) {
+        SCOPED_TRACE(std::string(elemFuncName(C.F)) + "/" +
+                     evalSchemeName(S) + " at " + std::to_string(Threads) +
+                     " threads");
+        GeneratedImpl A = Shared.generate(S);
+        PolyGenerator Fresh(C.F, Cfg);
+        Fresh.prepare();
+        GeneratedImpl B = Fresh.generate(S);
+        expectSameTable(A, B);
+        EXPECT_EQ(B.Stats.LPReused, 0u);
+        if (S == C.Schemes.front())
+          EXPECT_EQ(A.Stats.LPReused, 0u);
+        else
+          EXPECT_GT(A.Stats.LPReused, 0u);
+      }
+    }
 }
 
 TEST(PipelineMiscTest, FlushedCoefficientStillPassesTheCheckStep) {

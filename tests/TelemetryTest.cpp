@@ -265,7 +265,8 @@ TEST(TelemetryTest, MetricsJsonExportIsValidJson) {
 TEST(TelemetryTest, TraceEmitsValidJsonWithSpanPerLPSolve) {
   // End-to-end acceptance: a traced generator run produces a valid Chrome
   // trace_event document containing exactly one polygen.lp_solve complete
-  // event per LP solve reported in GenStats.
+  // event per LP solve reported in GenStats. The second scheme on the
+  // same generator takes answers from its LP memo; those are not solves.
   std::string Path = ::testing::TempDir() + "rfp_trace_test.json";
   GenConfig Cfg;
   Cfg.SampleStride = 1048583; // very coarse: tracing smoke, not quality
@@ -273,20 +274,27 @@ TEST(TelemetryTest, TraceEmitsValidJsonWithSpanPerLPSolve) {
   Cfg.TracePath = Path;
   PolyGenerator Gen(ElemFunc::Exp2, Cfg);
   Gen.prepare();
-  GeneratedImpl Impl = Gen.generate(EvalScheme::Horner);
-  ASSERT_TRUE(Impl.Success);
+  uint64_t Solved = 0, Reused = 0, Iterations = 0;
+  for (EvalScheme S : {EvalScheme::Horner, EvalScheme::EstrinFMA}) {
+    GeneratedImpl Impl = Gen.generate(S);
+    ASSERT_TRUE(Impl.Success);
+    EXPECT_GT(Impl.LPSolves, 0u);
+    Solved += Impl.LPSolves - Impl.Stats.LPReused;
+    Reused += Impl.Stats.LPReused;
+    Iterations += Impl.LoopIterations;
+  }
   stopTrace();
+  EXPECT_GT(Reused, 0u);
 
   std::string Doc = slurp(Path);
   ASSERT_FALSE(Doc.empty());
   EXPECT_TRUE(isValidJson(Doc));
   EXPECT_NE(Doc.find("\"traceEvents\""), std::string::npos);
-  EXPECT_GT(Impl.LPSolves, 0u);
   EXPECT_EQ(countOccurrences(Doc, "\"name\": \"polygen.lp_solve\""),
-            Impl.LPSolves);
+            Solved);
   // The per-iteration parent spans are present too.
   EXPECT_EQ(countOccurrences(Doc, "\"name\": \"polygen.iteration\""),
-            Impl.LoopIterations);
+            Iterations);
   std::remove(Path.c_str());
 }
 

@@ -15,7 +15,8 @@
 //
 // stride:  float bit-pattern sampling stride for generation inputs (>= 1)
 // window:  dense boundary window half-width (bit patterns)
-// func:    subset of {exp, exp2, exp10, log, log2, log10}; default all
+// func:    subset of {exp, exp2, exp10, log, log2, log10}; default all; a
+//          repeated name counts once
 // --batch: skip generation and re-emit only the <Func>Batch.inc files from
 //          the *committed* coefficient tables (compiled into this binary),
 //          guaranteeing the SoA layout and the scalar tables can never
@@ -65,6 +66,7 @@
 #include "support/Telemetry.h"
 #include "verify/Verify.h"
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -452,11 +454,16 @@ int main(int Argc, char **Argv) {
     Cfg.BoundaryWindow = static_cast<uint32_t>(V);
   }
   for (; RestIdx < Rest.size(); ++RestIdx) {
-    const size_t Before = Funcs.size();
-    for (ElemFunc F : AllElemFuncs)
-      if (std::strcmp(Rest[RestIdx], elemFuncName(F)) == 0)
+    bool Known = false;
+    for (ElemFunc F : AllElemFuncs) {
+      if (std::strcmp(Rest[RestIdx], elemFuncName(F)) != 0)
+        continue;
+      Known = true;
+      // A repeated function counts once, at its first occurrence.
+      if (std::find(Funcs.begin(), Funcs.end(), F) == Funcs.end())
         Funcs.push_back(F);
-    if (Funcs.size() == Before)
+    }
+    if (!Known)
       return usage(("unknown argument " + std::string(Rest[RestIdx])).c_str());
   }
   if (Funcs.empty())
@@ -505,10 +512,12 @@ int main(int Argc, char **Argv) {
     GeneratedImpl Impls[4];
     for (int S = 0; S < 4; ++S) {
       Impls[S] = Gen.generate(static_cast<EvalScheme>(S));
-      std::fprintf(stderr, "  %s: %s pieces=%d specials=%zu lp=%u\n",
+      std::fprintf(stderr,
+                   "  %s: %s pieces=%d specials=%zu lp=%u reused=%llu\n",
                    evalSchemeName(static_cast<EvalScheme>(S)),
                    Impls[S].Success ? "ok" : "UNAVAILABLE", Impls[S].NumPieces,
-                   Impls[S].Specials.size(), Impls[S].LPSolves);
+                   Impls[S].Specials.size(), Impls[S].LPSolves,
+                   static_cast<unsigned long long>(Impls[S].Stats.LPReused));
     }
     if (!Impls[0].Success) {
       std::fprintf(stderr, "FATAL: Horner baseline failed for %s\n",
