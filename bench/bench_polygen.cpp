@@ -25,8 +25,8 @@
 //     path on; one fast-off referee at the base thread count isolates the
 //     prepare speedup (oracle_fast_prepare_speedup) and joins the
 //     bit-identical comparison. Per run, the prepare phase is broken down
-//     into oracle_ms / interval_ms / merge_ms with fast_accept /
-//     fast_fallback / ziv_retries tallies.
+//     into oracle_ms / interval_ms / merge_ms / finalize_ms with
+//     fast_accept / fast_fallback / ziv_retries tallies.
 //
 //   bench_polygen [func] [--stride N] [--threads a,b,c] [--json[=path]]
 //
@@ -236,8 +236,10 @@ int main(int Argc, char **Argv) {
         static_cast<unsigned long long>(R.LPStats.LPColdSolves),
         static_cast<unsigned long long>(R.LPStats.LPReused));
     std::printf("         prepare: oracle %.1f + interval %.1f + merge %.1f "
-                "ms, fast accept/fallback %llu/%llu, ziv retries %llu\n",
+                "+ finalize %.1f ms, fast accept/fallback %llu/%llu, ziv "
+                "retries %llu\n",
                 R.Prep.OracleMs, R.Prep.IntervalMs, R.Prep.MergeMs,
+                R.Prep.FinalizeMs,
                 static_cast<unsigned long long>(R.Prep.FastAccepts),
                 static_cast<unsigned long long>(R.Prep.FastFallbacks),
                 static_cast<unsigned long long>(R.ZivRetries));
@@ -302,6 +304,7 @@ int main(int Argc, char **Argv) {
       W.kvFixed("oracle_ms", R.Prep.OracleMs, 2);
       W.kvFixed("interval_ms", R.Prep.IntervalMs, 2);
       W.kvFixed("merge_ms", R.Prep.MergeMs, 2);
+      W.kvFixed("finalize_ms", R.Prep.FinalizeMs, 2);
       W.kv("fast_accept", R.Prep.FastAccepts);
       W.kv("fast_fallback", R.Prep.FastFallbacks);
       W.kv("ziv_retries", R.ZivRetries);

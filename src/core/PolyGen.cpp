@@ -21,6 +21,7 @@
 #include <cstring>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 using namespace rfp;
 using telemetry::LogLevel;
@@ -36,6 +37,10 @@ struct GenCounters {
   telemetry::Counter LPInfeasible =
       telemetry::counter("polygen.lp.infeasible");
   telemetry::Counter Retired = telemetry::counter("polygen.retired_constraints");
+  /// Poly-path records whose inferred interval has a bound at the
+  /// adjustment's step cap (HInterval::Capped).
+  telemetry::Counter IntervalCapped =
+      telemetry::counter("polygen.interval.capped");
   telemetry::Counter LPReused = telemetry::counter("polygen.lp.reused");
   telemetry::Counter LPWarm = telemetry::counter("polygen.lp.warm_solves");
   telemetry::Counter LPCold = telemetry::counter("polygen.lp.cold_solves");
@@ -348,9 +353,11 @@ void PolyGenerator::consumeRecords(const Record *Recs, size_t N) {
   {
     telemetry::Span IntervalSpan("polygen.interval_infer");
     auto T0 = std::chrono::steady_clock::now();
+    const GenCounters &TC = genCounters();
     parallelFor(
         N,
         [&](size_t Begin, size_t End) {
+          uint64_t Capped = 0;
           for (size_t I = Begin; I < End; ++I) {
             assert(F34.isFinite(Recs[I].Enc) &&
                    "poly-path input with non-finite oracle");
@@ -360,7 +367,9 @@ void PolyGenerator::consumeRecords(const Record *Recs, size_t N) {
                 libm::reduceInput(Func, bitsToFloat(Recs[I].Bits));
             HInterval PI = inferPolyInterval(Func, R, HI.Lo, HI.Hi);
             Derived[I] = {Y34, R.T, PI.Lo, PI.Hi, PI.Valid};
+            Capped += PI.Capped;
           }
+          TC.IntervalCapped.add(Capped);
         },
         Config.NumThreads);
     Breakdown.IntervalMs += std::chrono::duration<double, std::milli>(
@@ -374,6 +383,15 @@ void PolyGenerator::consumeRecords(const Record *Recs, size_t N) {
   // count, block size, and sharding.
   telemetry::Span MergeSpan("polygen.merge");
   auto T1 = std::chrono::steady_clock::now();
+  // Room for every record of the block to open a constraint, grown at
+  // least geometrically: reserving exactly that per block would move every
+  // constraint (and rehash every key) once per block.
+  if (Constraints.size() + N > Constraints.capacity())
+    Constraints.reserve(
+        std::max(Constraints.size() + N, 2 * Constraints.capacity()));
+  if (MergeIndex.size() + N >
+      MergeIndex.bucket_count() * MergeIndex.max_load_factor())
+    MergeIndex.reserve(std::max(MergeIndex.size() + N, 2 * MergeIndex.size()));
   for (size_t I = 0; I < N; ++I) {
     const DerivedInput &D = Derived[I];
     uint32_t XBits = Recs[I].Bits;
@@ -411,16 +429,47 @@ void PolyGenerator::consumeRecords(const Record *Recs, size_t N) {
 }
 
 void PolyGenerator::finalizePrepare() {
+  auto T0 = std::chrono::steady_clock::now();
   MergeIndex = {};
-  std::sort(Constraints.begin(), Constraints.end(),
-            [](const MergedConstraint &A, const MergedConstraint &B) {
-              return A.T < B.T;
-            });
+  // Sort by T through (T, index) keys and the T-only comparator a sort of
+  // the constraints themselves would use: std::sort's moves follow its
+  // comparisons alone, so equal keys (+0.0 and -0.0) land as they would
+  // there. The permutation is then applied in place, cycle by cycle: a
+  // sorted second vector would hold two arrays of constraints at once.
+  const size_t N = Constraints.size();
+  std::vector<std::pair<double, size_t>> Keys(N);
+  for (size_t I = 0; I < N; ++I)
+    Keys[I] = {Constraints[I].T, I};
+  std::sort(Keys.begin(), Keys.end(), [](const auto &A, const auto &B) {
+    return A.first < B.first;
+  });
+  // Keys[I].second: the constraint that belongs at I; I once it is there.
+  for (size_t I = 0; I < N; ++I) {
+    if (Keys[I].second == I)
+      continue;
+    MergedConstraint Held = std::move(Constraints[I]);
+    size_t J = I;
+    while (Keys[J].second != I) {
+      Constraints[J] = std::move(Constraints[Keys[J].second]);
+      J = std::exchange(Keys[J].second, J);
+    }
+    Constraints[J] = std::move(Held);
+    Keys[J].second = J;
+  }
+  Keys = {};
   // Convert each reduced input to its exact form once: T is immutable for
   // the constraint's lifetime, so every LP build below reuses this value
   // instead of re-running Rational::fromDouble per iteration.
-  for (MergedConstraint &M : Constraints)
-    M.TX = Rational::fromDouble(M.T);
+  parallelFor(
+      N,
+      [&](size_t Begin, size_t End) {
+        for (size_t I = Begin; I < End; ++I)
+          Constraints[I].TX = Rational::fromDouble(Constraints[I].T);
+      },
+      Config.NumThreads);
+  Breakdown.FinalizeMs += std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - T0)
+                              .count();
   telemetry::logf(LogLevel::Info, "polygen",
                   "inputs: %zu, constraints: %zu, forced specials: %zu",
                   NumInputs, Constraints.size(), ForcedSpecials.size());
@@ -806,45 +855,50 @@ bool PolyGenerator::generatePiece(EvalScheme S,
                       P.Coeffs.back(), LP.Margin.toDouble());
 
     // Check step (Algorithm 2 lines 13-17): evaluate with the shipped
-    // operation order on *every* constraint of the piece. The evaluations
-    // are read-only and independent, so they run in parallel into an
-    // index-addressed vector; the constraint mutations below stay serial
-    // and visit ascending indices, keeping the shrink/retire sequence
+    // operation order on *every* live constraint of the piece. The
+    // evaluations are read-only and independent, so they run in parallel,
+    // and each chunk returns its violators as (piece index, value) pairs;
+    // concatenated in chunk order, they ascend by index for every thread
+    // count. The constraint mutations below stay serial and visit only
+    // the violators, in that order, keeping the shrink/retire sequence
     // bit-identical for every thread count.
-    std::vector<double> Evals(Piece.size());
+    using Violator = std::pair<size_t, double>;
+    std::vector<Violator> Violators;
     {
       telemetry::Span CheckSpan("polygen.check");
-      parallelFor(
-          Piece.size(),
+      Violators = parallelReduce<std::vector<Violator>>(
+          Piece.size(), {},
           [&](size_t Begin, size_t End) {
-            for (size_t I = Begin; I < End; ++I)
-              if (!Piece[I]->Dead)
-                Evals[I] = evalCandidate(S, P, KA, Piece[I]->T);
+            std::vector<Violator> Found;
+            for (size_t I = Begin; I < End; ++I) {
+              const MergedConstraint &M = *Piece[I];
+              if (M.Dead)
+                continue;
+              double V = evalCandidate(S, P, KA, M.T);
+              if (V < M.Alpha || V > M.Beta)
+                Found.emplace_back(I, V);
+            }
+            return Found;
+          },
+          [](std::vector<Violator> Acc, std::vector<Violator> Found) {
+            Acc.insert(Acc.end(), Found.begin(), Found.end());
+            return Acc;
           },
           Config.NumThreads);
     }
 
     telemetry::Span ShrinkSpan("polygen.interval_shrink");
-    size_t Violations = 0;
+    const size_t Violations = Violators.size();
     Edits.clear();
-    for (size_t I = 0; I < Piece.size(); ++I) {
+    for (size_t VI = 0; VI < Violations; ++VI) {
+      const auto [I, V] = Violators[VI];
       MergedConstraint &M = *Piece[I];
-      if (M.Dead)
-        continue;
-      double V = Evals[I];
-      bool Bad = false;
-      if (V < M.Alpha) {
-        // ConstrainInterval: move the violated bound one step inward.
+      // ConstrainInterval: move the violated bound one step inward.
+      if (V < M.Alpha)
         M.Alpha = std::nextafter(M.Alpha, HUGE_VAL);
-        Bad = true;
-      } else if (V > M.Beta) {
+      else
         M.Beta = std::nextafter(M.Beta, -HUGE_VAL);
-        Bad = true;
-      }
-      if (!Bad)
-        continue;
-      ++Violations;
-      if (Violations <= 3)
+      if (VI < 3)
         telemetry::logf(LogLevel::Debug, "polygen",
                         "  violation t=%a v=%a bounds=[%a,%a]", M.T, V,
                         M.Alpha, M.Beta);

@@ -209,6 +209,7 @@ public:
     double OracleMs = 0.0;   ///< Oracle sweep (fast path + exact fallback).
     double IntervalMs = 0.0; ///< Rounding-interval + inverse compensation.
     double MergeMs = 0.0;    ///< Serial in-order constraint merge.
+    double FinalizeMs = 0.0; ///< Sort by reduced input, exact-form pass.
     uint64_t FastAccepts = 0;
     uint64_t FastFallbacks = 0;
   };
@@ -297,7 +298,8 @@ private:
   /// Pass B: derive rounding + reduced intervals (parallel) and fold the
   /// records into the constraint map (serial, record order).
   void consumeRecords(const Record *Recs, size_t N);
-  /// Sorts constraints by reduced input and converts exact forms.
+  /// Sorts constraints by reduced input (in place) and converts their
+  /// exact forms (in parallel).
   void finalizePrepare();
   /// Basis rows of an LP optimum in piece-local terms: (piece constraint
   /// index, row side) pairs, side 2 being the delta cap.

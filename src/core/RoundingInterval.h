@@ -16,9 +16,11 @@
 ///  * inferPolyInterval: pushes a result interval backwards through the
 ///    output compensation to obtain the constraint interval for the
 ///    polynomial value at the reduced input, verifying and adjusting the
-///    boundaries with nextafter steps exactly as the paper's CalculateL0
+///    boundaries within 128 nextafter steps as the paper's CalculateL0
 ///    does with AdjHigher/AdjLower (Section 2.1 and Figure 9 of the POPL
-///    paper reproduced in Figure 1 here).
+///    paper reproduced in Figure 1 here). The compensation is monotone, so
+///    each bound is found by bisection inside that window, and it is the
+///    double a walk of one step at a time stops at.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +37,10 @@ struct HInterval {
   double Lo = 0.0;
   double Hi = 0.0;
   bool Valid = false;
+  /// inferPolyInterval only: a bound stopped at the adjustment's 128-step
+  /// cap, so the interval may be narrower than the set of doubles that
+  /// compensate into the target.
+  bool Capped = false;
 
   bool isSingleton() const { return Valid && Lo == Hi; }
 };
@@ -52,9 +58,15 @@ HInterval roundingIntervalRO(double Y, const FPFormat &F);
 HInterval roundingIntervalROEnc(uint64_t Enc, const FPFormat &F);
 
 /// Infers [Alpha, Beta] such that outputCompensate(F, v, R) lands in
-/// [Lo, Hi] for every double v in [Alpha, Beta]. The interval is maximal
-/// up to the verification granularity. Returns an invalid interval when no
-/// polynomial value can produce a result inside [Lo, Hi] (the paper then
+/// [Lo, Hi] for every double v in [Alpha, Beta]. Each bound starts at the
+/// approximate inverse of the compensation and moves at most 128 doubles:
+/// outward while the next double still compensates into [Lo, Hi], or
+/// inward until one does. An outward move that reaches the cap stops there
+/// (Capped), so the interval is maximal only when neither bound is capped.
+/// Log-family bounds are almost always capped: their compensation adds a
+/// table value that absorbs far more than 128 steps of the polynomial
+/// value. Exp-family bounds rarely are. Returns an invalid interval when no
+/// double within the window compensates into [Lo, Hi] (the paper then
 /// treats the input as a special case).
 HInterval inferPolyInterval(ElemFunc F, const libm::Reduction &R, double Lo,
                             double Hi);
