@@ -139,7 +139,6 @@ RunResult runPipeline(ElemFunc F, GenConfig Cfg, unsigned Threads,
     R.LPStats.LPPresolveRepaired += Impl.Stats.LPPresolveRepaired;
     R.LPStats.LPPresolveFallbacks += Impl.Stats.LPPresolveFallbacks;
     R.LPStats.LPPresolvePivots += Impl.Stats.LPPresolvePivots;
-    R.LPStats.LPPresolveFloatIters += Impl.Stats.LPPresolveFloatIters;
   }
 
   uint64_t Hits = telemetry::counterValue("oracle.cache.hits") - HitsBefore;
@@ -327,7 +326,6 @@ int main(int Argc, char **Argv) {
       W.kv("lp_presolve_repaired", R.LPStats.LPPresolveRepaired);
       W.kv("lp_presolve_fallbacks", R.LPStats.LPPresolveFallbacks);
       W.kv("lp_presolve_pivots", R.LPStats.LPPresolvePivots);
-      W.kv("lp_presolve_float_iters", R.LPStats.LPPresolveFloatIters);
       W.endObject();
     }
     W.endArray();

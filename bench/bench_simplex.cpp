@@ -24,16 +24,8 @@
 // rebuilds: warm-vs-cold wall time, pivots, and a per-round differential
 // check that the exact optima agree. A mismatch exits 1.
 //
-// --presolve replays the same shrink schedule through per-round *fresh*
-// presolve-enabled sessions (so the warm path never engages and every
-// solve exercises the float presolver), each hinted with the previous
-// round's optimal basis -- the progressive warm-start path the generator
-// uses across degrees. Reports exact pivots presolved vs cold and the
-// certify/repair/fallback split; per-round results must be bit-identical
-// to cold or the run exits 1.
-//
 //   bench_simplex [func] [--stride N] [--threads a,b,c] [--repeats N]
-//                 [--warm] [--warm-rounds N] [--presolve] [--json[=path]]
+//                 [--warm] [--warm-rounds N] [--json[=path]]
 //
 //===----------------------------------------------------------------------===//
 
@@ -216,85 +208,6 @@ WarmReplay replayWarm(const LPSystem &Sys, unsigned Threads, unsigned Rounds) {
   return R;
 }
 
-/// --presolve: the same shrink schedule as replayWarm, but each round
-/// solves through a *fresh* presolve-enabled PolyLPSession (no banked
-/// basis, so the warm path can never serve the solve and every round
-/// exercises the float presolver) hinted with the previous round's
-/// optimal basis -- the exact shape of the generator's progressive-degree
-/// warm start. Every round is differentially checked against a cold
-/// solvePolyLP rebuild.
-struct PresolveReplay {
-  unsigned Rounds = 0;               ///< Re-solve rounds executed.
-  double PreMs = 0, ColdMs = 0;
-  uint64_t PrePivots = 0, ColdPivots = 0; ///< Exact pivots, all solves.
-  uint64_t Attempts = 0, Solves = 0;
-  uint64_t Certified = 0, Repaired = 0, Fallbacks = 0;
-  uint64_t FloatIters = 0;           ///< Float simplex pivots spent.
-  bool Identical = true;             ///< Presolved == cold every round.
-};
-
-PresolveReplay replayPresolve(const LPSystem &Sys, unsigned Threads,
-                              unsigned Rounds) {
-  PresolveReplay R;
-  std::vector<unsigned> Terms(Sys.Degree + 1);
-  for (unsigned E = 0; E <= Sys.Degree; ++E)
-    Terms[E] = E;
-
-  std::vector<IntervalConstraint> Cons = Sys.Cons;
-  std::vector<PolyLPSession::PolyBasisRow> Hint;
-
-  // Fresh sessions add the identical constraint list in the identical
-  // order, so constraint handles line up round to round and the previous
-  // basis can be handed over verbatim.
-  auto SolveRound = [&](bool &Feasible) {
-    PolyLPSession Sess(Terms, Threads);
-    Sess.setPresolve(true);
-    for (const IntervalConstraint &C : Cons)
-      Sess.addConstraint(C.X, C.Lo, C.Hi);
-    if (!Hint.empty())
-      Sess.hintBasis(Hint);
-    auto T0 = std::chrono::steady_clock::now();
-    PolyLPResult P = Sess.solve();
-    R.PreMs += msSince(T0);
-    R.PrePivots += P.Pivots;
-    const SimplexSession::Stats &St = Sess.lpStats();
-    R.Attempts += St.PresolveAttempts;
-    R.Solves += St.PresolveSolves;
-    R.Certified += St.PresolveCertified;
-    R.Repaired += St.PresolveRepaired;
-    R.Fallbacks += St.PresolveFallbacks;
-    R.FloatIters += St.PresolveFloatIters;
-    Hint = Sess.lastBasisRows();
-    Feasible = P.Feasible;
-
-    T0 = std::chrono::steady_clock::now();
-    PolyLPResult C = solvePolyLP(Cons, Terms, Threads);
-    R.ColdMs += msSince(T0);
-    R.ColdPivots += C.Pivots;
-    return sameLPResult(P, C);
-  };
-
-  bool Feasible = true;
-  R.Identical = SolveRound(Feasible);
-  // Finer shrinks than the warm replay's stress schedule: production
-  // updateBound calls move one quantum of a rounding interval at a time,
-  // and the coarse 1/64 schedule drives these thin-margin systems
-  // infeasible after a round or two, leaving nothing but the unhinted
-  // first solve to measure.
-  Rational Quantum(BigInt(1), BigInt(256));
-  for (unsigned Round = 0; Round < Rounds && R.Identical && Feasible;
-       ++Round) {
-    for (size_t I = Round % 3; I < Cons.size(); I += 3) {
-      Rational Shrink = (Cons[I].Hi - Cons[I].Lo) * Quantum;
-      Cons[I].Lo = Cons[I].Lo + Shrink;
-      Cons[I].Hi = Cons[I].Hi - Shrink;
-    }
-    R.Identical = SolveRound(Feasible);
-    ++R.Rounds;
-  }
-  return R;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -306,7 +219,6 @@ int main(int Argc, char **Argv) {
   unsigned Repeats = 3;
   bool Warm = false;
   unsigned WarmRounds = 12;
-  bool Presolve = false;
   bench::ReportOptions Opts;
   Opts.JsonPath = "bench_simplex.json"; // written even without --json
 
@@ -318,8 +230,6 @@ int main(int Argc, char **Argv) {
     } else if (std::strcmp(Argv[I], "--warm-rounds") == 0 && I + 1 < Argc) {
       Warm = true;
       WarmRounds = static_cast<unsigned>(std::atol(Argv[++I]));
-    } else if (std::strcmp(Argv[I], "--presolve") == 0) {
-      Presolve = true;
     } else if (std::strcmp(Argv[I], "--stride") == 0 && I + 1 < Argc) {
       Cfg.SampleStride = static_cast<uint32_t>(std::atol(Argv[++I]));
     } else if (std::strcmp(Argv[I], "--repeats") == 0 && I + 1 < Argc) {
@@ -351,7 +261,7 @@ int main(int Argc, char **Argv) {
         std::fprintf(stderr,
                      "unknown argument '%s'\nusage: bench_simplex [func] "
                      "[--stride N] [--threads a,b,c] [--repeats N] "
-                     "[--warm] [--warm-rounds N] [--presolve] %s\n",
+                     "[--warm] [--warm-rounds N] %s\n",
                      Argv[I], bench::ReportOptions::usage());
         return 2;
       }
@@ -413,38 +323,6 @@ int main(int Argc, char **Argv) {
                 WarmIdentical ? "yes" : "NO -- CORRECTNESS VIOLATION");
   }
 
-  std::vector<PresolveReplay> PreReplays;
-  bool PresolveIdentical = true;
-  if (Presolve) {
-    std::printf("\nPresolve replay (%u shrink rounds, fresh hinted session "
-                "vs cold each round):\n",
-                WarmRounds);
-    std::printf("%-24s %9s %9s %8s %8s %10s %7s %9s %10s\n", "system",
-                "pre ms", "cold ms", "p.piv", "c.piv", "cert/rep/f",
-                "f.iter", "piv.red", "identical");
-    for (const LPSystem &Sys : Systems) {
-      PresolveReplay R = replayPresolve(Sys, ThreadLadder.front(), WarmRounds);
-      char Split[32];
-      std::snprintf(Split, sizeof(Split), "%llu/%llu/%llu",
-                    static_cast<unsigned long long>(R.Certified),
-                    static_cast<unsigned long long>(R.Repaired),
-                    static_cast<unsigned long long>(R.Fallbacks));
-      std::printf("%-24s %9.2f %9.2f %8llu %8llu %10s %7llu %8.2fx %10s\n",
-                  Sys.Name.c_str(), R.PreMs, R.ColdMs,
-                  static_cast<unsigned long long>(R.PrePivots),
-                  static_cast<unsigned long long>(R.ColdPivots), Split,
-                  static_cast<unsigned long long>(R.FloatIters),
-                  R.PrePivots ? static_cast<double>(R.ColdPivots) /
-                                    static_cast<double>(R.PrePivots)
-                              : 0.0,
-                  R.Identical ? "yes" : "NO -- MISMATCH");
-      PresolveIdentical = PresolveIdentical && R.Identical;
-      PreReplays.push_back(R);
-    }
-    std::printf("presolved results identical to cold: %s\n",
-                PresolveIdentical ? "yes" : "NO -- CORRECTNESS VIOLATION");
-  }
-
   if (!Opts.JsonPath.empty()) {
     bench::Report Rep(Opts.JsonPath, "bench_simplex");
     if (!Rep.ok())
@@ -500,38 +378,7 @@ int main(int Argc, char **Argv) {
       }
       W.endArray();
     }
-    if (Presolve) {
-      W.kv("presolve_rounds", WarmRounds);
-      W.kv("presolve_identical_to_cold", PresolveIdentical);
-      W.key("presolve_replay");
-      W.beginArray();
-      for (size_t I = 0; I < PreReplays.size(); ++I) {
-        const PresolveReplay &R = PreReplays[I];
-        W.inlineNext();
-        W.beginObject();
-        W.kv("name", Rows[I].Sys->Name);
-        W.kv("rounds", R.Rounds);
-        W.kvFixed("presolve_ms", R.PreMs, 3);
-        W.kvFixed("cold_ms", R.ColdMs, 3);
-        W.kv("presolve_pivots", R.PrePivots);
-        W.kv("cold_pivots", R.ColdPivots);
-        W.kv("presolve_attempts", R.Attempts);
-        W.kv("presolve_solves", R.Solves);
-        W.kv("presolve_certified", R.Certified);
-        W.kv("presolve_repaired", R.Repaired);
-        W.kv("presolve_fallbacks", R.Fallbacks);
-        W.kv("float_iterations", R.FloatIters);
-        W.kvFixed("pivot_reduction",
-                  R.PrePivots ? static_cast<double>(R.ColdPivots) /
-                                    static_cast<double>(R.PrePivots)
-                              : 0.0,
-                  3);
-        W.kv("identical", R.Identical);
-        W.endObject();
-      }
-      W.endArray();
-    }
   }
   Opts.finish();
-  return (PivotsInvariant && WarmIdentical && PresolveIdentical) ? 0 : 1;
+  return (PivotsInvariant && WarmIdentical) ? 0 : 1;
 }

@@ -62,8 +62,6 @@ struct GenCounters {
       telemetry::counter("polygen.lp.presolve.fallbacks");
   telemetry::Counter LPPresolvePivots =
       telemetry::counter("polygen.lp.presolve.pivots");
-  telemetry::Counter LPPresolveFloatIters =
-      telemetry::counter("polygen.lp.presolve.float_iters");
   telemetry::Histogram LPSolveMs = telemetry::histogram("polygen.lp.solve_ms");
   /// Pivots per *re-solve* (iteration > 0 of a piece/degree attempt) --
   /// the population warm starts exist to shrink. First solves, which
@@ -121,12 +119,6 @@ PolyGenerator::PolyGenerator(ElemFunc F, GenConfig C)
 
 /// Candidates per streamed prepare block when GenConfig leaves it 0.
 static constexpr uint64_t DefaultPrepareBlock = 1ull << 18;
-
-static bool setErr(std::string *Err, const std::string &Msg) {
-  if (Err)
-    *Err = Msg;
-  return false;
-}
 
 std::vector<uint32_t> rfp::windowAnchors(ElemFunc Func) {
   // Dense windows around boundary values where special-path handoffs and
@@ -324,9 +316,8 @@ void PolyGenerator::oracleRecords(uint64_t Begin, uint64_t End,
       },
       Config.NumThreads);
 
-  // Serial compaction in candidate order: the record stream is what every
-  // downstream consumer (merge, shard files) sees, so its order is the
-  // determinism contract.
+  // Serial compaction in candidate order: the record stream is what the
+  // merge sees, so its order is the determinism contract.
   Out.clear();
   Out.reserve(N);
   for (size_t I = 0; I < N; ++I)
@@ -380,7 +371,7 @@ void PolyGenerator::consumeRecords(const Record *Recs, size_t N) {
   // Serial merge in record (= candidate) order -- the exact order the
   // original serial loop used -- so the constraint set, the intersection
   // outcomes, and the forced specials are bit-identical for every thread
-  // count, block size, and sharding.
+  // count and block size.
   telemetry::Span MergeSpan("polygen.merge");
   auto T1 = std::chrono::steady_clock::now();
   // Room for every record of the block to open a constraint, grown at
@@ -517,93 +508,6 @@ void PolyGenerator::prepare() {
   finalizePrepare();
 }
 
-/// Shard payloads are packed records: 4 bytes of input bits, then the
-/// 8-byte encoding.
-static constexpr size_t RecordBytes = 12;
-
-shard::ShardSet PolyGenerator::shardSet(const std::string &Dir, unsigned M) {
-  return {Dir, elemFuncName(Func),
-          std::string("func=") + elemFuncName(Func) +
-              " stride=" + std::to_string(Config.SampleStride) +
-              " window=" + std::to_string(Config.BoundaryWindow),
-          M, candidateCount()};
-}
-
-bool PolyGenerator::prepareShard(unsigned K, unsigned M,
-                                 const std::string &Dir, std::string *Err) {
-  const shard::ShardSet Set = shardSet(Dir, M);
-  shard::ShardWriter W;
-  if (!W.open(Set, K, Err))
-    return false;
-
-  const auto [Begin, End] = Set.range(K);
-  const uint64_t Block = Config.PrepareBlockCandidates
-                             ? Config.PrepareBlockCandidates
-                             : DefaultPrepareBlock;
-  std::vector<Record> Records;
-  std::vector<unsigned char> Bytes;
-  for (uint64_t B = Begin; B < End; B += Block) {
-    uint64_t E = std::min<uint64_t>(End, B + Block);
-    oracleRecords(B, E, Records);
-    Bytes.resize(Records.size() * RecordBytes);
-    for (size_t I = 0; I < Records.size(); ++I) {
-      std::memcpy(&Bytes[I * RecordBytes], &Records[I].Bits, 4);
-      std::memcpy(&Bytes[I * RecordBytes + 4], &Records[I].Enc, 8);
-    }
-    if (!W.write(Bytes.data(), Bytes.size(), Err))
-      return false;
-    if (E < End && telemetry::logEnabled(LogLevel::Info))
-      telemetry::logf(LogLevel::Info, "polygen",
-                      "shard %u/%u progress: %llu/%llu candidates", K, M,
-                      static_cast<unsigned long long>(E - Begin),
-                      static_cast<unsigned long long>(End - Begin));
-  }
-  return W.finalize(Err);
-}
-
-bool PolyGenerator::prepareFromShards(const std::string &Dir, unsigned M,
-                                      std::string *Err) {
-  if (Prepared)
-    return setErr(Err, "generator already prepared");
-  if (M == 0)
-    return setErr(Err, "shard count must be positive");
-  const shard::ShardSet Set = shardSet(Dir, M);
-
-  telemetry::Span PrepareSpan("polygen.prepare");
-  Breakdown = PrepareBreakdown();
-  const uint64_t Block = Config.PrepareBlockCandidates
-                             ? Config.PrepareBlockCandidates
-                             : DefaultPrepareBlock;
-  std::vector<Record> Records(
-      static_cast<size_t>(std::min<uint64_t>(Block, 1ull << 20)));
-  std::vector<unsigned char> Bytes(Records.size() * RecordBytes);
-  for (unsigned K = 0; K < M; ++K) {
-    shard::ShardReader R;
-    if (!R.open(Set, K, Err))
-      return false;
-    if (R.size() % RecordBytes != 0)
-      return setErr(Err, "shard " + Set.shardPath(K) +
-                             " does not hold whole records");
-    for (uint64_t Left = R.size(); Left > 0;) {
-      size_t Len = static_cast<size_t>(std::min<uint64_t>(Left, Bytes.size()));
-      if (!R.read(Bytes.data(), Len, Err))
-        return false;
-      size_t N = Len / RecordBytes;
-      for (size_t I = 0; I < N; ++I) {
-        std::memcpy(&Records[I].Bits, &Bytes[I * RecordBytes], 4);
-        std::memcpy(&Records[I].Enc, &Bytes[I * RecordBytes + 4], 8);
-      }
-      consumeRecords(Records.data(), N);
-      Left -= Len;
-    }
-    if (!R.finish(Err))
-      return false;
-  }
-  Prepared = true;
-  finalizePrepare();
-  return true;
-}
-
 /// Evaluates a candidate under the scheme with the shipped operation order.
 static double evalCandidate(EvalScheme S, const Polynomial &P,
                             const KnuthAdapted &KA, double T) {
@@ -668,7 +572,7 @@ bool PolyGenerator::generatePiece(EvalScheme S,
   // the live system, and from then on the shrink loop mirrors its edits
   // into the session as it makes them: no constraint is rebuilt, and each
   // re-solve warm-starts from the previous optimal basis. Solves the warm
-  // path cannot serve go through the float presolve. Either way the
+  // path cannot serve go through the hinted presolve. Either way the
   // answer is bit-identical to a cold solve of the same rows (see
   // DESIGN.md, "Incremental LP re-solving").
   std::optional<PolyLPSession> Session;
@@ -732,9 +636,9 @@ bool PolyGenerator::generatePiece(EvalScheme S,
     TC.LPPivots.add(LP.Pivots);
     TC.LPRows.add(LP.Rows);
     // Three-way attribution: every solve is warm, presolved, or pure
-    // cold. The presolve detail counters (certified/repaired/float
-    // iterations) live in the session's stats; diffing around the solve
-    // attributes them to this piece/degree attempt.
+    // cold. The presolve detail counters (certified/repaired/pivots) live
+    // in the session's stats; diffing around the solve attributes them to
+    // this piece/degree attempt.
     if (LP.Warm) {
       ++Impl.Stats.LPWarmSolves;
       Impl.Stats.LPWarmPivots += LP.Pivots;
@@ -760,14 +664,12 @@ bool PolyGenerator::generatePiece(EvalScheme S,
     Impl.Stats.LPPresolveRepaired += Delta(&SimplexSession::Stats::PresolveRepaired);
     Impl.Stats.LPPresolveFallbacks += Delta(&SimplexSession::Stats::PresolveFallbacks);
     Impl.Stats.LPPresolvePivots += Delta(&SimplexSession::Stats::PresolvePivots);
-    Impl.Stats.LPPresolveFloatIters += Delta(&SimplexSession::Stats::PresolveFloatIters);
     TC.LPPresolveAttempts.add(Delta(&SimplexSession::Stats::PresolveAttempts));
     TC.LPPresolveSolves.add(Delta(&SimplexSession::Stats::PresolveSolves));
     TC.LPPresolveCertified.add(Delta(&SimplexSession::Stats::PresolveCertified));
     TC.LPPresolveRepaired.add(Delta(&SimplexSession::Stats::PresolveRepaired));
     TC.LPPresolveFallbacks.add(Delta(&SimplexSession::Stats::PresolveFallbacks));
     TC.LPPresolvePivots.add(Delta(&SimplexSession::Stats::PresolvePivots));
-    TC.LPPresolveFloatIters.add(Delta(&SimplexSession::Stats::PresolveFloatIters));
     if (Iter > 0)
       TC.LPResolvePivots.record(static_cast<double>(LP.Pivots));
 

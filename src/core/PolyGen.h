@@ -37,7 +37,6 @@
 #include "lp/LPSolver.h"
 #include "poly/EvalScheme.h"
 #include "support/ElemFunc.h"
-#include "support/ShardFile.h"
 
 #include <cstdint>
 #include <map>
@@ -137,16 +136,15 @@ struct GeneratedImpl {
                                     ///< presolved.
     uint64_t LPWarmPivots = 0;      ///< Pivots across warm solves.
     uint64_t LPColdPivots = 0;      ///< Pivots across pure cold solves.
-    /// Float-presolve accounting (see SimplexSession::Stats): every
-    /// attempt is certified, repaired, or a fallback; solves served
-    /// through the presolve path = certified + repaired.
+    /// Presolve accounting (see SimplexSession::Stats): every attempt is
+    /// certified, repaired, or a fallback; solves served through the
+    /// presolve path = certified + repaired.
     uint64_t LPPresolveAttempts = 0;
     uint64_t LPPresolveSolves = 0;
     uint64_t LPPresolveCertified = 0;
     uint64_t LPPresolveRepaired = 0;
     uint64_t LPPresolveFallbacks = 0;
-    uint64_t LPPresolvePivots = 0;     ///< Exact pivots, presolved solves.
-    uint64_t LPPresolveFloatIters = 0; ///< Float pivots, all attempts.
+    uint64_t LPPresolvePivots = 0; ///< Pivots across presolved solves.
   };
   GenStats Stats;
 
@@ -200,7 +198,7 @@ public:
   /// answers taken from the memo.
   GeneratedImpl generate(EvalScheme S);
 
-  /// Per-phase accounting of the last prepare()/prepareFromShards() run.
+  /// Per-phase accounting of the last prepare() run.
   /// Times are wall clock; the fast-path tallies are deltas of the
   /// process-wide `oracle.fast.*` counters over the run (FastFallbacks
   /// counts every input the certified path handed to the exact oracle:
@@ -216,29 +214,9 @@ public:
   const PrepareBreakdown &prepareBreakdown() const { return Breakdown; }
 
   /// Number of candidate bit patterns (strided sweep plus boundary
-  /// windows) this configuration enumerates. The sharding unit: shard K of
-  /// M covers the K-th contiguous range of candidate indices.
+  /// windows) this configuration enumerates: the domain prepare() streams
+  /// in blocks of GenConfig::PrepareBlockCandidates.
   uint64_t candidateCount();
-
-  /// The identity of this configuration's candidate domain split \p M
-  /// ways under \p Dir: stem = function name, config line = function,
-  /// stride and window, domain = candidateCount().
-  shard::ShardSet shardSet(const std::string &Dir, unsigned M);
-
-  /// Computes shard \p K of \p M -- the oracle records for that candidate
-  /// range -- and persists it under \p Dir (manifest written or validated
-  /// first). Does not alter this generator's prepared state; any number of
-  /// shards may be computed by any process in any order.
-  bool prepareShard(unsigned K, unsigned M, const std::string &Dir,
-                    std::string *Err = nullptr);
-
-  /// prepare() from the complete \p M-way shard set under \p Dir: streams
-  /// the shards in index order through the same interval/merge pipeline,
-  /// yielding constraints and forced specials bit-identical to an
-  /// in-process prepare(). On failure the generator may be half-prepared;
-  /// use a fresh instance.
-  bool prepareFromShards(const std::string &Dir, unsigned M,
-                         std::string *Err = nullptr);
 
   /// The Section 6.3 experiment: evaluate \p Base's polynomials under
   /// scheme \p S *without* re-running the loop (naive post-process
@@ -273,8 +251,8 @@ private:
   /// patterns not on the stride), both sorted -- lazy enumeration instead
   /// of a materialized 2^32-scale vector. emit() hands out any contiguous
   /// index range in ascending bit-pattern order via k-th-of-two-sorted-
-  /// arrays selection plus a merge walk, which is what makes block
-  /// streaming and sharding random-access.
+  /// arrays selection plus a merge walk, which is what lets prepare()
+  /// stream it block by block.
   struct CandidateSet {
     uint64_t Stride = 0;
     uint64_t NumStrided = 0;       ///< Patterns 0, S, 2S, ... below 2^32.
@@ -284,7 +262,7 @@ private:
   };
 
   /// One oracle verdict: a poly-path input and its round-to-odd FP34
-  /// encoding. Shard payloads pack it as 12 bytes (Bits, then Enc).
+  /// encoding.
   struct Record {
     uint32_t Bits;
     uint64_t Enc;

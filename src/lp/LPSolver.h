@@ -55,9 +55,10 @@ struct PolyLPResult {
   /// solve (retired basis row, singular refactorization, infeasible or
   /// degenerate warm basis -- see SimplexSession::Stats).
   bool WarmFallback = false;
-  /// True when this solve went through the float presolve path (the
-  /// long-double simplex basis was exactly certified or repaired; see
-  /// SimplexSession::setPresolve). Mutually exclusive with Warm.
+  /// True when this solve went through the presolve path (exact phase 1
+  /// and phase 2 from the hinted basis, or from the artificial basis
+  /// without a hint; see SimplexSession::setPresolve). Mutually exclusive
+  /// with Warm.
   bool Presolved = false;
 };
 
@@ -125,8 +126,8 @@ public:
   /// reused.
   PolyLPResult solve();
 
-  /// Enables the float presolve on the underlying simplex session for
-  /// solves that would otherwise run cold (see SimplexSession::setPresolve;
+  /// Enables the presolve on the underlying simplex session for solves
+  /// that would otherwise run cold (see SimplexSession::setPresolve;
   /// results stay bit-identical to solvePolyLP either way).
   void setPresolve(bool Enabled);
 

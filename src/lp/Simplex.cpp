@@ -65,7 +65,6 @@
 
 #include "lp/Simplex.h"
 
-#include "lp/FloatSimplex.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
@@ -239,108 +238,6 @@ ColData integerizeRow(const std::vector<Rational> &A, const Rational &B,
   return D;
 }
 
-/// Full-precision long-double image of a BigInt (64 mantissa bits, wide
-/// exponent). The presolver gets these instead of the pricing screen's
-/// double Apx images: the last simplex pivots contend over cost
-/// differences below double resolution, and the extra 11 bits let the
-/// float solve settle them the way the exact arithmetic will.
-struct ApxL {
-  long double Mant = 0.0L;
-  int64_t Exp = 0;
-};
-
-ApxL approxLOf(const BigInt &V) {
-  ApxL A;
-  A.Mant = V.frexpApproxL(A.Exp);
-  return A;
-}
-
-/// Converts the integerized dual system into the presolver's long-double
-/// form, approximating the exact integer entries at full long-double
-/// precision. The integer entries span thousands of binary orders (dyadic
-/// inputs with wild exponents times per-column lcm scales), far beyond
-/// long double's +-16k exponent range, so the system is equilibrated by
-/// powers of two: each row is shifted by its largest entry exponent, then
-/// each column by its largest remaining exponent, and the costs and RHS
-/// by one global shift each. Row scaling rescales an equality uniformly,
-/// column scaling rescales one dual variable (with its cost), and a
-/// uniform cost/RHS scale rescales the objective/solution -- none of
-/// which changes which bases are feasible or optimal, and the *basis* is
-/// the only thing read back from the float solve. Entries whose shifted
-/// exponent still underflows flush to zero; that only costs the
-/// presolver accuracy the exact repair pass absorbs.
-floatlp::Problem buildFloatProblem(const DualFrame &F,
-                                   const std::vector<const ColData *> &Cols) {
-  const size_t N = F.size(), M = Cols.size();
-  floatlp::Problem FP;
-  FP.NumRows = N;
-  FP.NumCols = M;
-
-  auto Shifted = [](const ApxL &A, int64_t Shift) -> long double {
-    if (A.Mant == 0.0L || Shift < -16000)
-      return 0.0L;
-    return ldexpl(A.Mant, static_cast<int>(Shift));
-  };
-
-  std::vector<ApxL> A(M * N);
-  std::vector<ApxL> CostA(M);
-  for (size_t J = 0; J < M; ++J) {
-    for (size_t K = 0; K < N; ++K)
-      A[J * N + K] = approxLOf(Cols[J]->Col[K]);
-    CostA[J] = approxLOf(Cols[J]->Cost);
-  }
-
-  std::vector<int64_t> RowShift(N, INT64_MIN);
-  for (size_t J = 0; J < M; ++J)
-    for (size_t K = 0; K < N; ++K)
-      if (A[J * N + K].Mant != 0.0L)
-        RowShift[K] = std::max(RowShift[K], A[J * N + K].Exp);
-  for (size_t K = 0; K < N; ++K)
-    if (RowShift[K] == INT64_MIN)
-      RowShift[K] = 0;
-
-  std::vector<int64_t> ColShift(M, 0);
-  for (size_t J = 0; J < M; ++J) {
-    int64_t S = INT64_MIN;
-    for (size_t K = 0; K < N; ++K)
-      if (A[J * N + K].Mant != 0.0L)
-        S = std::max(S, A[J * N + K].Exp - RowShift[K]);
-    ColShift[J] = S == INT64_MIN ? 0 : S;
-  }
-
-  FP.Cols.assign(M * N, 0.0L);
-  for (size_t J = 0; J < M; ++J)
-    for (size_t K = 0; K < N; ++K)
-      FP.Cols[J * N + K] =
-          Shifted(A[J * N + K],
-                  A[J * N + K].Exp - RowShift[K] - ColShift[J]);
-
-  int64_t CostShift = INT64_MIN;
-  for (size_t J = 0; J < M; ++J)
-    if (CostA[J].Mant != 0.0L)
-      CostShift = std::max(CostShift, CostA[J].Exp - ColShift[J]);
-  if (CostShift == INT64_MIN)
-    CostShift = 0;
-  FP.Cost.resize(M);
-  for (size_t J = 0; J < M; ++J)
-    FP.Cost[J] = Shifted(CostA[J], CostA[J].Exp - ColShift[J] - CostShift);
-
-  std::vector<ApxL> RhsApx(N);
-  int64_t RhsShift = INT64_MIN;
-  for (size_t K = 0; K < N; ++K) {
-    RhsApx[K] = approxLOf(F.Rhs[K]);
-    if (RhsApx[K].Mant != 0.0L)
-      RhsShift = std::max(RhsShift, RhsApx[K].Exp - RowShift[K]);
-  }
-  if (RhsShift == INT64_MIN)
-    RhsShift = 0;
-  FP.Rhs.resize(N);
-  for (size_t K = 0; K < N; ++K)
-    FP.Rhs[K] =
-        Shifted(RhsApx[K], RhsApx[K].Exp - RowShift[K] - RhsShift);
-  return FP;
-}
-
 class RevisedDualSimplex {
 public:
   RevisedDualSimplex(const DualFrame &F,
@@ -406,11 +303,12 @@ public:
     return true;
   }
 
-  /// Best-effort variant of primeBasis for float-suggested bases: columns
-  /// found dependent (zero on every artificial row of the transformed
-  /// column) are skipped instead of failing the whole refactorization --
-  /// the rows they would have covered stay artificial and the subsequent
-  /// exact solve repairs them. Returns the number of columns primed.
+  /// Best-effort variant of primeBasis for caller-hinted bases: columns
+  /// out of range, already basic, or found dependent (zero on every
+  /// artificial row of the transformed column) are skipped instead of
+  /// failing the whole refactorization -- the rows they would have
+  /// covered stay artificial and the subsequent exact phase 1 repairs
+  /// them. Returns the number of columns primed.
   unsigned primeBasisPartial(const std::vector<size_t> &BasisCols) {
     unsigned Primed = 0;
     for (size_t C : BasisCols) {
@@ -471,12 +369,13 @@ public:
     return R;
   }
 
-  /// Full two-phase solve from a partially primed float basis
-  /// (primeBasisPartial + basisFeasible must have succeeded). Phase 1
-  /// starts from the primed basis, so when the float basis was right it
+  /// Full two-phase solve from a partially primed hint basis
+  /// (primeBasisPartial + basisFeasible must have succeeded; an empty hint
+  /// leaves the artificial basis, and this is a cold solve). Phase 1
+  /// starts from the primed basis, so when the hint covered every row it
   /// terminates immediately (all phase-1 costs of a structural basis are
-  /// zero) and phase 2 performs only the repair pivots the float solve
-  /// got wrong. Statuses as in solve().
+  /// zero) and phase 2 performs only the pivots from the hinted vertex to
+  /// this system's optimum. Statuses as in solve().
   LPResult solvePresolved() {
     LPResult R = solve();
     R.Presolved = true;
@@ -966,11 +865,11 @@ struct rfp::SimplexSession::State {
   unsigned DegenFallbacks = 0;
   bool ColdOnly = false;
 
-  /// Float presolve for solves that would otherwise run cold.
+  /// Presolve for solves that would otherwise run cold.
   bool Presolve = false;
   /// Row ids suggested via hintBasis for the next presolve attempt
   /// (progressive-degree warm start); consumed on first engagement.
-  std::vector<RowId> FloatHint;
+  std::vector<RowId> Hint;
   /// Consecutive presolve attempts discarded by the uniqueness check; at
   /// SessionDegenerateLimit the session stops presolving (same rationale
   /// as the warm-path cap: a persistently degenerate optimum makes every
@@ -1035,8 +934,6 @@ LPResult SimplexSession::solve() {
       telemetry::counter("simplex.session.presolve_repaired");
   static const telemetry::Counter PreFallbackCtr =
       telemetry::counter("simplex.session.presolve_fallbacks");
-  static const telemetry::Counter PreFloatIterCtr =
-      telemetry::counter("simplex.session.presolve_float_iters");
   static const telemetry::Counter PreHintCtr =
       telemetry::counter("simplex.session.presolve_hints");
 
@@ -1123,21 +1020,11 @@ LPResult SimplexSession::solve() {
     FallbackCtr.inc();
   }
 
-  // Float presolve: obtain a starting-basis guess cheaply, prime it into
-  // the exact engine, and let exact phase 1 + phase 2 repair whatever the
-  // guess got wrong. The guess comes from one of two places:
-  //
-  //  * A caller-supplied hint (hintBasis: typically the optimal basis of
-  //    a neighboring LP, e.g. the previous polynomial degree). The hint
-  //    is exact-arithmetic knowledge, so it is primed directly -- running
-  //    the float simplex from it could only move away on float-model
-  //    noise: the thin-margin LPs here settle their last pivots over cost
-  //    differences below any float resolution, and measured on the bench
-  //    replay the float solve walks several pivots off a hint that the
-  //    exact engine certifies as already optimal.
-  //
-  //  * Otherwise the long-double simplex solves the equilibrated image of
-  //    the system to float-optimality and hands over its final basis.
+  // Hinted presolve: prime the caller's hint (hintBasis: typically the
+  // optimal basis of a neighboring LP, e.g. the previous polynomial
+  // degree) into the exact engine, and let exact phase 1 + phase 2 walk
+  // from there to this system's optimum. An attempt without a hint primes
+  // nothing and runs exact phase 1 from the artificial basis.
   //
   // The acceptance gate is the same canonicality argument as the warm
   // path: a strict (unique) optimum, or an infeasible/unbounded verdict,
@@ -1152,42 +1039,28 @@ LPResult SimplexSession::solve() {
     ++S->St.PresolveAttempts;
     PreAttemptCtr.inc();
 
-    std::vector<size_t> HintCols;
-    if (!S->FloatHint.empty()) {
+    std::vector<size_t> Cands;
+    if (!S->Hint.empty()) {
       std::vector<size_t> PosOf(S->Rows.size(), SIZE_MAX);
       for (size_t Pos = 0; Pos < Order.size(); ++Pos)
         PosOf[Order[Pos]] = Pos;
-      for (RowId Id : S->FloatHint)
+      for (RowId Id : S->Hint)
         if (Id < S->Rows.size() && !S->Rows[Id].Retired &&
             PosOf[Id] != SIZE_MAX)
-          HintCols.push_back(PosOf[Id]);
-      std::sort(HintCols.begin(), HintCols.end());
-      S->FloatHint.clear();
-      if (!HintCols.empty())
+          Cands.push_back(PosOf[Id]);
+      std::sort(Cands.begin(), Cands.end());
+      S->Hint.clear();
+      if (!Cands.empty())
         PreHintCtr.inc();
     }
 
-    unsigned FloatIters = 0;
-    std::vector<size_t> Cands;
-    if (!HintCols.empty()) {
-      Cands = std::move(HintCols);
-    } else {
-      floatlp::Problem FP = buildFloatProblem(S->Frame, Cols);
-      floatlp::Result FR = floatlp::solve(FP);
-      FloatIters = FR.Iterations;
-      S->St.PresolveFloatIters += FR.Iterations;
-      PreFloatIterCtr.add(FR.Iterations);
-      Cands = std::move(FR.Basis);
-    }
-
-    // Prime the guess; when the exact basic solution comes out infeasible
-    // (the floats broke a near-degenerate tie toward the wrong vertex, or
-    // the hinted neighbor basis is infeasible here), evict the column
-    // basic at the offending row and re-prime. The artificial left at
-    // that row makes the start feasible again and exact phase 1 repairs
-    // it with ordinary pivots. Terminates: the candidate set shrinks
-    // every round, and the empty (all-artificial) basis is feasible by
-    // construction (frame RHS is non-negative).
+    // Prime the hint; when the exact basic solution comes out infeasible
+    // (the neighbor's basis is not a feasible vertex of this system),
+    // evict the column basic at the offending row and re-prime. The
+    // artificial left at that row makes the start feasible again and
+    // exact phase 1 repairs it with ordinary pivots. Terminates: the
+    // candidate set shrinks every round, and the empty (all-artificial)
+    // basis is feasible by construction (frame RHS is non-negative).
     std::optional<RevisedDualSimplex> E;
     for (;;) {
       E.emplace(S->Frame, Cols, S->NumThreads);
@@ -1203,7 +1076,6 @@ LPResult SimplexSession::solve() {
     }
 
     LPResult R = E->solvePresolved();
-    R.FloatIterations = FloatIters;
     if (!R.isOptimal() || E->optimumStrict()) {
       S->PresolveDegenFallbacks = 0;
       ++S->St.PresolveSolves;
@@ -1244,7 +1116,7 @@ LPResult SimplexSession::solve() {
 void SimplexSession::setPresolve(bool Enabled) { S->Presolve = Enabled; }
 
 void SimplexSession::hintBasis(std::vector<RowId> Rows) {
-  S->FloatHint = std::move(Rows);
+  S->Hint = std::move(Rows);
 }
 
 std::vector<SimplexSession::RowId> SimplexSession::lastBasisRows() const {

@@ -15,7 +15,7 @@
 /// streak of degenerate pivots the solver falls back to Bland's rule,
 /// which cannot cycle, so every solve terminates. All arithmetic is exact,
 /// so the verdict (optimal/infeasible/unbounded) is never a numerical
-/// artifact. SimplexSession adds warm re-solves and a float presolve on
+/// artifact. SimplexSession adds warm re-solves and a hinted presolve on
 /// top, each certified equal to a cold solve.
 ///
 //===----------------------------------------------------------------------===//
@@ -56,20 +56,17 @@ struct LPResult {
   /// phase 2 from a previous optimal basis (see SimplexSession). Cold solves
   /// -- including warm attempts that fell back -- report false.
   bool Warm = false;
-  /// True when this result was produced through the float presolve path:
-  /// the final basis of a long-double simplex was primed into the exact
-  /// engine, repaired with exact pivots where needed, and the outcome
-  /// passed the same canonicality gate as warm results (so it is provably
-  /// bit-identical to a cold solve). Mutually exclusive with Warm.
+  /// True when this result was produced through the presolve path: the
+  /// caller's hint basis (if any) was primed into the exact engine, exact
+  /// phase 1 and phase 2 ran from there, and the outcome passed the same
+  /// canonicality gate as warm results (so it is provably bit-identical
+  /// to a cold solve). Mutually exclusive with Warm.
   bool Presolved = false;
-  /// Pivots spent re-priming the persisted (warm) or float (presolve)
+  /// Pivots spent re-priming the persisted (warm) or hinted (presolve)
   /// basis, refactorizing the basis inverse from scratch -- at most one
   /// fraction-free pivot per dual row. Included in Pivots; zero for cold
   /// solves.
   unsigned SetupPivots = 0;
-  /// Float simplex pivots spent by the presolver (zero unless Presolved or
-  /// a presolve attempt fell back on this solve).
-  unsigned FloatIterations = 0;
 
   bool isOptimal() const { return StatusCode == Status::Optimal; }
 };
@@ -141,26 +138,27 @@ public:
 
   /// Solves the current system: warm-started from the previous optimal
   /// basis when one is banked and the warm optimum is provably canonical
-  /// (LPResult::Warm == true); otherwise through the float presolve when
-  /// enabled (LPResult::Presolved == true, same canonicality gate); from
-  /// scratch as the last resort.
+  /// (LPResult::Warm == true); otherwise through the presolve when enabled
+  /// (LPResult::Presolved == true, same canonicality gate); from scratch
+  /// as the last resort.
   LPResult solve();
 
-  /// Enables or disables the float presolve for solves that would
-  /// otherwise run cold (no banked basis, or the warm attempt fell back).
-  /// The presolver runs a long-double LU/steepest-edge simplex to
-  /// near-optimality, primes its final basis into the exact engine, and
-  /// the exact engine repairs and certifies -- accepted results are
-  /// provably bit-identical to a cold solve, and any other outcome falls
-  /// back cold. Default off; the generator's sessions turn it on.
+  /// Enables or disables the presolve for solves that would otherwise run
+  /// cold (no banked basis, or the warm attempt fell back). A presolve
+  /// attempt primes the hintBasis rows into the exact engine (nothing when
+  /// there is no hint), runs exact phase 1 and phase 2 from there, and
+  /// accepts only a provably unique optimum or an infeasible/unbounded
+  /// verdict -- so accepted results are bit-identical to a cold solve,
+  /// and a degenerate optimum falls back cold. Default off; the
+  /// generator's sessions turn it on.
   void setPresolve(bool Enabled);
 
   /// Suggests a starting basis for the *next* presolve attempt, as row
   /// ids of this session (the RLIBM-PROG progressive-degree hook: the
-  /// optimal basis rows of the degree-(d-1) system seed the float solve
-  /// of the degree-d system). Invalid or retired ids are ignored; the
-  /// hint is consumed by the next presolve engagement and affects
-  /// performance only, never results.
+  /// optimal basis rows of the degree-(d-1) system are primed as the
+  /// starting basis of the degree-d system). Invalid, retired or
+  /// duplicate ids are ignored; the hint is consumed by the next presolve
+  /// engagement and affects performance only, never results.
   void hintBasis(std::vector<RowId> Rows);
 
   /// Row ids of the most recent *optimal* solve's basis (the banked warm
@@ -182,18 +180,17 @@ public:
     uint64_t FallbackDegenerate = 0;      ///< Warm optimum not provably unique.
     uint64_t WarmPivots = 0; ///< Pivots across warm solves (incl. setup).
     uint64_t ColdPivots = 0; ///< Pivots across cold solves.
-    /// Float-presolve accounting. Every attempt ends as exactly one of
-    /// certified (accepted, no exact pivots beyond priming), repaired
-    /// (accepted after >= 1 exact repair pivot), or fallback (discarded:
-    /// the primed basis was infeasible or the exact optimum it reached
-    /// was not provably unique); PresolveSolves = certified + repaired.
+    /// Presolve accounting. Every attempt ends as exactly one of
+    /// certified (accepted, no pivots beyond priming the hint), repaired
+    /// (accepted after >= 1 pivot beyond the priming), or fallback
+    /// (discarded: the exact optimum it reached was not provably unique);
+    /// PresolveSolves = certified + repaired.
     uint64_t PresolveAttempts = 0;
     uint64_t PresolveSolves = 0;
     uint64_t PresolveCertified = 0;
     uint64_t PresolveRepaired = 0;
     uint64_t PresolveFallbacks = 0;
-    uint64_t PresolvePivots = 0;     ///< Exact pivots across presolved solves.
-    uint64_t PresolveFloatIters = 0; ///< Float pivots across all attempts.
+    uint64_t PresolvePivots = 0; ///< Pivots across presolved solves.
   };
   const Stats &stats() const;
 

@@ -837,25 +837,6 @@ double BigInt::frexpApprox(int64_t &Exp) const {
   return Negative ? -V : V;
 }
 
-long double BigInt::frexpApproxL(int64_t &Exp) const {
-  if (isZero()) {
-    Exp = 0;
-    return 0.0L;
-  }
-  const uint32_t *D = Limbs.data();
-  size_t NL = Limbs.size();
-  long double V = static_cast<long double>(D[NL - 1]);
-  if (NL >= 2)
-    V = V * 4294967296.0L + static_cast<long double>(D[NL - 2]);
-  if (NL >= 3)
-    V = V * 4294967296.0L + static_cast<long double>(D[NL - 3]);
-  int E;
-  V = std::frexp(V, &E);
-  size_t Used = NL < 3 ? NL : 3;
-  Exp = static_cast<int64_t>(E) + 32 * static_cast<int64_t>(NL - Used);
-  return Negative ? -V : V;
-}
-
 uint64_t BigInt::hash() const {
   uint64_t H = 0xcbf29ce484222325ull; // FNV-1a offset basis.
   constexpr uint64_t Prime = 0x100000001b3ull;

@@ -265,7 +265,6 @@ public:
   /// finish in machine words.
   static BigInt gcd(BigInt A, BigInt B);
 
-  /// Base-10 rendering with leading '-' when negative.
   /// Signed frexp-style approximation: returns a mantissa Mant with
   /// 0.5 <= |Mant| < 1 and sets Exp such that the value is approximately
   /// Mant * 2^Exp (relative error < 3 * 2^-52, from truncating to the top
@@ -273,19 +272,12 @@ public:
   /// limbs only -- unlike toDouble(), never overflows for huge values.
   double frexpApprox(int64_t &Exp) const;
 
-  /// Long-double variant of frexpApprox: same contract, but the mantissa
-  /// keeps the full 64 bits an x87 long double carries (relative error
-  /// < 3 * 2^-63 from truncating to the top ~96 bits). The float LP
-  /// presolver uses this -- the final simplex pivots contend over cost
-  /// differences below double resolution, and the extra 11 bits decide
-  /// them the way the exact arithmetic does.
-  long double frexpApproxL(int64_t &Exp) const;
-
   /// 64-bit FNV-1a hash of the sign and canonical limb representation.
   /// Equal values hash equally; intended for hash-map keys with an exact
   /// equality check on collision.
   uint64_t hash() const;
 
+  /// Base-10 rendering with leading '-' when negative.
   std::string toDecimal() const;
   /// Base-16 rendering (magnitude, "0x" prefix, leading '-' when negative).
   std::string toHex() const;

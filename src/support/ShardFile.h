@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one on-disk format for sharded, resumable jobs (polygen's sharded
-/// prepare, verify's sharded sweeps). A job's domain of DomainSize items
-/// splits into NumShards contiguous ranges; each shard persists an opaque
-/// byte payload for its range, so a long run can be computed across
-/// interruptions (or by several processes sharing a directory) and
-/// assembled later. What the bytes mean is the caller's business: each
+/// The on-disk format for sharded, resumable jobs: tools/verify's sharded
+/// sweeps, which persist per-unit results. A job's domain of DomainSize
+/// items splits into NumShards contiguous ranges; each shard persists an
+/// opaque byte payload for its range, so a long run can be computed
+/// across interruptions (or by several processes sharing a directory) and
+/// assembled later. What the bytes mean is the caller's business: the
 /// caller keeps its own payload codec.
 ///
 /// Layout under a shard directory, per shard set:

@@ -164,8 +164,8 @@ void expectSamePolyResult(const PolyLPResult &Want, const PolyLPResult &Got,
 /// solve must equal solvePolyLP on the live constraints in insertion
 /// order. With \p Presolve the session presolves, and its first solve is
 /// hinted with the optimal basis of the same constraints one degree lower,
-/// as the generator's degree ladder does. Returns the session's
-/// accounting.
+/// as the generator's degree ladder does: it must be presolved, in fewer
+/// pivots than the referee. Returns the session's accounting.
 SimplexSession::Stats runShrinkSchedule(const std::vector<IntervalConstraint> &Pool,
                                         const std::vector<unsigned> &Terms,
                                         int Rounds, unsigned Threads,
@@ -202,7 +202,13 @@ SimplexSession::Stats runShrinkSchedule(const std::vector<IntervalConstraint> &P
     return solvePolyLP(LiveCons, Terms, Threads);
   };
 
-  expectSamePolyResult(Referee(), Sess.solve(), "initial");
+  PolyLPResult Want = Referee(), First = Sess.solve();
+  expectSamePolyResult(Want, First, "initial");
+  if (Presolve) {
+    // The lower degree's basis is a head start the presolve must take.
+    EXPECT_TRUE(First.Presolved);
+    EXPECT_LT(First.Pivots, Want.Pivots);
+  }
   size_t NextHeld = 0;
   for (int Round = 0; Round < Rounds; ++Round) {
     Rational Shrink =

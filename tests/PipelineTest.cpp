@@ -202,9 +202,11 @@ TEST(PipelineMiscTest, GenerationIsBitIdenticalAcrossThreadCounts) {
       ColdSolves += A.Stats.LPColdSolves;
     }
   }
-  // The LP session must actually re-solve warm, and the float presolver
-  // must serve the solves the warm path cannot: at least 80% of the
-  // non-warm solves are presolved rather than pure cold.
+  // The LP session must actually re-solve warm, and the presolve must
+  // serve the solves the warm path cannot: at least 80% of the non-warm
+  // solves are presolved (from an exact hint, or by exact phase 1 when
+  // there is none) rather than pure cold, which only follows a presolved
+  // optimum found degenerate.
   EXPECT_GT(WarmSolves, 0u);
   EXPECT_GT(PresolveAttempts, 0u);
   EXPECT_GE(static_cast<double>(PresolveSolves),

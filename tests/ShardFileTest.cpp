@@ -4,11 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The on-disk recipe behind both sharded runs (polygen's oracle records,
-// verify's unit results), tested on raw payloads: the ceil split, a
-// streamed round trip, every reader check (identity, length, checksum),
-// manifest pinning -- including directories written by older formats --
-// and the parser both CLIs read --shards / --shard with.
+// The on-disk recipe behind verify's sharded runs (per-unit results),
+// tested on raw payloads: the ceil split, a streamed round trip, every
+// reader check (identity, length, checksum), manifest pinning --
+// including directories written by older formats -- and the parser
+// verify reads --shards / --shard with.
 //
 //===----------------------------------------------------------------------===//
 

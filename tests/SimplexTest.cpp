@@ -402,19 +402,40 @@ TEST(SimplexSessionTest, RetireAndAddRowsMatchOneShotOnLiveSet) {
 }
 
 //===--------------------------------------------------------------------===//
-// Float presolve: accepted presolved results must be bit-identical to cold
+// Presolve: accepted presolved results must be bit-identical to cold
 // solves (the certify-or-repair contract), in every scenario the session
 // can encounter -- shrink schedules, infeasible systems, degenerate
-// optima, and corrupted float hints.
+// optima, and corrupted hints.
 //===--------------------------------------------------------------------===//
+
+/// A presolving session over the rows of \p A / \p B, the last one
+/// pinned last (the band systems' cap), hinted with \p Hint. Row ids are
+/// insertion positions, so a basis of any session built the same way is
+/// a valid hint.
+LPResult solveHinted(const Matrix &A, const Vector &B, const Vector &C,
+                     const std::vector<SimplexSession::RowId> &Hint,
+                     unsigned Threads = 0) {
+  SimplexSession Sess(C, Threads);
+  Sess.setPresolve(true);
+  for (size_t I = 0; I + 1 < A.size(); ++I)
+    Sess.addRow(A[I], B[I]);
+  Sess.addRow(A.back(), B.back(), /*PinLast=*/true);
+  Sess.hintBasis(Hint);
+  return Sess.solve();
+}
 
 TEST(SimplexSessionTest, PresolveMatchesColdAcrossBoundShrinks) {
   // The same access pattern as the warm differential, but with the
   // presolver enabled and the warm path exercised alongside it: every
-  // answer -- first solves served by the presolver, re-solves served
-  // warm -- must equal a fresh cold solve of the current system.
+  // answer -- the unhinted first solve served by the presolver, re-solves
+  // served warm -- must equal a fresh cold solve of the current system.
+  // Each round also solves a fresh presolving session hinted with the
+  // previous round's basis, the shape of the generator's progressive-
+  // degree hint: it must equal the cold solve too, and the hints must
+  // save pivots over the trials.
   std::mt19937_64 Rng(1234);
   uint64_t PresolveTotal = 0, AttemptTotal = 0;
+  uint64_t HintedSolves = 0, HintedPivots = 0, ColdPivots = 0;
   for (int Trial = 0; Trial < 40; ++Trial) {
     size_t N = 2 + Trial % 4, M = 6 + Trial % 7;
     Matrix A;
@@ -433,13 +454,20 @@ TEST(SimplexSessionTest, PresolveMatchesColdAcrossBoundShrinks) {
 
     Rational Step(BigInt(1), BigInt(64));
     for (int Round = 0; Round < 8; ++Round) {
+      std::vector<SimplexSession::RowId> Hint = Sess.lastBasisRows();
       for (size_t I = Round % 3; I + 1 < A.size(); I += 3) {
         B[I] = B[I] - Step;
         Sess.updateRow(Ids[I], A[I], B[I]);
       }
+      std::string Ctx = "round " + std::to_string(Round);
+      LPResult Want = maximizeLP(A, B, C);
       LPResult Got = Sess.solve();
-      expectSameResult(maximizeLP(A, B, C), Got,
-                       ("round " + std::to_string(Round)).c_str());
+      expectSameResult(Want, Got, Ctx.c_str());
+      LPResult Hinted = solveHinted(A, B, C, Hint);
+      expectSameResult(Want, Hinted, (Ctx + " hinted").c_str());
+      ++HintedSolves;
+      HintedPivots += Hinted.Pivots;
+      ColdPivots += Want.Pivots;
       if (!Got.isOptimal())
         break;
     }
@@ -453,22 +481,33 @@ TEST(SimplexSessionTest, PresolveMatchesColdAcrossBoundShrinks) {
     EXPECT_EQ(St.PresolveSolves,
               St.PresolveCertified + St.PresolveRepaired);
   }
-  // The presolver must actually serve solves, or this differential
-  // compares the cold path with itself.
+  // The presolver must actually serve solves, and the hinted solves must
+  // start closer to the optimum than the artificial basis does, or this
+  // differential compares the cold path with itself.
   EXPECT_GT(AttemptTotal, 0u);
   EXPECT_GT(PresolveTotal, 0u);
+  EXPECT_GT(HintedSolves, 0u);
+  EXPECT_LT(HintedPivots, ColdPivots);
 }
 
 TEST(SimplexSessionTest, PresolveOnInfeasibleSystemsMatchesCold) {
   // Infeasibility is a path-independent property of the row set, so a
   // presolved attempt must report it identically to a cold solve -- the
-  // float basis it primes from is irrelevant to the verdict.
+  // hinted basis it primes from is irrelevant to the verdict.
   std::mt19937_64 Rng(555);
   for (int Trial = 0; Trial < 30; ++Trial) {
     size_t N = 2 + Trial % 3;
     Matrix A;
     Vector B, C;
     buildBandSystem(Rng, N, 5 + Trial % 4, A, B, C);
+    // The hint: the optimal basis of the feasible band system, whose rows
+    // come first in the session below, so their ids agree.
+    SimplexSession Band(C);
+    for (size_t I = 0; I < A.size(); ++I)
+      Band.addRow(A[I], B[I]);
+    ASSERT_TRUE(Band.solve().isOptimal());
+    std::vector<SimplexSession::RowId> Hint = Band.lastBasisRows();
+    ASSERT_FALSE(Hint.empty());
     // Contradiction: z0 + d <= -1 and -z0 + d <= -1 sum to d <= -1,
     // while -d <= -2 demands d >= 2.
     Vector Pin(N + 1), Neg(N + 1), Pos(N + 1);
@@ -489,9 +528,11 @@ TEST(SimplexSessionTest, PresolveOnInfeasibleSystemsMatchesCold) {
     Sess.setPresolve(true);
     for (size_t I = 0; I < A.size(); ++I)
       Sess.addRow(A[I], B[I]);
+    Sess.hintBasis(Hint);
     LPResult Got = Sess.solve();
     expectSameResult(Cold, Got, "infeasible system");
     EXPECT_EQ(Got.StatusCode, LPResult::Status::Infeasible);
+    EXPECT_TRUE(Got.Presolved);
   }
 }
 
@@ -520,11 +561,12 @@ TEST(SimplexSessionTest, PresolveOnDegenerateOptimaFallsBackIdentically) {
   }
 }
 
-TEST(SimplexSessionTest, CorruptedFloatHintsAreRepairedExactly) {
-  // hintBasis feeds arbitrary row sets into the float solve's starting
-  // basis. Adversarial hints -- wrong rows, retired rows, the whole basis
-  // reversed, duplicates -- may cost float pivots but can never change
-  // the exact result: the engine repairs whatever basis comes back.
+TEST(SimplexSessionTest, CorruptedHintsAreRepairedExactly) {
+  // hintBasis feeds arbitrary row sets into the exact engine's starting
+  // basis. Adversarial hints -- wrong rows, out-of-range ids, duplicates
+  // -- may cost exact pivots but can never change the result: priming
+  // skips the ids it cannot use, feasibility eviction drops the rows that
+  // make the start infeasible, and exact phase 1 repairs the rest.
   std::mt19937_64 Rng(31337);
   for (int Trial = 0; Trial < 25; ++Trial) {
     size_t N = 2 + Trial % 4, M = 6 + Trial % 5;
@@ -555,9 +597,10 @@ TEST(SimplexSessionTest, CorruptedFloatHintsAreRepairedExactly) {
 }
 
 TEST(SimplexSessionTest, PresolveResultsAreThreadCountInvariant) {
-  // The determinism contract extends through the presolve path: the float
-  // solver is strictly serial and the exact repair is exact, so results
-  // and pivot counts must not depend on the thread count.
+  // The determinism contract extends through the presolve path: priming,
+  // eviction and the exact repair are exact arithmetic over thread-
+  // invariant state, so results and pivot counts must not depend on the
+  // thread count.
   std::mt19937_64 Rng(911);
   for (int Trial = 0; Trial < 10; ++Trial) {
     size_t N = 3 + Trial % 3, M = 10;
@@ -565,20 +608,24 @@ TEST(SimplexSessionTest, PresolveResultsAreThreadCountInvariant) {
     Vector B, C;
     buildBandSystem(Rng, N, M, A, B, C);
 
-    auto Run = [&](unsigned Threads) {
-      SimplexSession Sess(C, Threads);
-      Sess.setPresolve(true);
-      for (size_t I = 0; I + 1 < A.size(); ++I)
-        Sess.addRow(A[I], B[I]);
-      Sess.addRow(A.back(), B.back(), /*PinLast=*/true);
-      return Sess.solve();
-    };
+    // The hint: the optimal basis of a neighbor, the same system with
+    // every third bound shrunk.
+    Vector Shrunk = B;
+    for (size_t I = 0; I + 1 < A.size(); I += 3)
+      Shrunk[I] = Shrunk[I] - Rational(BigInt(1), BigInt(16));
+    SimplexSession Neighbor(C);
+    for (size_t I = 0; I + 1 < A.size(); ++I)
+      Neighbor.addRow(A[I], Shrunk[I]);
+    Neighbor.addRow(A.back(), Shrunk.back(), /*PinLast=*/true);
+    Neighbor.solve();
+    std::vector<SimplexSession::RowId> Hint = Neighbor.lastBasisRows();
 
-    LPResult T1 = Run(1), T4 = Run(4);
+    LPResult T1 = solveHinted(A, B, C, Hint, 1);
+    LPResult T4 = solveHinted(A, B, C, Hint, 4);
     expectSameResult(T1, T4, "threads 1 vs 4");
     EXPECT_EQ(T1.Pivots, T4.Pivots) << "trial " << Trial;
+    EXPECT_EQ(T1.SetupPivots, T4.SetupPivots) << "trial " << Trial;
     EXPECT_EQ(T1.Presolved, T4.Presolved) << "trial " << Trial;
-    EXPECT_EQ(T1.FloatIterations, T4.FloatIterations) << "trial " << Trial;
   }
 }
 

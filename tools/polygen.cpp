@@ -22,9 +22,9 @@
 //          guaranteeing the SoA layout and the scalar tables can never
 //          drift apart.
 //
-// Numbers are whole decimals (no sign, no overflow); a malformed number,
-// an unknown argument or a bad shard flag exits with status 2, a failed
-// generation or write with status 1.
+// Numbers are whole decimals (no sign, no overflow); a malformed number
+// or an unknown argument exits with status 2, a failed generation or
+// write with status 1.
 //
 // After generation, a patch pass checks each function's four candidate
 // tables over six fixed float32 strides with the verification engine
@@ -40,20 +40,6 @@
 //   --smoke                generation only: skip the patch pass and do
 //                          not write .inc files (CI smoke runs)
 //
-// Resumable sharded runs (see DESIGN.md, "Sharded and resumable prepare"):
-//   --shard-dir <dir>      directory holding the shard set (manifest +
-//                          per-shard oracle records)
-//   --shard K/M            worker mode: compute only shard K of M (0-based)
-//                          into --shard-dir and exit; no generation. Any
-//                          number of workers may run concurrently or across
-//                          interruptions, sharing the directory.
-//   --shards M             full run through the shard store: compute every
-//                          missing shard, then assemble prepare() from the
-//                          set and continue with normal generation. Output
-//                          is bit-identical to an unsharded run.
-//   --resume               with --shard/--shards: skip shards that already
-//                          validate (header + checksum); recompute the rest
-//
 // Progress goes through the telemetry logger (component "polygen"); the
 // tool raises the log level to info unless RFP_LOG_LEVEL overrides it.
 //
@@ -63,10 +49,12 @@
 
 #include "libm/Frame.h"
 #include "poly/Codegen.h"
+#include "support/ShardFile.h"
 #include "support/Telemetry.h"
 #include "verify/Verify.h"
 
 #include <algorithm>
+#include <cctype>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -397,11 +385,6 @@ int main(int Argc, char **Argv) {
   int ArgIdx = 1;
   bool BatchOnly = false;
   bool Smoke = false;
-  bool Resume = false;
-  bool Worker = false;    // --shard K/M worker mode: only shard ShardK.
-  unsigned ShardK = 0;
-  unsigned NumShards = 0; // Shard count from --shard K/M or --shards M.
-  std::string ShardDir;
   std::string MetricsPath;
   if (ArgIdx < Argc && std::strcmp(Argv[ArgIdx], "--batch") == 0) {
     BatchOnly = true;
@@ -421,34 +404,21 @@ int main(int Argc, char **Argv) {
       MetricsPath = Argv[++ArgIdx];
     else if (std::strncmp(Argv[ArgIdx], "--metrics-json=", 15) == 0)
       MetricsPath = Argv[ArgIdx] + 15;
-    else if (std::strcmp(Argv[ArgIdx], "--shard-dir") == 0 &&
-             ArgIdx + 1 < Argc)
-      ShardDir = Argv[++ArgIdx];
-    else if (std::strncmp(Argv[ArgIdx], "--shard-dir=", 12) == 0)
-      ShardDir = Argv[ArgIdx] + 12;
-    else if (std::strcmp(Argv[ArgIdx], "--shard") == 0 && ArgIdx + 1 < Argc) {
-      if (!shard::parseShardFlag(Argv[++ArgIdx], &ShardK, NumShards))
-        return usage("--shard expects K/M with 0 <= K < M");
-      Worker = true;
-    } else if (std::strcmp(Argv[ArgIdx], "--shards") == 0 &&
-               ArgIdx + 1 < Argc) {
-      if (!shard::parseShardFlag(Argv[++ArgIdx], nullptr, NumShards))
-        return usage("--shards expects a positive count");
-    } else if (std::strcmp(Argv[ArgIdx], "--resume") == 0)
-      Resume = true;
     else
       Rest.push_back(Argv[ArgIdx]);
   }
-  if (NumShards != 0 && ShardDir.empty())
-    return usage("--shard/--shards require --shard-dir <dir>");
+  // A leading digit marks a number. std::isdigit takes the byte as an
+  // unsigned char: a plain char of 0x80 and above would be negative.
   size_t RestIdx = 0;
   uint64_t V = 0;
-  if (RestIdx < Rest.size() && std::isdigit(Rest[RestIdx][0])) {
+  if (RestIdx < Rest.size() &&
+      std::isdigit(static_cast<unsigned char>(Rest[RestIdx][0]))) {
     if (!parseCount(Rest[RestIdx++], 1, UINT32_MAX, V))
       return usage("stride must be a number in [1, 4294967295]");
     Cfg.SampleStride = static_cast<uint32_t>(V);
   }
-  if (RestIdx < Rest.size() && std::isdigit(Rest[RestIdx][0])) {
+  if (RestIdx < Rest.size() &&
+      std::isdigit(static_cast<unsigned char>(Rest[RestIdx][0]))) {
     if (!parseCount(Rest[RestIdx++], 0, UINT32_MAX, V))
       return usage("window must be a number in [0, 4294967295]");
     Cfg.BoundaryWindow = static_cast<uint32_t>(V);
@@ -480,34 +450,7 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "=== %s (stride %u, window %u)\n", elemFuncName(F),
                  Cfg.SampleStride, Cfg.BoundaryWindow);
     PolyGenerator Gen(F, Cfg);
-    if (NumShards != 0) {
-      const shard::ShardSet Set = Gen.shardSet(ShardDir, NumShards);
-      std::string Err;
-      // Compute the requested shard (worker mode) or every missing one.
-      unsigned KBegin = Worker ? ShardK : 0;
-      unsigned KEnd = Worker ? ShardK + 1 : NumShards;
-      for (unsigned K = KBegin; K < KEnd; ++K) {
-        if (Resume && shard::shardValid(Set, K)) {
-          std::fprintf(stderr, "  shard %u/%u already valid, skipping\n", K,
-                       NumShards);
-          continue;
-        }
-        std::fprintf(stderr, "  computing shard %u/%u\n", K, NumShards);
-        if (!Gen.prepareShard(K, NumShards, ShardDir, &Err)) {
-          std::fprintf(stderr, "FATAL: shard %u/%u: %s\n", K, NumShards,
-                       Err.c_str());
-          return 1;
-        }
-      }
-      if (Worker)
-        continue; // Worker mode stops after its shard.
-      if (!Gen.prepareFromShards(ShardDir, NumShards, &Err)) {
-        std::fprintf(stderr, "FATAL: assembling shards: %s\n", Err.c_str());
-        return 1;
-      }
-    } else {
-      Gen.prepare();
-    }
+    Gen.prepare();
 
     GeneratedImpl Impls[4];
     for (int S = 0; S < 4; ++S) {
