@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Runtime dispatch for the batch API. The kernel table is resolved exactly
-// once per process (CPUID + the RFP_BATCH_ISA override) and cached; each
-// evalBatch or roundBatch call is one table load and one indirect call.
+// once per process, from the ISA support/BatchISA.cpp resolves (CPUID + the
+// RFP_BATCH_ISA override), and cached; each evalBatch or roundBatch call
+// is one table load and one indirect call.
 // The scalar kernels below are plain loops over the per-call cores (and
 // over FPFormat::roundDouble), so they are bit-identical to the per-call
 // API by construction; the vector kernels
@@ -179,10 +180,6 @@ KernelSet overlaySet(const BatchKernelFn (&Kernels)[6][4],
 #endif
 
 #ifdef RFP_HAVE_AVX2_KERNELS
-bool cpuHasAVX2() {
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-}
-
 /// The AVX2 set: vector kernels where they exist, scalar loops elsewhere.
 const KernelSet &avx2Set() {
   static const KernelSet Set =
@@ -193,13 +190,6 @@ const KernelSet &avx2Set() {
 #endif
 
 #ifdef RFP_HAVE_AVX512_KERNELS
-bool cpuHasAVX512() {
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512dq") &&
-         __builtin_cpu_supports("avx512bw") &&
-         __builtin_cpu_supports("avx512vl");
-}
-
 const KernelSet &avx512Set() {
   static const KernelSet Set =
       overlaySet(detail::AVX512BatchKernels, detail::AVX512RoundKernels,
@@ -219,66 +209,28 @@ const KernelSet &neonSet() {
 }
 #endif
 
-/// Best compiled-in set the CPU supports.
-const KernelSet &bestSet() {
-#ifdef RFP_HAVE_AVX512_KERNELS
-  if (cpuHasAVX512())
-    return avx512Set();
-#endif
-#ifdef RFP_HAVE_AVX2_KERNELS
-  if (cpuHasAVX2())
-    return avx2Set();
-#endif
-#ifdef RFP_HAVE_NEON_KERNELS
-  return neonSet();
-#endif
-  return ScalarSet;
-}
-
+/// \p ISA's set if it is usable, the scalar set otherwise.
 const KernelSet &setFor(BatchISA ISA) {
+  if (!batchISAUsable(ISA))
+    return ScalarSet;
 #ifdef RFP_HAVE_AVX2_KERNELS
-  if (ISA == BatchISA::AVX2 && cpuHasAVX2())
+  if (ISA == BatchISA::AVX2)
     return avx2Set();
 #endif
 #ifdef RFP_HAVE_AVX512_KERNELS
-  if (ISA == BatchISA::AVX512 && cpuHasAVX512())
+  if (ISA == BatchISA::AVX512)
     return avx512Set();
 #endif
 #ifdef RFP_HAVE_NEON_KERNELS
   if (ISA == BatchISA::NEON)
     return neonSet();
 #endif
-  (void)ISA;
   return ScalarSet;
 }
 
-/// One-time resolution: best compiled-in set the CPU supports, overridable
-/// with RFP_BATCH_ISA=scalar|avx2|avx512|neon|auto. A recognized ISA the
-/// CPU or build cannot provide falls back to scalar (the documented
-/// pin-an-ISA contract); an unrecognized value warns once and resolves as
-/// auto, so a typo degrades to the best detected ISA instead of silently
-/// losing the vector kernels.
+/// The process's set, resolved once.
 const KernelSet &activeSet() {
-  static const KernelSet &Set = []() -> const KernelSet & {
-    const char *Env = std::getenv("RFP_BATCH_ISA");
-    if (!Env || std::strcmp(Env, "auto") == 0)
-      return bestSet();
-    if (std::strcmp(Env, "scalar") == 0)
-      return ScalarSet;
-    if (std::strcmp(Env, "avx2") == 0)
-      return setFor(BatchISA::AVX2);
-    if (std::strcmp(Env, "avx512") == 0)
-      return setFor(BatchISA::AVX512);
-    if (std::strcmp(Env, "neon") == 0)
-      return setFor(BatchISA::NEON);
-    const KernelSet &Best = bestSet();
-    telemetry::logf(telemetry::LogLevel::Warn, "libm.batch",
-                    "unknown RFP_BATCH_ISA value \"%s\" (expected "
-                    "scalar|avx2|avx512|neon|auto); using best detected "
-                    "ISA (%s)",
-                    Env, batchISAName(Best.ISA));
-    return Best;
-  }();
+  static const KernelSet &Set = setFor(activeBatchISA());
   return Set;
 }
 
@@ -338,22 +290,6 @@ void roundWith(const KernelSet &Set, const double *H, uint64_t *Enc, size_t N,
 }
 
 } // namespace
-
-const char *rfp::libm::batchISAName(BatchISA ISA) {
-  switch (ISA) {
-  case BatchISA::Scalar:
-    return "scalar";
-  case BatchISA::AVX2:
-    return "avx2";
-  case BatchISA::AVX512:
-    return "avx512";
-  case BatchISA::NEON:
-    return "neon";
-  }
-  return "??";
-}
-
-BatchISA rfp::libm::activeBatchISA() { return activeSet().ISA; }
 
 void rfp::libm::evalBatch(ElemFunc F, EvalScheme S, const float *In, double *H,
                           size_t N) {

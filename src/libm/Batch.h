@@ -31,6 +31,7 @@
 
 #include "fp/FPFormat.h"
 #include "poly/EvalScheme.h"
+#include "support/BatchISA.h"
 #include "support/ElemFunc.h"
 #include "support/Rounding.h"
 
@@ -40,22 +41,15 @@
 namespace rfp {
 namespace libm {
 
-/// Instruction sets the batch dispatcher can resolve to.
-enum class BatchISA { Scalar, AVX2, AVX512, NEON };
-
-inline constexpr BatchISA AllBatchISAs[4] = {BatchISA::Scalar, BatchISA::AVX2,
-                                             BatchISA::AVX512, BatchISA::NEON};
-
-/// Display name ("scalar", "avx2", "avx512", "neon").
-const char *batchISAName(BatchISA ISA);
-
-/// The ISA resolved for this process: the best compiled-in kernel set the
-/// CPU supports. The environment variable
-/// RFP_BATCH_ISA=scalar|avx2|avx512|neon|auto overrides the choice
-/// (consulted once, at first use). Forcing an ISA the CPU or build cannot
-/// provide falls back to scalar; an unrecognized value warns once through
-/// the leveled logger and resolves as auto (the best detected ISA).
-BatchISA activeBatchISA();
+/// Instruction sets the batch dispatcher can resolve to, and the one
+/// resolved for this process: the best compiled-in kernel set the CPU
+/// supports, or the one RFP_BATCH_ISA=scalar|avx2|avx512|neon|auto pins
+/// (consulted once, at first use; see support/BatchISA.h). The same choice
+/// serves the certified fast oracle's lane kernels.
+using rfp::activeBatchISA;
+using rfp::AllBatchISAs;
+using rfp::BatchISA;
+using rfp::batchISAName;
 
 /// Evaluates f over In[0..N) under scheme S, writing the H (double)
 /// results. Bit-identical to calling evalCore per element. Asserts the

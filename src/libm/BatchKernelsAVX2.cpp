@@ -37,15 +37,15 @@
 // and dense boundary windows; `bench_batch --verify` sweeps 2^28+ points
 // per function.
 //
-// This is the only TU compiled with -mavx2 (src/CMakeLists.txt), so it
+// This is libm's only TU compiled with -mavx2 (src/CMakeLists.txt), so it
 // deliberately avoids odr-using any inline function from the shared
 // headers: the linker may keep either TU's copy of an inline symbol, and a
 // copy compiled with AVX2 enabled must never be reachable on a baseline
 // machine. Everything here is namespace-local; only constexpr *data* (the
 // reduction tables) is shared. The rounding kernels at the end of the file
-// (the vector tier behind libm::roundBatch) take the format as two
-// integers rather than an FPFormat, so they too odr-use nothing from the
-// shared headers.
+// (the vector tier behind libm::roundBatch, built on fp/RoundLanes.h's
+// internal-linkage round4) take the format as two integers rather than an
+// FPFormat, so they too odr-use nothing from the shared headers.
 //
 // The coefficient tables are NOT fetched through the runtime accessors the
 // scalar dispatcher uses: each kernel binds its generated tables as
@@ -58,16 +58,17 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "libm/BatchKernels.h"
-#include "libm/Frame.h"
-#include "libm/RangeReduction.h"
-
 // GCC's gather intrinsics seed the masked-lane source with
 // _mm256_undefined_pd(), which -Wmaybe-uninitialized flags inside
 // avx2intrin.h (a known false positive; every lane of our gathers is
 // unmasked).
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+#include "fp/RoundLanes.h"
+#include "libm/BatchKernels.h"
+#include "libm/Frame.h"
+#include "libm/RangeReduction.h"
 
 #include <immintrin.h>
 
@@ -656,95 +657,10 @@ template <ElemFunc F> constexpr BatchKernelFn knuthKernelFor() {
 // Format/mode rounding
 //===----------------------------------------------------------------------===//
 
-inline __m256i splat(uint64_t V) {
-  return _mm256_set1_epi64x(static_cast<long long>(V));
-}
-
-/// FP(TotalBits, ExpBits)'s constants as 64-bit lanes; exponents in the
-/// double's bias, as in the AVX-512 file.
-struct RoundFmtV {
-  __m256i MinEb, MaxEb, ShiftBase, SignBit, PlusInf, QNaN;
-  __m128i MantBits, SignShift;
-
-  RoundFmtV(unsigned TotalBits, unsigned ExpBits) {
-    unsigned MBits = TotalBits - 1 - ExpBits;
-    uint64_t Bias = (1ull << (ExpBits - 1)) - 1;
-    uint64_t Inf = ((1ull << ExpBits) - 1) << MBits;
-    MinEb = splat(1024 - Bias);
-    MaxEb = splat(1023 + Bias);
-    ShiftBase = splat(51 - MBits);
-    SignBit = splat(1ull << (TotalBits - 1));
-    PlusInf = splat(Inf);
-    QNaN = splat(Inf | (1ull << (MBits - 1)));
-    MantBits = _mm_cvtsi32_si128(static_cast<int>(MBits));
-    SignShift = _mm_cvtsi32_si128(static_cast<int>(64 - TotalBits));
-  }
-};
-
-/// Four lanes of FPFormat::roundDouble under mode M: round8 in
-/// BatchKernelsAVX512.cpp with the masks as 0/1 lanes (the mode rules are
-/// plain integer adds) and all-ones compare results as blend selectors.
-template <RoundingMode M>
-inline __m256i round4(const RoundFmtV &F, __m256i B) {
-  const __m256i One = splat(1);
-  __m256i E = _mm256_and_si256(_mm256_srli_epi64(B, 52), splat(0x7ff));
-  __m256i Frac = _mm256_and_si256(B, splat((1ull << 52) - 1));
-  __m256i Subnormal = _mm256_cmpeq_epi64(E, _mm256_setzero_si256());
-  __m256i Sig =
-      _mm256_or_si256(Frac, _mm256_andnot_si256(Subnormal, splat(1ull << 52)));
-  __m256i Eb = _mm256_sub_epi64(E, Subnormal); // max(E, 1)
-  __m256i Band =
-      _mm256_blendv_epi8(Eb, F.MinEb, _mm256_cmpgt_epi64(F.MinEb, Eb));
-  __m256i Shift = _mm256_add_epi64(F.ShiftBase, _mm256_sub_epi64(Band, Eb));
-  __m256i T = _mm256_srlv_epi64(Sig, Shift); // Q:round bit
-  __m256i RoundBit = _mm256_and_si256(T, One);
-  __m256i Sticky = _mm256_andnot_si256(
-      _mm256_cmpeq_epi64(Sig, _mm256_sllv_epi64(T, Shift)), One);
-  __m256i Inexact = _mm256_or_si256(RoundBit, Sticky);
-  __m256i Neg = _mm256_srli_epi64(B, 63);
-  __m256i Q = _mm256_srli_epi64(T, 1);
-
-  __m256i OvfFin; // 1 on overflow lanes that saturate at max-finite
-  if constexpr (M == RoundingMode::NearestEven) {
-    Q = _mm256_add_epi64(
-        Q, _mm256_and_si256(RoundBit, _mm256_or_si256(Sticky, Q)));
-    OvfFin = _mm256_setzero_si256();
-  } else if constexpr (M == RoundingMode::NearestAway) {
-    Q = _mm256_add_epi64(Q, RoundBit);
-    OvfFin = _mm256_setzero_si256();
-  } else if constexpr (M == RoundingMode::TowardZero) {
-    OvfFin = One;
-  } else if constexpr (M == RoundingMode::Upward) {
-    Q = _mm256_add_epi64(Q, _mm256_andnot_si256(Neg, Inexact));
-    OvfFin = Neg;
-  } else if constexpr (M == RoundingMode::Downward) {
-    Q = _mm256_add_epi64(Q, _mm256_and_si256(Inexact, Neg));
-    OvfFin = _mm256_xor_si256(Neg, One);
-  } else {
-    static_assert(M == RoundingMode::ToOdd, "unhandled rounding mode");
-    Q = _mm256_or_si256(Q, Inexact);
-    OvfFin = One;
-  }
-
-  __m256i Sign = _mm256_and_si256(_mm256_srl_epi64(B, F.SignShift), F.SignBit);
-  __m256i Out = _mm256_or_si256(
-      Sign, _mm256_add_epi64(
-                _mm256_sll_epi64(_mm256_sub_epi64(Band, F.MinEb), F.MantBits),
-                Q));
-
-  __m256i Ovf = _mm256_or_si256(Sign, _mm256_sub_epi64(F.PlusInf, OvfFin));
-  Out = _mm256_blendv_epi8(Out, Ovf, _mm256_cmpgt_epi64(E, F.MaxEb));
-  __m256i InfNaN = _mm256_cmpeq_epi64(E, splat(0x7ff));
-  Out = _mm256_blendv_epi8(Out, _mm256_or_si256(Sign, F.PlusInf), InfNaN);
-  __m256i NaN = _mm256_andnot_si256(
-      _mm256_cmpeq_epi64(Frac, _mm256_setzero_si256()), InfNaN);
-  return _mm256_blendv_epi8(Out, F.QNaN, NaN);
-}
-
 template <RoundingMode M>
 void roundKernel(const double *H, uint64_t *Enc, size_t N, unsigned TotalBits,
                  unsigned ExpBits) {
-  const RoundFmtV F(TotalBits, ExpBits);
+  const RoundFmt4 F(TotalBits, ExpBits);
   size_t I = 0;
   for (; I + 4 <= N; I += 4)
     _mm256_storeu_si256(

@@ -29,7 +29,7 @@
 // dispatcher's one-time parity probe. BatchParityTest and `bench_batch
 // --verify` pin the invariant under RFP_BATCH_ISA=avx512.
 //
-// This is the only TU compiled with the -mavx512* flags
+// This is libm's only TU compiled with the -mavx512* flags
 // (src/CMakeLists.txt); like the AVX2 TU it avoids odr-using any inline
 // function from the shared headers, so no AVX-512-compiled copy of a
 // common symbol can ever be selected by the linker for baseline machines.
@@ -38,17 +38,19 @@
 // constant-expression template arguments so every table-shape branch
 // folds; see the AVX2 file's header for the measured rationale). The
 // rounding kernels at the end of the file (the vector tier behind
-// libm::roundBatch) take the format as two integers rather than an
-// FPFormat, so they too odr-use nothing from the shared headers.
+// libm::roundBatch, built on fp/RoundLanes.h's internal-linkage round8)
+// take the format as two integers rather than an FPFormat, so they too
+// odr-use nothing from the shared headers.
 //
 //===----------------------------------------------------------------------===//
 
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+#include "fp/RoundLanes.h"
 #include "libm/BatchKernels.h"
 #include "libm/Frame.h"
 #include "libm/RangeReduction.h"
-
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 #include <immintrin.h>
 
@@ -551,110 +553,26 @@ template <ElemFunc F> constexpr BatchKernelFn knuthKernelFor() {
 // Format/mode rounding
 //===----------------------------------------------------------------------===//
 
-inline __m512i splat(uint64_t V) {
-  return _mm512_set1_epi64(static_cast<long long>(V));
-}
-
-/// FP(TotalBits, ExpBits)'s constants as 64-bit lanes. Exponents are kept
-/// in the double's bias: MinEb / MaxEb are the format's minExp / maxExp
-/// plus 1023.
-struct RoundFmtV {
-  __m512i MinEb, MaxEb, ShiftBase, SignBit, PlusInf, QNaN;
-  __m128i MantBits, SignShift;
-
-  RoundFmtV(unsigned TotalBits, unsigned ExpBits) {
-    unsigned MBits = TotalBits - 1 - ExpBits;
-    uint64_t Bias = (1ull << (ExpBits - 1)) - 1;
-    uint64_t Inf = ((1ull << ExpBits) - 1) << MBits;
-    MinEb = splat(1024 - Bias);
-    MaxEb = splat(1023 + Bias);
-    ShiftBase = splat(51 - MBits);
-    SignBit = splat(1ull << (TotalBits - 1));
-    PlusInf = splat(Inf);
-    QNaN = splat(Inf | (1ull << (MBits - 1)));
-    MantBits = _mm_cvtsi32_si128(static_cast<int>(MBits));
-    SignShift = _mm_cvtsi32_si128(static_cast<int>(64 - TotalBits));
-  }
-};
-
-/// Eight lanes of FPFormat::roundDouble under mode M (DESIGN.md, "Rounding
-/// tier"). Double subnormals read as biased exponent 1 without the hidden
-/// bit, so Sig * 2^(Eb - 1075) is every finite lane's exact value. Q is
-/// that value in ulps of the binade max(e, minExp), truncated, with the
-/// round bit and sticky read off the same srlv/sllv pair; the encoding is
-/// the binade's band plus Q, which carries into the next binade (and from
-/// the top binade into the inf encoding) by itself. Zeros need nothing:
-/// Sig = 0 gives Q = 0 in band 0.
+/// Eight lanes of round8 (fp/RoundLanes.h) under a live mask: the loop
+/// tail's masked load and store never touch memory beyond N.
 template <RoundingMode M>
-inline void round8(const RoundFmtV &F, const double *H, uint64_t *Enc,
-                   __mmask8 Live) {
-  const __m512i One = splat(1);
-  __m512i B = _mm512_castpd_si512(_mm512_maskz_loadu_pd(Live, H));
-  __m512i E = _mm512_and_si512(_mm512_srli_epi64(B, 52), splat(0x7ff));
-  __m512i Frac = _mm512_and_si512(B, splat((1ull << 52) - 1));
-  __m512i Sig = _mm512_mask_or_epi64(Frac, _mm512_test_epi64_mask(E, E), Frac,
-                                     splat(1ull << 52));
-  __m512i Eb = _mm512_max_epu64(E, One);
-  __m512i Band = _mm512_max_epu64(Eb, F.MinEb);
-  __m512i Shift =
-      _mm512_add_epi64(F.ShiftBase, _mm512_sub_epi64(Band, Eb));
-  __m512i T = _mm512_srlv_epi64(Sig, Shift); // Q:round bit
-  __mmask8 RoundBit = _mm512_test_epi64_mask(T, One);
-  __mmask8 Sticky =
-      _mm512_cmpneq_epu64_mask(Sig, _mm512_sllv_epi64(T, Shift));
-  __mmask8 Inexact = RoundBit | Sticky;
-  __mmask8 Neg = _mm512_movepi64_mask(B);
-  __m512i Q = _mm512_srli_epi64(T, 1);
-
-  __mmask8 Inc = 0;   // lanes whose Q steps up by one ulp
-  __mmask8 OvfFin = 0; // overflow lanes that saturate at max-finite
-  if constexpr (M == RoundingMode::NearestEven) {
-    Inc = RoundBit & (Sticky | _mm512_test_epi64_mask(Q, One));
-  } else if constexpr (M == RoundingMode::NearestAway) {
-    Inc = RoundBit;
-  } else if constexpr (M == RoundingMode::TowardZero) {
-    OvfFin = 0xff;
-  } else if constexpr (M == RoundingMode::Upward) {
-    Inc = Inexact & static_cast<__mmask8>(~Neg);
-    OvfFin = Neg;
-  } else if constexpr (M == RoundingMode::Downward) {
-    Inc = Inexact & Neg;
-    OvfFin = static_cast<__mmask8>(~Neg);
-  } else {
-    static_assert(M == RoundingMode::ToOdd, "unhandled rounding mode");
-    Q = _mm512_mask_or_epi64(Q, Inexact, Q, One);
-    OvfFin = 0xff;
-  }
-  Q = _mm512_mask_add_epi64(Q, Inc, Q, One);
-
-  __m512i Sign =
-      _mm512_and_si512(_mm512_srl_epi64(B, F.SignShift), F.SignBit);
-  __m512i Out = _mm512_or_si512(
-      Sign, _mm512_add_epi64(
-                _mm512_sll_epi64(_mm512_sub_epi64(Band, F.MinEb), F.MantBits),
-                Q));
-
-  // Leading bit above maxExp: the mode's overflow result. Then the
-  // double's own inf and NaN lanes (E = 0x7ff also compared above).
-  __m512i OvfMag = _mm512_mask_sub_epi64(F.PlusInf, OvfFin, F.PlusInf, One);
-  Out = _mm512_mask_or_epi64(Out, _mm512_cmpgt_epu64_mask(E, F.MaxEb), Sign,
-                             OvfMag);
-  __mmask8 InfNaN = _mm512_cmpeq_epi64_mask(E, splat(0x7ff));
-  Out = _mm512_mask_or_epi64(Out, InfNaN, Sign, F.PlusInf);
-  Out = _mm512_mask_mov_epi64(Out, InfNaN & _mm512_test_epi64_mask(Frac, Frac),
-                              F.QNaN);
-  _mm512_mask_storeu_epi64(Enc, Live, Out);
+inline void roundBlock8(const RoundFmt8 &F, const double *H, uint64_t *Enc,
+                        __mmask8 Live) {
+  _mm512_mask_storeu_epi64(
+      Enc, Live,
+      round8<M>(F, _mm512_castpd_si512(_mm512_maskz_loadu_pd(Live, H))));
 }
 
 template <RoundingMode M>
 void roundKernel(const double *H, uint64_t *Enc, size_t N, unsigned TotalBits,
                  unsigned ExpBits) {
-  const RoundFmtV F(TotalBits, ExpBits);
+  const RoundFmt8 F(TotalBits, ExpBits);
   size_t I = 0;
   for (; I + 8 <= N; I += 8)
-    round8<M>(F, H + I, Enc + I, 0xff);
+    roundBlock8<M>(F, H + I, Enc + I, 0xff);
   if (I < N)
-    round8<M>(F, H + I, Enc + I, static_cast<__mmask8>((1u << (N - I)) - 1u));
+    roundBlock8<M>(F, H + I, Enc + I,
+                   static_cast<__mmask8>((1u << (N - I)) - 1u));
 }
 
 } // namespace

@@ -37,15 +37,22 @@ static bool roundsUnambiguously(const MPFloat &Approx, unsigned W,
   return true;
 }
 
-Oracle::Saturation Oracle::expSaturation(ElemFunc Fn, double X,
-                                         const FPFormat &F) {
+Oracle::SaturationClamp Oracle::expSaturationClamp(ElemFunc Fn,
+                                                   const FPFormat &F) {
   double Log2Scale = Fn == ElemFunc::Exp2  ? 1.0
                      : Fn == ElemFunc::Exp ? 1.4426950408889634
                                            : 3.321928094887362;
-  double ResultLog2 = X * Log2Scale;
-  if (ResultLog2 > F.maxExp() + 2)
+  return {Log2Scale, static_cast<double>(F.maxExp() + 2),
+          static_cast<double>(underflowExp(F))};
+}
+
+Oracle::Saturation Oracle::expSaturation(ElemFunc Fn, double X,
+                                         const FPFormat &F) {
+  SaturationClamp C = expSaturationClamp(Fn, F);
+  double ResultLog2 = X * C.Log2Scale;
+  if (ResultLog2 > C.Over)
     return Saturation::Overflow;
-  if (ResultLog2 < underflowExp(F))
+  if (ResultLog2 < C.Under)
     return Saturation::Underflow;
   return Saturation::None;
 }

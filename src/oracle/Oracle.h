@@ -44,6 +44,14 @@ public:
   /// same classes in closed form, so the boundary is defined only here.
   static Saturation expSaturation(ElemFunc Fn, double X, const FPFormat &F);
 
+  /// expSaturation's compare as data: with R = X * Log2Scale (one double
+  /// multiply), R > Over overflows and R < Under underflows. The fast
+  /// oracle's lane kernels evaluate the same compare on every lane.
+  struct SaturationClamp {
+    double Log2Scale, Over, Under;
+  };
+  static SaturationClamp expSaturationClamp(ElemFunc Fn, const FPFormat &F);
+
   /// What eval returns for an input that saturates on side \p S: a power
   /// of two two binades beyond the clamp, rounded into \p F under \p M.
   static uint64_t saturatedResult(Saturation S, const FPFormat &F,

@@ -3,11 +3,21 @@
 // Part of the rlibm-fastpoly project, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
+//
+// The scalar kernel and the dispatcher over the lane kernels. This TU and
+// the lane TUs are built with -ffp-contract=off (src/CMakeLists.txt): every
+// fused multiply-add below is an explicit std::fma, so the source alone
+// defines the numerics in every build type, and the lane kernels
+// (OracleFastLanes.h), which repeat this operation sequence, are
+// bit-identical to it by construction.
+//
+//===----------------------------------------------------------------------===//
 
 #include "oracle/OracleFast.h"
 
 #include "fp/FPFormat.h"
 #include "oracle/Oracle.h"
+#include "oracle/OracleFastKernels.h"
 #include "oracle/OracleFastTables.h"
 #include "support/Telemetry.h"
 
@@ -36,6 +46,7 @@ namespace {
 using oracle_fast::DD;
 using oracle_fast::ExpConsts;
 using oracle_fast::LogConsts;
+using namespace oracle_fast::detail;
 
 /// Exact: requires |A| >= |B| (or A == 0).
 inline DD quickTwoSum(double A, double B) {
@@ -65,22 +76,28 @@ inline DD ddAdd(DD A, DD B) {
   return quickTwoSum(S.Hi, S.Lo);
 }
 
-inline DD ddAddD(DD A, double B) {
-  DD S = twoSum(A.Hi, B);
-  S.Lo += A.Lo;
-  return quickTwoSum(S.Hi, S.Lo);
-}
-
 inline DD ddMul(DD A, DD B) {
   DD P = twoProd(A.Hi, B.Hi);
-  P.Lo += A.Hi * B.Lo + A.Lo * B.Hi;
+  P.Lo = std::fma(A.Hi, B.Lo, A.Lo * B.Hi) + P.Lo;
   return quickTwoSum(P.Hi, P.Lo);
 }
 
 inline DD ddMulD(DD A, double B) {
   DD P = twoProd(A.Hi, B);
-  P.Lo += A.Lo * B;
+  P.Lo = std::fma(A.Lo, B, P.Lo);
   return quickTwoSum(P.Hi, P.Lo);
+}
+
+/// Y - KD * 2^-7 as a DD: the DD-plus-double sum, twoSum(Y.Hi, B) then
+/// Y.Lo, with B = -KD * 2^-7 fused into both of twoSum's uses of it. The
+/// product is exact (KD is an integer below 2^15), so the fusing changes
+/// no value; it is written out so the source fixes the operation sequence.
+inline DD ddSubScaled(DD Y, double KD) {
+  double S = std::fma(-KD, 0x1p-7, Y.Hi);
+  double V = S - Y.Hi;
+  double Lo = (Y.Hi - (S - V)) + std::fma(-KD, 0x1p-7, -V);
+  Lo += Y.Lo;
+  return quickTwoSum(S, Lo);
 }
 
 /// A / B as a DD. The fma remainder R = A - Q1*B is exact (the standard
@@ -101,12 +118,6 @@ inline DD ddDivDD(double A, double B) {
 //===----------------------------------------------------------------------===//
 // Certified evaluation kernels
 //===----------------------------------------------------------------------===//
-
-enum class Verdict : uint8_t {
-  Accepted, ///< Enc is proved equal to RO_34(f(x)).
-  Boundary, ///< Error interval straddles an FP34 boundary; fall back.
-  Domain,   ///< Exp family between the kernel's range and the clamps.
-};
 
 const FPFormat &fp34Fmt() {
   static const FPFormat F = FPFormat::fp34();
@@ -131,9 +142,6 @@ const FPFormat &fp34Fmt() {
 //   saturated  exp family beyond Oracle::expSaturation's clamps: one
 //              encoding per side, Oracle::saturatedResult's.
 
-/// Float bits of 2^-29, the tiny class's exclusive upper bound on |x|.
-constexpr uint32_t TinyBits = (127u - 29u) << 23;
-
 struct ClosedForms {
   uint64_t One;       ///< enc(1.0): zero mantissa, so even.
   uint64_t Overflow;  ///< Oracle::eval's encoding past the overflow clamp.
@@ -152,10 +160,12 @@ const ClosedForms &closedForms() {
   return C;
 }
 
-/// Sets \p Enc and returns true iff \p XBits is in a structural class. The
-/// kernels below run only on inputs this declines: finite x, and x > 0 for
-/// the log family.
-inline bool structuralVerdict(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
+} // namespace
+
+/// The kernels below run only on inputs this declines: finite x, and x > 0
+/// for the log family.
+bool rfp::oracle_fast::detail::structuralVerdict(ElemFunc Fn, uint32_t XBits,
+                                                 uint64_t &Enc) {
   float Xf;
   std::memcpy(&Xf, &XBits, sizeof(Xf));
   double X = Xf;
@@ -187,6 +197,8 @@ inline bool structuralVerdict(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
   return false;
 }
 
+namespace {
+
 /// Accepts iff the whole enclosure [v - e, v + e] rounds (round-to-odd,
 /// FP34) to one encoding. The padding absorbs the two double roundings in
 /// forming each endpoint (each < ulp/2 ~ |v|*2^-53, versus pad |v|*2^-50)
@@ -196,7 +208,7 @@ inline bool structuralVerdict(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
 /// differs), so endpoint agreement proves every value in the enclosure --
 /// the true f(x) included -- rounds to that encoding.
 inline Verdict certifyRO34(DD V, double AbsErr, uint64_t &Enc) {
-  double Pad = AbsErr + std::ldexp(std::fabs(V.Hi), -50);
+  double Pad = AbsErr + std::ldexp(std::fabs(V.Hi), -PadBits);
   double Lo = std::nextafter(V.Hi + (V.Lo - Pad), -HUGE_VAL);
   double Hi = std::nextafter(V.Hi + (V.Lo + Pad), HUGE_VAL);
   const FPFormat &F34 = fp34Fmt();
@@ -215,11 +227,6 @@ inline DD expTaylor(DD Z, const ExpConsts &C) {
     S = ddAdd(ddMul(S, Z), C.InvFact[I]);
   return S;
 }
-
-/// Asserted relative error bound of the exp-family kernel: 2^-84. The
-/// per-op budget sums to < 2^-95 (dominated by |y|*2^-103 from the base-2
-/// exponent y = x*log2(b), |y| < 151), leaving > 2^11 slack.
-constexpr int ExpErrBits = 84;
 
 /// 2^y for y = x * log2(base) evaluated as 2^(k/128) * exp(r*ln2), for
 /// finite x.
@@ -241,15 +248,12 @@ inline Verdict fastExpKind(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
     Y = ddMulD(C.Log2_10, X);
     break;
   }
-  // Leave the bands between this range and Oracle::expSaturation's clamps
-  // (y in [127.5, 129] and [-154, -149.5], around FP34's overflow and
-  // subnormal edges) to the exact path.
-  if (!(Y.Hi > -149.5 && Y.Hi < 127.5))
+  if (!(Y.Hi > ExpYMin && Y.Hi < ExpYMax))
     return Verdict::Domain;
 
   double KD = std::nearbyint(Y.Hi * 128.0);
   int64_t K = static_cast<int64_t>(KD);
-  DD R = ddAddD(Y, -KD * 0x1p-7); // |R| <= 2^-8.49 + ulp.
+  DD R = ddSubScaled(Y, KD); // |R| <= 2^-8.49 + ulp.
   DD Z = ddMul(R, C.Ln2);
   DD E = expTaylor(Z, C);
   DD V = ddMul(C.Pow2[K & 127], E);
@@ -270,13 +274,6 @@ inline DD log1pSeries(DD U, const LogConsts &C) {
   return ddMul(S, U);
 }
 
-/// Asserted absolute error bound of the log-family kernel, as a multiple
-/// of the summed term magnitudes (the honest yardstick under the
-/// cancellation between e*log(2) and log(F) + log1p(u)): 2^-88 * (|t1| +
-/// |t2| + |t3| + |v|). The per-op budget sums to < 2^-99 of the same
-/// yardstick, leaving > 2^11 slack.
-constexpr int LogErrBits = 88;
-
 /// log_b(x) = e * log_b(2) + log_b(F) + log1p(f/F)/ln(b) with F = 1 +
 /// j/256 read off the top 8 mantissa bits; f = m - F is exact and
 /// one-sided (0 <= f < 2^-8). Requires finite x > 0.
@@ -293,7 +290,7 @@ inline Verdict fastLogKind(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
     E = static_cast<int>(EF) - 127;
   }
   uint32_t J = M23 >> 15;
-  double F = 1.0 + J * 0x1p-8;
+  double F = std::fma(J, 0x1p-8, 1.0); // Exact.
   double Fr = (M23 & 0x7fffu) * 0x1p-23; // m - F, exact.
 
   const LogConsts &C = CommittedTables.Log;
@@ -325,7 +322,7 @@ inline Verdict fastLogKind(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
 }
 
 inline Verdict fastEval(ElemFunc Fn, uint32_t XBits, uint64_t &Enc) {
-  if (structuralVerdict(Fn, XBits, Enc))
+  if (oracle_fast::detail::structuralVerdict(Fn, XBits, Enc))
     return Verdict::Accepted;
   return isExpFamily(Fn) ? fastExpKind(Fn, XBits, Enc)
                          : fastLogKind(Fn, XBits, Enc);
@@ -335,6 +332,13 @@ struct FastCounters {
   telemetry::Counter Accepts = telemetry::counter("oracle.fast.accepts");
   telemetry::Counter Fallbacks = telemetry::counter("oracle.fast.fallbacks");
   telemetry::Counter Rejects = telemetry::counter("oracle.fast.rejects");
+  /// Batch elements, under the ISA whose kernel ran (indexed by BatchISA;
+  /// NEON has no oracle kernel).
+  telemetry::Counter Elems[3] = {
+      telemetry::counter("oracle.fast.elems.scalar"),
+      telemetry::counter("oracle.fast.elems.avx2"),
+      telemetry::counter("oracle.fast.elems.avx512"),
+  };
 };
 
 const FastCounters &fastCounters() {
@@ -343,6 +347,57 @@ const FastCounters &fastCounters() {
 }
 
 std::atomic<int> EnabledFlag{-1};
+
+/// A batch kernel: a lane kernel, or null for the scalar loop.
+struct BatchKernel {
+  LaneKernelFn Lanes;
+  BatchISA ISA;
+};
+
+/// \p ISA's lane kernel if it is usable, the scalar loop otherwise. NEON
+/// keeps the scalar loop.
+BatchKernel kernelFor(BatchISA ISA) {
+  if (batchISAUsable(ISA)) {
+#ifdef RFP_HAVE_AVX512_KERNELS
+    if (ISA == BatchISA::AVX512)
+      return {evalToOdd34AVX512, ISA};
+#endif
+#ifdef RFP_HAVE_AVX2_KERNELS
+    if (ISA == BatchISA::AVX2)
+      return {evalToOdd34AVX2, ISA};
+#endif
+  }
+  return {nullptr, BatchISA::Scalar};
+}
+
+/// The process's kernel, resolved once from the ISA libm's batch kernels
+/// also run on (support/BatchISA.h).
+const BatchKernel &activeKernel() {
+  static const BatchKernel K = kernelFor(activeBatchISA());
+  return K;
+}
+
+void runBatch(const BatchKernel &K, ElemFunc Fn, const uint32_t *XBits,
+              size_t N, uint64_t *Enc, uint8_t *Status) {
+  uint64_t Tally[3] = {0, 0, 0}; // Indexed by Verdict.
+  if (K.Lanes) {
+    const FPFormat &F34 = fp34Fmt();
+    const LaneContext Ctx{F34.totalBits(), F34.expBits(),
+                          Oracle::expSaturationClamp(Fn, F34)};
+    K.Lanes(Fn, Ctx, XBits, N, Enc, Status, Tally);
+  } else {
+    for (size_t I = 0; I < N; ++I) {
+      Verdict V = fastEval(Fn, XBits[I], Enc[I]);
+      Status[I] = V == Verdict::Accepted;
+      ++Tally[static_cast<unsigned>(V)];
+    }
+  }
+  const FastCounters &C = fastCounters();
+  C.Accepts.add(Tally[static_cast<unsigned>(Verdict::Accepted)]);
+  C.Fallbacks.add(Tally[static_cast<unsigned>(Verdict::Boundary)]);
+  C.Rejects.add(Tally[static_cast<unsigned>(Verdict::Domain)]);
+  C.Elems[static_cast<unsigned>(K.ISA)].add(N);
+}
 
 } // namespace
 
@@ -384,14 +439,13 @@ bool rfp::oracle_fast::tryEvalToOdd34(ElemFunc Fn, uint32_t XBits,
 void rfp::oracle_fast::evalToOdd34Batch(ElemFunc Fn, const uint32_t *XBits,
                                         size_t N, uint64_t *Enc,
                                         uint8_t *Status) {
-  uint64_t Tally[3] = {0, 0, 0}; // Indexed by Verdict.
-  for (size_t I = 0; I < N; ++I) {
-    Verdict V = fastEval(Fn, XBits[I], Enc[I]);
-    Status[I] = V == Verdict::Accepted;
-    ++Tally[static_cast<unsigned>(V)];
-  }
-  const FastCounters &C = fastCounters();
-  C.Accepts.add(Tally[static_cast<unsigned>(Verdict::Accepted)]);
-  C.Fallbacks.add(Tally[static_cast<unsigned>(Verdict::Boundary)]);
-  C.Rejects.add(Tally[static_cast<unsigned>(Verdict::Domain)]);
+  runBatch(activeKernel(), Fn, XBits, N, Enc, Status);
 }
+
+void rfp::oracle_fast::evalToOdd34Batch(BatchISA ISA, ElemFunc Fn,
+                                        const uint32_t *XBits, size_t N,
+                                        uint64_t *Enc, uint8_t *Status) {
+  runBatch(kernelFor(ISA), Fn, XBits, N, Enc, Status);
+}
+
+BatchISA rfp::oracle_fast::batchISA() { return activeKernel().ISA; }

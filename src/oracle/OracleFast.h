@@ -40,15 +40,29 @@
 /// (the exact cases among them) and the exp family's narrow bands between
 /// the kernel's range and the saturation clamps.
 ///
+/// Lanes: evalToOdd34Batch runs the same kernel across AVX-512 (8) or
+/// AVX2 (4) double lanes (OracleFastLanes.h), resolved once per process
+/// with libm's batch kernels (support/BatchISA.h: RFP_BATCH_ISA pins both);
+/// NEON and the scalar set keep the scalar loop. Each lane repeats the
+/// scalar kernel's operation sequence -- every FMA is an explicit std::fma
+/// or fused intrinsic and the kernel TUs are built with -ffp-contract=off,
+/// so the source defines the numerics in every build type -- and lanes in
+/// a structural class get the scalar closed forms, so every Status and Enc
+/// is bit-identical to the scalar loop's on every ISA and under every FP
+/// rounding mode.
+///
 /// Telemetry: `oracle.fast.accepts` (structural and certified verdicts),
 /// `oracle.fast.fallbacks` (certification straddled a boundary),
-/// `oracle.fast.rejects` (an exp-family band the kernel does not model).
+/// `oracle.fast.rejects` (an exp-family band the kernel does not model),
+/// and `oracle.fast.elems.<isa>` (batch elements, by the ISA whose kernel
+/// ran them: scalar, avx2 or avx512), each updated once per batch.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RFP_ORACLE_ORACLEFAST_H
 #define RFP_ORACLE_ORACLEFAST_H
 
+#include "support/BatchISA.h"
 #include "support/ElemFunc.h"
 
 #include <cstddef>
@@ -77,10 +91,20 @@ bool tryEvalToOdd34(ElemFunc Fn, uint32_t XBits, uint64_t &Enc);
 /// Batch form over contiguous arrays (the generator's and the verifier's
 /// sweep shape): for each input either certifies (Status[i] = 1, Enc[i]
 /// set) or leaves it for the exact path (Status[i] = 0, Enc[i] untouched).
-/// Results are identical to per-element tryEvalToOdd34 calls; the
-/// telemetry counters are updated once per batch.
+/// Results are identical to per-element tryEvalToOdd34 calls on every ISA;
+/// the telemetry counters are updated once per batch.
 void evalToOdd34Batch(ElemFunc Fn, const uint32_t *XBits, size_t N,
                       uint64_t *Enc, uint8_t *Status);
+
+/// Same, on \p ISA's kernel (testing / benchmarking). An ISA without an
+/// oracle kernel here (NEON, or one not compiled in or not supported by
+/// this CPU) runs the scalar loop.
+void evalToOdd34Batch(BatchISA ISA, ElemFunc Fn, const uint32_t *XBits,
+                      size_t N, uint64_t *Enc, uint8_t *Status);
+
+/// The ISA whose kernel the default evalToOdd34Batch runs: activeBatchISA()
+/// where it has an oracle kernel, scalar otherwise.
+BatchISA batchISA();
 
 } // namespace oracle_fast
 

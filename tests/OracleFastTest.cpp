@@ -10,8 +10,9 @@
 // FP34 rounding boundaries (anchors with exactly representable results,
 // where a wrong acceptance predicate would first go wrong), plus the
 // cache-transparency, batch-consistency, and acceptance-rate properties
-// the prepare pipeline relies on. The committed constant tables must equal
-// the MP layer's recipe bit for bit.
+// the prepare pipeline relies on. The lane kernels must match the scalar
+// loop on every ISA, and the committed constant tables must equal the MP
+// layer's recipe bit for bit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,11 +23,15 @@
 #include "oracle/Oracle.h"
 #include "oracle/OracleCache.h"
 #include "oracle/OracleFastTables.h"
+#include "support/Telemetry.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <cfenv>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 using namespace rfp;
@@ -183,9 +188,9 @@ TEST_P(OracleFastTest, BatchMatchesSingle) {
     uint64_t Single;
     bool Ok = oracle_fast::tryEvalToOdd34(F, Bits[I], Single);
     ASSERT_EQ(Status[I] != 0, Ok) << "bits=0x" << std::hex << Bits[I];
-    if (Ok) {
-      ASSERT_EQ(Enc[I], Single) << "bits=0x" << std::hex << Bits[I];
-    }
+    // The header's contract: Enc is set where certified, untouched else.
+    ASSERT_EQ(Enc[I], Ok ? Single : ~0ull) << "bits=0x" << std::hex
+                                           << Bits[I];
   }
 }
 
@@ -272,6 +277,170 @@ TEST_P(OracleFastTest, CacheTransparency) {
   ASSERT_EQ(FastOn.size(), FastOff.size());
   for (size_t I = 0; I < FastOn.size(); ++I)
     ASSERT_EQ(FastOn[I], FastOff[I]);
+}
+
+/// The oracle.fast.* verdict counters, read together.
+struct VerdictCounts {
+  uint64_t Accepts, Fallbacks, Rejects;
+  static VerdictCounts read() {
+    return {telemetry::counterValue("oracle.fast.accepts"),
+            telemetry::counterValue("oracle.fast.fallbacks"),
+            telemetry::counterValue("oracle.fast.rejects")};
+  }
+  VerdictCounts operator-(const VerdictCounts &O) const {
+    return {Accepts - O.Accepts, Fallbacks - O.Fallbacks, Rejects - O.Rejects};
+  }
+};
+
+/// The lane-kernel inputs for \p F: the boundary neighbourhoods, +-2000
+/// ulps around each structural edge, every FP(16, 8) encoding, and a
+/// seeded float32 sample in which one draw in eight is a subnormal.
+std::vector<uint32_t> laneInputs(ElemFunc F) {
+  std::vector<uint32_t> Bits = boundaryPatterns(F);
+  for (float Edge : structuralEdges(F))
+    for (float Anchor : {Edge, -Edge}) {
+      uint32_t C = floatToBits(Anchor);
+      for (uint32_t D = 0; D <= 2000; ++D) {
+        Bits.push_back(C + D);
+        Bits.push_back(C - D);
+      }
+    }
+  FPFormat F16 = FPFormat::withBits(16);
+  for (uint64_t E = 0; E < F16.encodingCount(); ++E)
+    Bits.push_back(floatToBits(static_cast<float>(F16.decode(E))));
+  Lcg Rng(0x1A7E5u + static_cast<uint32_t>(F));
+  for (int I = 0; I < 20000; ++I) {
+    uint32_t B = Rng.next();
+    Bits.push_back(I % 8 == 0 ? B & 0x807fffffu : B);
+  }
+  return Bits;
+}
+
+/// Each compiled ISA's kernel (through the explicit-ISA overload) against
+/// the scalar loop, bit for bit: equal Status, equal Enc where accepted,
+/// the caller's Enc untouched where not, and equal verdict-counter deltas.
+/// The inputs run in slices of lengths 0, 1, 7, 8, 9, 4095 and 4097 (every
+/// full-block/tail split of both lane widths) from a misaligned base
+/// between guard words, under every FP rounding mode.
+TEST(OracleFastTest, LanesMatchScalarOnEveryISA) {
+  const size_t Lengths[] = {0, 1, 7, 8, 9, 4095, 4097};
+  const int Modes[] = {FE_TONEAREST, FE_UPWARD, FE_DOWNWARD, FE_TOWARDZERO};
+  constexpr uint64_t Sentinel = 0x5e5e5e5e5e5e5e5eull;
+  constexpr uint64_t Guard = 0x6a6a6a6a6a6a6a6aull;
+  constexpr size_t Pad = 3; // Guard elements on each side.
+
+  struct Run {
+    std::vector<uint64_t> Enc;
+    std::vector<uint8_t> Status;
+    VerdictCounts Delta;
+  };
+  // One slice on one ISA. In each buffer the guards start at a 64-byte
+  // boundary, so the first live element sits Pad elements past it,
+  // misaligned for every vector width.
+  auto RunSlice = [&](BatchISA ISA, ElemFunc F, const uint32_t *In,
+                      size_t N) {
+    std::vector<uint32_t> XB(N + 2 * Pad + 16, 0u);
+    std::vector<uint64_t> EncBuf(N + 2 * Pad + 8, Guard);
+    std::vector<uint8_t> StBuf(N + 2 * Pad + 64, 0xA5);
+    auto Live = [&](auto *P) {
+      auto A = reinterpret_cast<uintptr_t>(P);
+      return P + (64 - A % 64) % 64 / sizeof(*P) + Pad;
+    };
+    uint32_t *X = Live(XB.data());
+    uint64_t *E = Live(EncBuf.data());
+    uint8_t *S = Live(StBuf.data());
+    std::copy(In, In + N, X);
+    std::fill(E, E + N, Sentinel);
+    VerdictCounts Before = VerdictCounts::read();
+    oracle_fast::evalToOdd34Batch(ISA, F, X, N, E, S);
+    Run R{std::vector<uint64_t>(E, E + N), std::vector<uint8_t>(S, S + N),
+          VerdictCounts::read() - Before};
+    for (size_t G = 1; G <= Pad; ++G) {
+      EXPECT_EQ(E[-static_cast<ptrdiff_t>(G)], Guard);
+      EXPECT_EQ(E[N + G - 1], Guard);
+      EXPECT_EQ(S[-static_cast<ptrdiff_t>(G)], 0xA5);
+      EXPECT_EQ(S[N + G - 1], 0xA5);
+    }
+    return R;
+  };
+
+  size_t Compared = 0;
+  for (ElemFunc F : AllElemFuncs) {
+    const std::vector<uint32_t> In = laneInputs(F);
+    for (int Mode : Modes) {
+      ASSERT_EQ(std::fesetround(Mode), 0);
+      size_t Begin = 0;
+      for (size_t Slice = 0; Begin < In.size(); ++Slice) {
+        size_t N = std::min(Lengths[Slice % std::size(Lengths)],
+                            In.size() - Begin);
+        const uint32_t *X = In.data() + Begin;
+        Run Want = RunSlice(BatchISA::Scalar, F, X, N);
+        for (BatchISA ISA : AllBatchISAs) {
+          if (ISA == BatchISA::Scalar)
+            continue;
+          Run Got = RunSlice(ISA, F, X, N);
+          for (size_t I = 0; I < N; ++I) {
+            ASSERT_EQ(Got.Status[I], Want.Status[I])
+                << batchISAName(ISA) << " " << elemFuncName(F) << " mode "
+                << Mode << " x bits=0x" << std::hex << X[I];
+            ASSERT_EQ(Got.Enc[I], Want.Status[I] ? Want.Enc[I] : Sentinel)
+                << batchISAName(ISA) << " " << elemFuncName(F) << " mode "
+                << Mode << " x bits=0x" << std::hex << X[I];
+          }
+          EXPECT_EQ(Got.Delta.Accepts, Want.Delta.Accepts);
+          EXPECT_EQ(Got.Delta.Fallbacks, Want.Delta.Fallbacks);
+          EXPECT_EQ(Got.Delta.Rejects, Want.Delta.Rejects);
+          Compared += N;
+        }
+        Begin += N;
+      }
+    }
+    std::fesetround(FE_TONEAREST);
+  }
+  if (batchISAUsable(BatchISA::AVX2) || batchISAUsable(BatchISA::AVX512)) {
+    EXPECT_GT(Compared, 0u);
+  }
+}
+
+/// One oracle.fast.elems.<isa> add per batch, under the ISA whose kernel
+/// ran it: the pinned ISA's where it has a usable oracle kernel (AVX2,
+/// AVX-512), scalar otherwise (the scalar set and NEON).
+TEST(OracleFastTest, ElemsCountersNameTheKernelISA) {
+  const char *Names[3] = {"scalar", "avx2", "avx512"};
+  auto Read = [&](uint64_t (&Out)[3]) {
+    for (int I = 0; I < 3; ++I)
+      Out[I] = telemetry::counterValue(
+          (std::string("oracle.fast.elems.") + Names[I]).c_str());
+  };
+  const uint32_t In[5] = {floatToBits(1.5f), floatToBits(-3.0f),
+                          floatToBits(0x1p-40f), 0x7fc00000u,
+                          floatToBits(100.0f)};
+  uint64_t Enc[5];
+  uint8_t Status[5];
+  auto KernelISA = [](BatchISA ISA) {
+    bool Lanes = ISA == BatchISA::AVX2 || ISA == BatchISA::AVX512;
+    return Lanes && batchISAUsable(ISA) ? ISA : BatchISA::Scalar;
+  };
+  for (BatchISA ISA : AllBatchISAs) {
+    uint64_t Before[3], After[3];
+    Read(Before);
+    oracle_fast::evalToOdd34Batch(ISA, ElemFunc::Exp, In, 5, Enc, Status);
+    Read(After);
+    int Want = static_cast<int>(KernelISA(ISA));
+    for (int I = 0; I < 3; ++I)
+      EXPECT_EQ(After[I] - Before[I], I == Want ? 5u : 0u)
+          << batchISAName(ISA) << " counter " << Names[I];
+  }
+  // The default dispatch runs the process ISA's kernel, and says so.
+  EXPECT_EQ(oracle_fast::batchISA(), KernelISA(activeBatchISA()));
+  uint64_t Before[3], After[3];
+  Read(Before);
+  oracle_fast::evalToOdd34Batch(ElemFunc::Log, In, 5, Enc, Status);
+  Read(After);
+  int Want = static_cast<int>(oracle_fast::batchISA());
+  for (int I = 0; I < 3; ++I)
+    EXPECT_EQ(After[I] - Before[I], I == Want ? 5u : 0u)
+        << "default dispatch, counter " << Names[I];
 }
 
 /// The committed constant tables are the MP layer's, bit for bit: every

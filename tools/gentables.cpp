@@ -54,7 +54,8 @@ static void emitOracleFastTables(FILE *F, const oracle_fast::Tables &T) {
       F, "// Generated by tools/gentables from oracle_fast::computeTables(). Do\n"
          "// not edit by hand: OracleFastTest.ConstantTablesMatchTheMPLayer\n"
          "// recomputes every entry from the MP layer and compares it bit for\n"
-         "// bit. Included by OracleFast.cpp.\n\n"
+         "// bit. Included by OracleFast.cpp and, through OracleFastLanes.h,\n"
+         "// by the lane kernels.\n\n"
          "constexpr oracle_fast::Tables CommittedTables = {\n");
   const oracle_fast::ExpConsts &E = T.Exp;
   emitDDStruct(F, "Exp",

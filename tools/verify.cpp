@@ -31,7 +31,8 @@
 // for the exhaustive formats, by every format: FP(k, 8)'s inputs are
 // among its widest exhaustive format's -- and split the certified fast
 // oracle's verdicts on them (accepted / boundary / domain), so a run
-// answers why inputs left the fast path for the exact oracle. They also
+// answers why inputs left the fast path for the exact oracle -- and name
+// the ISA whose lanes ran the fast oracle (RFP_BATCH_ISA). They also
 // count the screen misses: the (unit, input) pairs whose base H missed
 // the round-to-odd screen. The shipped tables' H lie inside their RO_34
 // intervals, so they never miss at the exhaustive widths.
@@ -41,6 +42,7 @@
 #include "verify/Verify.h"
 
 #include "JsonWriter.h"
+#include "oracle/OracleFast.h"
 #include "support/ShardFile.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -87,10 +89,11 @@ int usage(const char *Prog) {
       "nest in the widest one's; one per function, format and encoding for\n"
       "strided formats) and splits the certified fast oracle's verdicts on\n"
       "them into accepted / boundary / domain (the latter two go to the\n"
-      "exact oracle). It also counts the screen misses: (unit, input) pairs\n"
-      "whose H and RO_34 round to odd differently at FP(k + 2, 8), the\n"
-      "only ones compared mode by mode. All three cover only units computed\n"
-      "in this process, not resumed shards.\n",
+      "exact oracle), naming the ISA its kernel ran on. It also counts the\n"
+      "screen misses: (unit, input) pairs whose H and RO_34 round to odd\n"
+      "differently at FP(k + 2, 8), the only ones compared mode by mode.\n"
+      "All three cover only units computed in this process, not resumed\n"
+      "shards.\n",
       Prog, bench::ReportOptions::usage());
   return 2;
 }
@@ -230,6 +233,7 @@ void writeReport(bench::Report &Rep, const SweepConfig &C,
   W.kv("fast_accepted", Work.Accepted);
   W.kv("fast_boundary", Work.Boundary);
   W.kv("fast_domain", Work.Domain);
+  W.kv("oracle_isa", batchISAName(oracle_fast::batchISA()));
   W.kv("screen_misses", Work.ScreenMisses);
   W.kv("units_resumed", static_cast<uint64_t>(R.UnitsResumed));
   W.kvFixed("wall_ms", WallMs, 1);
@@ -401,7 +405,7 @@ int main(int Argc, char **Argv) {
                           : "";
   std::printf("verify: %llu inputs, %llu comparisons, %llu mismatches"
               "%s (%.1f s, %.0f inputs/s); %llu oracle queries, fast "
-              "oracle %llu accepted, %llu boundary, %llu domain; %llu "
+              "oracle (%s) %llu accepted, %llu boundary, %llu domain; %llu "
               "screen misses\n",
               static_cast<unsigned long long>(Report.Inputs),
               static_cast<unsigned long long>(Report.Comparisons),
@@ -409,6 +413,7 @@ int main(int Argc, char **Argv) {
               ResumeNote.c_str(), WallMs / 1000.0,
               WallMs > 0 ? Report.Inputs / (WallMs / 1000.0) : 0.0,
               static_cast<unsigned long long>(Work.Queries),
+              batchISAName(oracle_fast::batchISA()),
               static_cast<unsigned long long>(Work.Accepted),
               static_cast<unsigned long long>(Work.Boundary),
               static_cast<unsigned long long>(Work.Domain),
